@@ -314,6 +314,7 @@ def run(
             if round_no > max_rounds:
                 report.rounds = round_no - 1
                 report.per_node_peak_bits = {v: peak_bits[v] for v in range(g.n)}
+                report.per_node_peak_qubits = {v: peak_qubits[v] for v in range(g.n)}
                 raise EngineTimeout(max_rounds, report)
             inboxes = deliver_and_trace()
             for v in range(g.n):

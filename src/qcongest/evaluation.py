@@ -27,14 +27,20 @@ node's own wave counting as an event), and all messages surviving the
 drop rule in one round at one node are identical (asserted).  The computed
 S is checked against the central window oracle on every run.
 
-Two interchangeable backends exist: an engine NodeProgram (word-level,
-traceable) and a vectorized simulation used inside the search loops.  They
-produce identical values and identical cost accounting.
+Two backends produce identical values and identical cost accounting.  The
+engine backend runs one branch as a word-level NodeProgram (traceable, and
+the test oracle).  The fast backend reads the branch's row of a table that
+an EvalContext fills on first use: one lockstep simulation of every
+candidate's branch over a (branch x node) state, with every invariant
+checked per branch.  This is the pipelined multi-source technique of
+Peleg-Roditty-Tal (ICALP 2012) applied across the branches of the search.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,6 +100,17 @@ class EvalContext:
 
     def node_quantum_bits(self) -> int:
         return max(self.quantum_bits)
+
+    @functools.cached_property
+    def branches(self) -> dict[int, Branch]:
+        """Every candidate's branch (``restrict``, or all nodes), simulated
+        together on first use."""
+        candidates = range(self.g.n) if self.restrict is None else sorted(self.restrict)
+        chunk = max(1, _ROUND_DELIVERY_CAP // max(1, int(self.indptr[-1])))
+        table: dict[int, Branch] = {}
+        for i in range(0, len(candidates), chunk):
+            table.update(_simulate_chunk(self, candidates[i : i + chunk]))
+        return table
 
 
 def _eval_field_bits(n: int, deg: int) -> int:
@@ -345,147 +362,123 @@ def _evaluate_engine(ectx: EvalContext, u0: int) -> tuple[int, int, int, dict[in
 
 
 # ---------------------------------------------------------------------------
-# Vectorized backend (identical semantics and accounting)
+# Batched backend: every branch of the candidate set in one lockstep run
 # ---------------------------------------------------------------------------
 
+# Word deliveries one round of the batched simulation may hold.  A branch
+# delivers at most 2m words a round (each node sends once, to every
+# neighbor), so this caps the branches simulated together and keeps memory
+# flat on dense graphs.
+_ROUND_DELIVERY_CAP = 1 << 15
 
-def _evaluate_fast(ectx: EvalContext, u0: int) -> tuple[int, int, int, dict[int, int]]:
-    d = ectx.d
-    n = ectx.g.n
+
+class Branch(NamedTuple):
+    """Outcome of one branch: f(u0), its forward-phase words, its window S."""
+
+    f: int
+    words: int
+    window: frozenset[int]
+
+
+def _simulate_chunk(ectx: EvalContext, chunk: Sequence[int]) -> dict[int, Branch]:
+    """Run the three forward phases of every branch in ``chunk`` in lockstep.
+
+    Node v of the b-th branch is the flat index b*n + v.  All branches share
+    d, so their wave rounds 2d..8d+1 line up.  A wave (tau', delta) travels
+    as the key tau'*K + delta, where K exceeds every hop count; a node's
+    ``floor`` is K times its last kept tau' plus one, so a wave survives the
+    drop rule exactly when its key reaches the floor.  Every invariant of
+    the engine backend is checked per (branch, node).
+    """
+    d, n = ectx.d, ectx.g.n
     indptr, indices = ectx.indptr, ectx.indices
-    taup, walk_sends = _walk_positions(ectx, u0)
-    words = walk_sends
+    degree = np.diff(indptr)
+    K = ectx.total_rounds  # a hop count never reaches the round count
+    span = K * (2 * d + 1)  # exceeds every key, as tau' <= 2d
+    size = len(chunk) * n
 
-    own_start: dict[int, list[int]] = {}
-    for v, t in taup.items():
-        own_start.setdefault(2 * d + 2 * t, []).append(v)
+    def where(flat: int) -> str:
+        b, v = divmod(int(flat), n)
+        return f"node {v} on branch u0={chunk[b]}"
 
-    t1 = np.zeros(n, dtype=np.int64)
-    dv = np.zeros(n, dtype=np.int64)
-    last_r = np.full(n, -(10**9), dtype=np.int64)
-    last_t = np.zeros(n, dtype=np.int64)
-    start_round = np.full(n, -1, dtype=np.int64)
-    for v, t in taup.items():
-        start_round[v] = 2 * d + 2 * t
+    walks = [_walk_positions(ectx, u0) for u0 in chunk]
+    starts = [(b * n + v, t) for b, (taup, _) in enumerate(walks) for v, t in taup.items()]
+    starts.sort(key=lambda s: s[1])
+    s_flat = np.array([v for v, _ in starts], dtype=np.int64)
+    s_tau = np.array([t for _, t in starts], dtype=np.int64)
+    s_bounds = np.searchsorted(s_tau, np.arange(2 * d + 2))
+    start_round = np.full(size, -1, dtype=np.int64)
+    start_round[s_flat] = 2 * d + 2 * s_tau
 
-    bsrc = np.empty(0, dtype=np.int64)
-    btau = np.empty(0, dtype=np.int64)
-    bdel = np.empty(0, dtype=np.int64)
-
-    tmp_min = np.empty(n, dtype=np.int64)
-    tmp_max = np.empty(n, dtype=np.int64)
-
-    adj = ectx.g.adj
+    floor = np.zeros(size, dtype=np.int64)
+    lag = np.full(size, -(1 << 62), dtype=np.int64)  # round - tau' of the last event
+    dv = np.zeros(size, dtype=np.int64)
+    sent = np.zeros(size, dtype=np.int64)  # rounds in which the node sent
+    src = key = np.empty(0, dtype=np.int64)  # waves in flight
     for r in range(2 * d, ectx.s3_start + 1):
-        kept_nodes = np.empty(0, dtype=np.int64)
-        kept_tau = kept_del = kept_nodes
-        if 0 < bsrc.size <= 8:
-            # scalar route for sparse rounds: identical drop/keep semantics
-            survivors: dict[int, tuple[int, int]] = {}
-            for s, mt, md in zip(bsrc.tolist(), btau.tolist(), bdel.tolist()):
-                for v in adj[s]:
-                    words += 1
-                    if mt < t1[v]:
-                        continue
-                    if r > ectx.s2_last_send:
-                        raise EvaluationInvariantError(
-                            f"wave still in flight at node {v} after the "
-                            "6d-round window"
-                        )
-                    if v in survivors and survivors[v] != (mt, md):
-                        raise EvaluationInvariantError(
-                            f"non-identical surviving messages at node {v}"
-                        )
-                    survivors[v] = (mt, md)
-            if survivors:
-                for v, (mt, md) in survivors.items():
-                    if start_round[v] == r:
-                        raise EvaluationInvariantError(
-                            f"node {v} keeps a foreign wave in its own start round"
-                        )
-                    if last_r[v] > -(10**8) and (r - last_r[v]) < (mt - last_t[v]):
-                        raise EvaluationInvariantError("wave order violated")
-                    last_r[v] = r
-                    last_t[v] = mt
-                    t1[v] = mt + 1
-                    if md + 1 > dv[v]:
-                        dv[v] = md + 1
-                kept_nodes = np.fromiter(survivors, dtype=np.int64, count=len(survivors))
-                kept_tau = np.fromiter(
-                    (mt for mt, _ in survivors.values()), dtype=np.int64, count=len(survivors)
-                )
-                kept_del = np.fromiter(
-                    (md for _, md in survivors.values()), dtype=np.int64, count=len(survivors)
-                )
-        elif bsrc.size:
-            deg = indptr[bsrc + 1] - indptr[bsrc]
-            recv = np.concatenate(
-                [indices[indptr[s] : indptr[s + 1]] for s in bsrc]
-            )
-            words += int(recv.size)
-            mtau = np.repeat(btau, deg)
-            mdel = np.repeat(bdel, deg)
-            mask = mtau >= t1[recv]
-            recv, mtau, mdel = recv[mask], mtau[mask], mdel[mask]
+        kept = kept_key = np.empty(0, dtype=np.int64)
+        if src.size:
+            node = src % n
+            deg = degree[node]
+            ends = np.cumsum(deg)
+            offset = np.repeat(indptr[node] - (ends - deg), deg)
+            recv = indices[np.arange(int(ends[-1])) + offset] + np.repeat(src - node, deg)
+            rkey = np.repeat(key, deg)
+            live = rkey >= floor[recv]
+            recv, rkey = recv[live], rkey[live]
             if recv.size:
                 if r > ectx.s2_last_send:
                     raise EvaluationInvariantError(
-                        f"wave still in flight at node {int(recv[0])} after the "
-                        "6d-round window"
+                        f"wave still in flight at {where(recv[0])} after the 6d-round window"
                     )
-                tmp_min.fill(2**60)
-                tmp_max.fill(-1)
-                np.minimum.at(tmp_min, recv, mtau)
-                np.maximum.at(tmp_max, recv, mtau)
-                kept_nodes = np.unique(recv)
-                if not np.array_equal(tmp_min[kept_nodes], tmp_max[kept_nodes]):
-                    bad = kept_nodes[tmp_min[kept_nodes] != tmp_max[kept_nodes]][0]
+                pairs = recv * span + rkey
+                pairs.sort()
+                pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
+                kept = pairs // span
+                clash = np.flatnonzero(kept[1:] == kept[:-1])
+                if clash.size:
                     raise EvaluationInvariantError(
-                        f"non-identical surviving messages at node {int(bad)}"
+                        f"non-identical surviving messages at {where(kept[clash[0]])}"
                     )
-                kept_tau = tmp_min[kept_nodes]
-                tmp_min.fill(2**60)
-                tmp_max.fill(-1)
-                np.minimum.at(tmp_min, recv, mdel)
-                np.maximum.at(tmp_max, recv, mdel)
-                if not np.array_equal(tmp_min[kept_nodes], tmp_max[kept_nodes]):
-                    bad = kept_nodes[tmp_min[kept_nodes] != tmp_max[kept_nodes]][0]
+                kept_key = pairs - kept * span
+                tau = kept_key // K
+                bad = np.flatnonzero(start_round[kept] == r)
+                if bad.size:
                     raise EvaluationInvariantError(
-                        f"non-identical surviving messages at node {int(bad)}"
+                        f"{where(kept[bad[0]])} keeps a foreign wave in its own start round"
                     )
-                kept_del = tmp_min[kept_nodes]
-                if np.any(start_round[kept_nodes] == r):
-                    bad = kept_nodes[start_round[kept_nodes] == r][0]
-                    raise EvaluationInvariantError(
-                        f"node {int(bad)} keeps a foreign wave in its own start round"
-                    )
-                seen = last_r[kept_nodes] > -(10**8)
-                if np.any((r - last_r[kept_nodes][seen]) < (kept_tau[seen] - last_t[kept_nodes][seen])):
-                    raise EvaluationInvariantError("wave order violated")
-                last_r[kept_nodes] = r
-                last_t[kept_nodes] = kept_tau
-                t1[kept_nodes] = kept_tau + 1
-                np.maximum.at(dv, kept_nodes, kept_del + 1)
+                bad = np.flatnonzero(r - tau < lag[kept])
+                if bad.size:
+                    raise EvaluationInvariantError(f"wave order violated at {where(kept[bad[0]])}")
+                lag[kept] = r - tau
+                floor[kept] = (tau + 1) * K
+                # the key carries hops-so-far minus one, as on the wire
+                dv[kept] = np.maximum(dv[kept], kept_key - tau * K + 1)
+        src, key = kept, kept_key + 1
+        t, odd = divmod(r - 2 * d, 2)
+        if not odd and t <= 2 * d:
+            own = s_flat[s_bounds[t] : s_bounds[t + 1]]
+            bad = np.flatnonzero(r - t < lag[own])
+            if bad.size:
+                raise EvaluationInvariantError(
+                    f"wave order violated at the own start of {where(own[bad[0]])}"
+                )
+            lag[own] = r - t
+            floor[own] = np.maximum(floor[own], (t + 1) * K)
+            src = np.concatenate([src, own])
+            key = np.concatenate([key, np.full(own.size, t * K, dtype=np.int64)])
+        sent[src] += 1
 
-        starters = own_start.get(r, [])
-        if starters:
-            sv = np.asarray(starters, dtype=np.int64)
-            stau = np.asarray([taup[v] for v in starters], dtype=np.int64)
-            seen = last_r[sv] > -(10**8)
-            if np.any((r - last_r[sv][seen]) < (stau[seen] - last_t[sv][seen])):
-                raise EvaluationInvariantError("wave order violated at own start")
-            last_r[sv] = r
-            last_t[sv] = stau
-            t1[sv] = np.maximum(t1[sv], stau + 1)
-            bsrc = np.concatenate([kept_nodes, sv])
-            btau = np.concatenate([kept_tau, stau])
-            bdel = np.concatenate([kept_del + 1, np.zeros(len(starters), dtype=np.int64)])
-        else:
-            bsrc, btau, bdel = kept_nodes, kept_tau, kept_del + 1
-
-    words += n - 1  # upcast: every non-root reports once
-    f = int(dv.max())
-    return f, ectx.total_rounds, words, taup
+    wave_words = sent.reshape(-1, n) @ degree
+    f = dv.reshape(-1, n).max(axis=1)
+    return {
+        u0: Branch(
+            int(f[b]),
+            walks[b][1] + int(wave_words[b]) + n - 1,  # upcast: every non-root reports once
+            frozenset(walks[b][0]),
+        )
+        for b, u0 in enumerate(chunk)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -508,21 +501,22 @@ def evaluation_procedure(
     """
     if ectx is None:
         ectx = make_eval_context(g, tree, restrict)
-    if restrict is not None and u0 not in (ectx.restrict or ()):  # pragma: no cover
+    if ectx.restrict is not None and u0 not in ectx.restrict:
         raise EngineError(f"u0={u0} outside the restricted candidate set")
     if backend == "fast":
-        f, rounds, words, taup = _evaluate_fast(ectx, u0)
+        f, words, window = ectx.branches[u0]
+        rounds = ectx.total_rounds
     elif backend == "engine":
         f, rounds, words, taup = _evaluate_engine(ectx, u0)
+        window = frozenset(taup)
     else:
         raise EngineError(f"unknown backend {backend!r}")
 
     expected = set_S(u0, ectx.d, ectx.numbering)
-    computed = frozenset(taup)
-    if computed != expected:
+    if window != expected:
         raise EvaluationInvariantError(
             f"computed S differs from the window oracle for u0={u0}: "
-            f"extra={sorted(computed - expected)} missing={sorted(expected - computed)}"
+            f"extra={sorted(window - expected)} missing={sorted(expected - window)}"
         )
     report = CostReport(
         rounds=2 * rounds,

@@ -8,6 +8,7 @@ change any output byte.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -102,16 +103,24 @@ class ExperimentConfig:
         ]
 
 
+@functools.lru_cache(maxsize=1)
+def _instance(family_spec: str, n: int, seed: int) -> tuple[graphs.Graph, int]:
+    """The graph and its brute-force diameter; consecutive rows of a grid
+    share a graph, so one entry saves every repeated oracle run."""
+    family, p = parse_family(family_spec)
+    g = graphs.generate(family, n, seed=seed, p=p)
+    return g, graphs.diameter_bruteforce(g)
+
+
 def run_one(
     family_spec: str, n: int, seed: int, algo: str, algo_seed: int,
     delta: float | None, trace_dir: str | None = None,
 ) -> dict:
-    family, p = parse_family(family_spec)
-    g = graphs.generate(family, n, seed=seed, p=p)
-    d_true = graphs.diameter_bruteforce(g)
+    g, d_true = _instance(family_spec, n, seed)
     if trace_dir is not None and n >= 3:
         from .procedures import elect_leader_and_ecc
 
+        family, _ = parse_family(family_spec)
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
         trace = Path(trace_dir) / f"{family}-{n}-{seed}-election.jsonl"
         elect_leader_and_ecc(g, trace_path=str(trace))
@@ -139,9 +148,8 @@ def run_one(
     }
 
 
-def _run_task(args: tuple[ExperimentConfig, int]) -> dict:
-    config, index = args
-    family_spec, n, seed, algo = config.tasks()[index]
+def _run_task(args: tuple[ExperimentConfig, int, tuple[str, int, int, str]]) -> dict:
+    config, index, (family_spec, n, seed, algo) = args
     algo_seed = splitmix64(config.master_seed * 0x9E3779B97F4A7C15 + index)
     return run_one(
         family_spec, n, seed, algo, algo_seed, config.delta, config.trace_dir
@@ -150,11 +158,11 @@ def _run_task(args: tuple[ExperimentConfig, int]) -> dict:
 
 def run_grid(config: ExperimentConfig) -> list[dict]:
     """One row per (family, n, seed, algo), in task order."""
-    indices = list(range(len(config.tasks())))
+    tasks = [(config, i, task) for i, task in enumerate(config.tasks())]
     if config.jobs <= 1:
-        return [_run_task((config, i)) for i in indices]
+        return [_run_task(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(_run_task, [(config, i) for i in indices]))
+        return list(pool.map(_run_task, tasks))
 
 
 def format_value(value) -> str:

@@ -118,7 +118,10 @@ def grover_iterate(
     state: AmplitudeState, marked: Callable[[int], bool]
 ) -> AmplitudeState:
     """One amplification iteration: flip marked branches, reflect about setup."""
-    mask = _marked_mask(state, marked)
+    return _grover_step(state, _marked_mask(state, marked))
+
+
+def _grover_step(state: AmplitudeState, mask: np.ndarray) -> AmplitudeState:
     amps = state.amps.copy()
     amps[mask] = -amps[mask]
     overlap = np.vdot(state.setup_amps, amps)
@@ -208,7 +211,7 @@ def amplitude_amplify_decide(
             )
             cost.setup_calls += 1
             for _ in range(j):
-                state = grover_iterate(state, marked)
+                state = _grover_step(state, mask)
                 cost.eval_calls += 1
                 cost.setup_calls += 1
                 cost.inverse_calls += 2

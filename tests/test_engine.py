@@ -18,6 +18,7 @@ from qcongest.engine import (
     run,
     unpack_bits,
 )
+from qcongest.procedures import ElectionProgram
 
 
 class FloodMax(NodeProgram):
@@ -96,6 +97,15 @@ def test_timeout_carries_partial_report():
     with pytest.raises(EngineTimeout) as exc:
         run(g, NeverHalt(), max_rounds=10)
     assert exc.value.report.rounds == 10
+
+
+def test_timeout_report_lists_every_node_peak():
+    g = graphs.generate("path", 32)
+    with pytest.raises(EngineTimeout) as exc:
+        run(g, ElectionProgram(32), max_rounds=3)
+    report = exc.value.report
+    assert set(report.per_node_peak_bits) == set(range(32))
+    assert set(report.per_node_peak_qubits) == set(range(32))
 
 
 def test_oversized_word_names_node_and_round():

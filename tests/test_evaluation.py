@@ -4,8 +4,13 @@ import itertools
 
 import pytest
 
-from qcongest import graphs
-from qcongest.evaluation import evaluation_procedure, make_eval_context
+from qcongest import evaluation, graphs
+from qcongest.evaluation import (
+    EvaluationInvariantError,
+    _evaluate_engine,
+    evaluation_procedure,
+    make_eval_context,
+)
 from qcongest.graphs import generate
 from qcongest.procedures import build_bfs_tree, dfs_numbering, elect_leader_and_ecc, set_S
 
@@ -123,3 +128,61 @@ def test_eval_context_rejects_outside_candidates():
     with pytest.raises(Exception):
         bad = next(v for v in range(g.n) if v not in restrict)
         evaluation_procedure(g, tree, bad, restrict=restrict)
+
+
+def _contexts(spec):
+    """The leader's context over all nodes, plus restricted ones: the s
+    nodes closest to the leader or to the farthest node, as the
+    approximation algorithm picks them.  Only sets with s > d are used, the
+    ones on which the engine's token walk visits no node twice."""
+    g, tree = prepared(spec)
+    contexts = [make_eval_context(g, tree)]
+    w = max(range(g.n), key=lambda v: (graphs.eccentricity(g, v), -v))
+    for root in (tree.leader, w):
+        tree_r, _ = build_bfs_tree(g, root)
+        order = sorted(range(g.n), key=lambda v: (tree_r.dist[v], v))
+        for size in sorted({tree_r.ecc_leader + 1, g.n - 1}):
+            if tree_r.ecc_leader < size < g.n:
+                contexts.append(make_eval_context(g, tree_r, frozenset(order[:size])))
+    return contexts
+
+
+@pytest.mark.parametrize("spec", CORPUS, ids=[f"{s[0]}-{s[1]}" for s in CORPUS])
+def test_batched_table_matches_engine_per_branch(spec, monkeypatch):
+    for ectx in _contexts(spec):
+        # three branches per chunk, so every candidate set spans several chunks
+        monkeypatch.setattr(evaluation, "_ROUND_DELIVERY_CAP", 3 * int(ectx.indptr[-1]))
+        candidates = sorted(ectx.restrict or range(ectx.g.n))
+        assert sorted(ectx.branches) == candidates
+        for u0 in candidates:
+            f, rounds, words, taup = _evaluate_engine(ectx, u0)
+            assert ectx.branches[u0] == (f, words, frozenset(taup))
+            assert rounds == ectx.total_rounds
+
+
+# (u0, node, shift of its offset tau', the invariant error), on the path
+# 0-1-...-5 rooted at 0.  Node 2 sits at offset 2 from u0 = 0; offset 1
+# starts its wave in the round u0's wave reaches it.
+CORRUPTIONS = [
+    (0, 2, -1, "node 2 on branch u0=0 keeps a foreign wave in its own start round"),
+    (0, 4, -3, "non-identical surviving messages at node 3 on branch u0=0"),
+    (2, 5, 5, "wave order violated at node 1 on branch u0=2"),
+    (2, 5, 3, "wave order violated at the own start of node 0 on branch u0=2"),
+]
+
+
+@pytest.mark.parametrize("u0, v, shift, message", CORRUPTIONS)
+def test_batch_rejects_a_corrupted_branch(u0, v, shift, message, monkeypatch):
+    g = graphs.path_graph(6)
+    tree, _ = build_bfs_tree(g, 0, 5)
+    walk = evaluation._walk_positions
+
+    def shifted(ectx, x):
+        taup, sends = walk(ectx, x)
+        if x == u0:
+            taup = {**taup, v: taup[v] + shift}
+        return taup, sends
+
+    monkeypatch.setattr(evaluation, "_walk_positions", shifted)
+    with pytest.raises(EvaluationInvariantError, match=message):
+        make_eval_context(g, tree).branches
