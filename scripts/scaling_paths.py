@@ -6,10 +6,10 @@ n^1.5 for the plain eccentricity maximization."""
 from __future__ import annotations
 
 import argparse
-import math
 
 from qcongest.diameter import exact_diameter, exact_diameter_simple
 from qcongest.graphs import generate
+from qcongest.harness import fit_loglog
 
 
 def main() -> None:
@@ -32,12 +32,7 @@ def main() -> None:
         print(f"n={n:4d}  exact={means['exact'][n]:12.0f}  simple={means['simple'][n]:12.0f}")
 
     for algo, data in means.items():
-        xs = [math.log(n) for n in sizes]
-        ys = [math.log(data[n]) for n in sizes]
-        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
-            (x - mx) ** 2 for x in xs
-        )
+        slope, _ = fit_loglog(sizes, [data[n] for n in sizes])
         print(f"{algo}: fitted exponent vs n = {slope:.3f}")
     print(f"round ratio at n={sizes[-1]}: "
           f"{means['simple'][sizes[-1]] / means['exact'][sizes[-1]]:.2f}")

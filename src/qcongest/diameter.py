@@ -3,9 +3,10 @@
 
 All three elect the minimum-id leader, build its BFS tree, then maximize an
 eccentricity-style function with the amplitude-level search layer.  The
-branch function is produced by running the corresponding distributed
-procedure once per distinct candidate; the search layer charges each oracle
-call at the (branch-uniform) network cost of one such run.
+searched value vector is filled by running the corresponding distributed
+procedure once per support candidate; ``distributed_cost`` charges each
+oracle call at the (branch-uniform) network cost of one such run and builds
+the run's report.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import graphs
 from .engine import CostReport, EngineError
-from .evaluation import EvalContext, evaluation_procedure, make_eval_context
+from .evaluation import evaluation_procedure, make_eval_context
 from .graphs import Graph
 from .procedures import (
     BfsTreeState,
@@ -57,10 +58,6 @@ class DiameterResult:
     epsilon: float
     details: dict = field(default_factory=dict)
 
-    def __iter__(self):
-        yield self.d_out
-        yield self.report
-
 
 def _poly_delta(n: int) -> float:
     return 1.0 / max(4, n * n)
@@ -88,8 +85,9 @@ def _trivial_result(g: Graph) -> DiameterResult:
     )
 
 
-def _check_leader_memory(n: int, leader_qubits: int) -> None:
-    limit = LEADER_QUBIT_C2 * id_bits(n) ** 2
+def _check_leader_memory(report: CostReport) -> None:
+    leader_qubits = report.per_node_peak_qubits[report.leader]
+    limit = LEADER_QUBIT_C2 * id_bits(len(report.per_node_peak_qubits)) ** 2
     if leader_qubits > limit:
         raise AlgorithmError(
             f"leader peak {leader_qubits} qubits exceeds {limit} = C2*log2(n)^2"
@@ -105,45 +103,22 @@ def exact_diameter_simple(
     delta = _poly_delta(g.n) if delta is None else delta
     leader, d, tree, rep0 = _init_phases(g, seed)
 
-    cache: dict[int, tuple[int, CostReport]] = {}
-
-    def branch(u0: int) -> int:
-        if u0 not in cache:
-            cache[u0] = eccentricity_simple_eval(g, tree, u0)
-        return cache[u0][0]
-
+    values, reports = zip(
+        *(eccentricity_simple_eval(g, tree, u0) for u0 in range(g.n))
+    )
     epsilon = 1.0 / g.n
-    state0 = setup_uniform(range(g.n))
     best, cost = quantum_maximize(
-        branch, state0, QOptConfig(epsilon, delta, seed)
+        values, setup_uniform(range(g.n)), QOptConfig(epsilon, delta, seed)
     )
-    d_out = branch(best)
-    t_eval = max(rep.rounds for _, rep in cache.values())
-    words_eval = max(rep.total_words for _, rep in cache.values())
+    t_eval = max(rep.rounds for rep in reports)
+    words_eval = max(rep.total_words for rep in reports)
+    qubits = [_simple_node_qubits(g.n)] * g.n
     report = distributed_cost(
-        rep0.rounds,
-        d,
-        t_eval,
-        cost,
-        _simple_node_qubits(g.n),
-        epsilon,
-        g.n,
-        leader,
+        rep0, rep0.rounds, d, t_eval, words_eval, cost, qubits, epsilon, leader
     )
-    _check_leader_memory(g.n, cost.leader_qubits_peak)
-    report.total_words = rep0.total_words + cost.total_calls * words_eval
-    report = CostReport(
-        rounds=report.rounds,
-        total_words=report.total_words,
-        per_node_peak_bits=rep0.per_node_peak_bits,
-        per_node_peak_qubits={
-            v: (cost.leader_qubits_peak if v == leader else cost.node_qubits_peak)
-            for v in range(g.n)
-        },
-        leader=leader,
-    )
+    _check_leader_memory(report)
     return DiameterResult(
-        d_out, report, cost, rep0.rounds, d, t_eval, d, epsilon,
+        values[best], report, cost, rep0.rounds, d, t_eval, d, epsilon,
         details={"leader": leader},
     )
 
@@ -156,26 +131,25 @@ def _windowed_maximize(
     delta: float,
     seed: int,
     backend: str,
-) -> tuple[int, int, SearchCost, int, int, EvalContext]:
-    """Shared quantum phase of the exact and approximate algorithms."""
+) -> tuple[int, int, SearchCost, int, tuple[int, ...]]:
+    """Shared quantum phase of the exact and approximate algorithms: the
+    maximum found, T_eval, the call counts, the words of one evaluation and
+    the evaluation's qubits per node."""
     ectx = make_eval_context(g, tree, support)
-    cache: dict[int, tuple[int, CostReport]] = {}
-
-    def branch(u0: int) -> int:
-        if u0 not in cache:
-            cache[u0] = evaluation_procedure(
-                g, tree, u0, restrict=support, backend=backend, ectx=ectx
-            )
-        return cache[u0][0]
-
+    values = [0] * g.n  # entries outside the support are never read
+    reports = []
+    for u0 in range(g.n) if support is None else sorted(support):
+        values[u0], rep = evaluation_procedure(
+            g, tree, u0, restrict=support, backend=backend, ectx=ectx
+        )
+        reports.append(rep)
     if support is None:
         state0 = setup_uniform(range(g.n))
     else:
         state0 = setup_subset(range(g.n), support)
-    best, cost = quantum_maximize(branch, state0, QOptConfig(epsilon, delta, seed))
-    d_out = branch(best)
+    best, cost = quantum_maximize(values, state0, QOptConfig(epsilon, delta, seed))
 
-    rounds = {rep.rounds for _, rep in cache.values()}
+    rounds = {rep.rounds for rep in reports}
     if len(rounds) != 1:
         raise AlgorithmError(f"evaluation cost must be branch-uniform, got {rounds}")
     t_eval = rounds.pop()
@@ -183,8 +157,8 @@ def _windowed_maximize(
         raise AlgorithmError(
             f"evaluation took {t_eval} rounds, exceeding 18*{tree.ecc_leader}+{EVAL_ROUND_SLACK}"
         )
-    words_eval = max(rep.total_words for _, rep in cache.values())
-    return d_out, t_eval, cost, words_eval, len(cache), ectx
+    words_eval = max(rep.total_words for rep in reports)
+    return values[best], t_eval, cost, words_eval, ectx.quantum_bits
 
 
 def exact_diameter(
@@ -201,25 +175,15 @@ def exact_diameter(
     delta = _poly_delta(g.n) if delta is None else delta
     leader, d, tree, rep0 = _init_phases(g, seed)
     epsilon = min(1.0, d / (2.0 * g.n))
-    d_out, t_eval, cost, words_eval, _, ectx = _windowed_maximize(
+    d_out, t_eval, cost, words_eval, qubits = _windowed_maximize(
         g, tree, None, epsilon, delta, seed, backend
     )
     report = distributed_cost(
-        rep0.rounds, d, t_eval, cost, ectx.node_quantum_bits(), epsilon, g.n, leader
+        rep0, rep0.rounds, d, t_eval, words_eval, cost, qubits, epsilon, leader
     )
-    _check_leader_memory(g.n, cost.leader_qubits_peak)
-    final = CostReport(
-        rounds=report.rounds,
-        total_words=rep0.total_words + cost.total_calls * words_eval,
-        per_node_peak_bits=rep0.per_node_peak_bits,
-        per_node_peak_qubits={
-            v: (cost.leader_qubits_peak if v == leader else ectx.quantum_bits[v])
-            for v in range(g.n)
-        },
-        leader=leader,
-    )
+    _check_leader_memory(report)
     return DiameterResult(
-        d_out, final, cost, rep0.rounds, d, t_eval, d, epsilon,
+        d_out, report, cost, rep0.rounds, d, t_eval, d, epsilon,
         details={"leader": leader},
     )
 
@@ -277,25 +241,14 @@ def approx_diameter(
     t0 = prep.rounds + (len(landmarks) + 2 * d_leader) + (s + d)
 
     epsilon = min(1.0, d / (2.0 * len(r_set)))
-    d_quantum, t_eval, cost, words_eval, _, ectx = _windowed_maximize(
+    d_quantum, t_eval, cost, words_eval, qubits = _windowed_maximize(
         g, tree_w, r_set, epsilon, delta, seed, backend
     )
     d_bar = max(d_quantum, ecc_landmarks, d)
-    report = distributed_cost(
-        t0, d, t_eval, cost, ectx.node_quantum_bits(), epsilon, n, w
-    )
-    final = CostReport(
-        rounds=report.rounds,
-        total_words=prep.total_words + cost.total_calls * words_eval,
-        per_node_peak_bits=prep.per_node_peak_bits,
-        per_node_peak_qubits={
-            v: (cost.leader_qubits_peak if v == w else ectx.quantum_bits[v])
-            for v in range(n)
-        },
-        leader=w,
-    )
+    report = distributed_cost(prep, t0, d, t_eval, words_eval, cost, qubits, epsilon, w)
+    _check_leader_memory(report)
     return DiameterResult(
-        d_bar, final, cost, t0, d, t_eval, d, epsilon,
+        d_bar, report, cost, t0, d, t_eval, d, epsilon,
         details={
             "leader": leader,
             "w": w,

@@ -272,12 +272,15 @@ class EvaluationProgram(NodeProgram):
                 assert offset == round_no, "token offset must equal the round index"
                 token_offset = offset
                 if sender == ectx.tree.parent[v]:
-                    # top-down arrival: first visit on the master tour
-                    if state["taup1"]:
+                    # top-down arrival: first visit on the master tour; a
+                    # window wider than the tour revisits a node whole tours
+                    # later, and the node keeps its first offset
+                    if not state["taup1"]:
+                        state["taup1"] = offset + 1
+                    elif (offset - (state["taup1"] - 1)) % ectx.base != 0:
                         raise EvaluationInvariantError(
                             f"walk first-visited node {v} twice"
                         )
-                    state["taup1"] = offset + 1
                     state["cursor"] = 0
                 else:
                     state["cursor"] = ectx.children_r[v].index(sender) + 1

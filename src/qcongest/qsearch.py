@@ -103,22 +103,19 @@ def setup_subset(candidates: Sequence[int], support: Iterable[int]) -> Amplitude
     return AmplitudeState(xs, amps.copy(), amps.copy())
 
 
-def _marked_mask(state: AmplitudeState, marked: Callable[[int], bool]) -> np.ndarray:
-    """Mark bits per branch; branches outside the setup support carry zero
-    amplitude forever, so the oracle is never consulted there."""
-    support = np.abs(state.setup_amps) > 0.0
-    mask = np.zeros(len(state.candidates), dtype=bool)
-    for i, x in enumerate(state.candidates):
-        if support[i]:
-            mask[i] = bool(marked(x))
-    return mask
-
-
 def grover_iterate(
     state: AmplitudeState, marked: Callable[[int], bool]
 ) -> AmplitudeState:
-    """One amplification iteration: flip marked branches, reflect about setup."""
-    return _grover_step(state, _marked_mask(state, marked))
+    """One amplification iteration: flip marked branches, reflect about setup.
+
+    Branches outside the setup support carry zero amplitude forever, so the
+    predicate is never consulted there."""
+    support = np.abs(state.setup_amps) > 0.0
+    mask = np.array(
+        [bool(s) and bool(marked(x)) for x, s in zip(state.candidates, support)],
+        dtype=bool,
+    )
+    return _grover_step(state, mask)
 
 
 def _grover_step(state: AmplitudeState, mask: np.ndarray) -> AmplitudeState:
@@ -131,14 +128,11 @@ def _grover_step(state: AmplitudeState, mask: np.ndarray) -> AmplitudeState:
 
 @dataclass
 class SearchCost:
-    """Oracle-call counts and the derived distributed costs."""
+    """Oracle-call counts of a search."""
 
     setup_calls: int = 0
     eval_calls: int = 0
     inverse_calls: int = 0
-    rounds_charged: int = 0
-    leader_qubits_peak: int = 0
-    node_qubits_peak: int = 0
 
     @property
     def total_calls(self) -> int:
@@ -180,9 +174,19 @@ def maximize_call_budget(epsilon: float, delta: float) -> int:
     )
 
 
+def _per_candidate(state: AmplitudeState, arr, what: str) -> np.ndarray:
+    out = np.asarray(arr)
+    if out.shape != (len(state.candidates),):
+        raise SearchError(
+            f"{what} needs one entry per candidate ({len(state.candidates)}), "
+            f"got shape {out.shape}"
+        )
+    return out
+
+
 def amplitude_amplify_decide(
     state0: AmplitudeState,
-    marked: Callable[[int], bool],
+    marked: np.ndarray,
     epsilon: float,
     delta: float,
     rng: np.random.Generator | int,
@@ -190,16 +194,19 @@ def amplitude_amplify_decide(
     """Decide whether any branch is marked, under the promise that the marked
     probability mass is 0 or at least ``epsilon``.
 
-    Returns a sampled marked candidate (branch x with conditional probability
+    ``marked`` holds one bool per entry of ``state0.candidates``.  Returns a
+    sampled marked candidate (branch x with conditional probability
     |alpha_x|^2 / P_M) or None, plus the oracle-call counts.  Measurement is
     simulated by seeded sampling from the exact final amplitudes.
     """
+    mask = _per_candidate(state0, marked, "marked")
+    if mask.dtype != bool:
+        raise SearchError(f"marked must be a bool array, got {mask.dtype}")
     if not (0.0 < epsilon <= 1.0) or not (0.0 < delta < 1.0):
         raise SearchError("invalid epsilon or delta")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     cost = SearchCost()
-    mask = _marked_mask(state0, marked)
     m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
     for _ in range(reps):
@@ -226,81 +233,72 @@ def amplitude_amplify_decide(
 
 
 def quantum_maximize(
-    f_oracle: Callable[[int], int],
+    values: Sequence[int] | np.ndarray,
     state0: AmplitudeState,
     config: QOptConfig,
 ) -> tuple[int, SearchCost]:
     """Return an argmax of f over the setup support, w.p. >= 1 - delta.
 
-    Runs the Durr-Hoyer threshold loop: per threshold a, one decision at
-    ``config.epsilon`` for {x : f(x) > a}; raise a to the value found on
-    success and stop at the first failure.  While a is below the maximum
-    every maximizer is marked, so the marked mass is at least epsilon and
-    the decision's promise holds.  The computation aborts with the current
-    threshold element once the worst-case call budget is spent.  f is
-    evaluated once per distinct branch (cached).
+    ``values`` holds f per entry of ``state0.candidates``; entries outside
+    the setup support are never read.  Runs the Durr-Hoyer threshold loop:
+    per threshold a, one decision at ``config.epsilon`` on the mark
+    support & (values > a); raise a to the value found on success and stop
+    at the first failure.  While a is below the maximum every maximizer is
+    marked, so the marked mass is at least epsilon and the decision's
+    promise holds.  The computation aborts with the current threshold
+    element once the worst-case call budget is spent.
     """
+    vals = _per_candidate(state0, values, "values")
     rng = np.random.default_rng(config.seed)
     cost = SearchCost()
-    cache: dict[int, int] = {}
-
-    def f(x: int) -> int:
-        if x not in cache:
-            cache[x] = int(f_oracle(x))
-        return cache[x]
-
-    support = [
-        x for x, a in zip(state0.candidates, state0.setup_amps) if abs(a) > 0.0
-    ]
-    if not support:
-        raise SearchError("setup state has empty support")
-    best = min(support)  # fixed deterministic starting element
-    best_val = f(best)
+    support = np.abs(state0.setup_amps) > 0.0
+    xs = state0.candidates
+    best = min(np.flatnonzero(support), key=lambda i: xs[i])  # fixed start
     cost.eval_calls += 1
     budget = maximize_call_budget(config.epsilon, config.delta)
     for _ in range(config.max_phases):
         found, sub = amplitude_amplify_decide(
-            state0,
-            lambda x: f(x) > best_val,
-            config.epsilon,
-            config.delta,
-            rng,
+            state0, support & (vals > vals[best]), config.epsilon, config.delta, rng
         )
         cost.add(sub)
         if found is None:
             break
-        best, best_val = found, f(found)
+        best = xs.index(found)
         if cost.total_calls > budget:
             break  # abort: too many resources used, output the current value
-    return best, cost
+    return xs[best], cost
 
 
 def distributed_cost(
+    prep: CostReport,
     t0: int,
     t_setup: int,
     t_eval: int,
+    words_per_call: int,
     calls: SearchCost,
-    s_node_qubits: int,
+    node_qubits: Sequence[int],
     epsilon: float,
-    n_candidates: int,
-    leader: int | None = None,
+    leader: int,
 ) -> CostReport:
-    """Network cost of a maximization run.
+    """The complete network cost of a run: classical preparation ``prep``
+    (ending at round ``t0``) followed by a maximization over one candidate
+    per node.
 
     Branches share rounds (they run in superposition), so each oracle call
-    is charged once at the slower of setup and evaluation.  The coordinator
-    additionally stores one amplification outcome per threshold phase,
-    costing a log(1/eps) factor on top of its log|X| index register.
+    is charged once at the slower of setup and evaluation, and sends
+    ``words_per_call`` words.  Node v holds ``node_qubits[v]`` qubits; the
+    coordinator additionally stores one amplification outcome per threshold
+    phase, so its peak is (max(node_qubits) + log|X|) * log(1/eps).
+    Classical peaks are those of ``prep``.
     """
-    per_call = max(t_setup, t_eval)
-    rounds = t0 + calls.total_calls * per_call
     log_eps = max(1, math.ceil(math.log2(1.0 / epsilon)))
-    index_bits = max(1, (max(n_candidates, 2) - 1).bit_length())
-    leader_qubits = s_node_qubits * log_eps + index_bits * log_eps
-    calls.rounds_charged = rounds
-    calls.leader_qubits_peak = leader_qubits
-    calls.node_qubits_peak = s_node_qubits
-    report = CostReport(rounds=rounds, leader=leader)
-    if leader is not None:
-        report.per_node_peak_qubits = {leader: leader_qubits}
-    return report
+    index_bits = max(1, (max(len(node_qubits), 2) - 1).bit_length())
+    qubits = dict(enumerate(node_qubits))
+    qubits[leader] = (max(node_qubits) + index_bits) * log_eps
+    return CostReport(
+        rounds=t0 + calls.total_calls * max(t_setup, t_eval),
+        total_words=prep.total_words + calls.total_calls * words_per_call,
+        per_node_peak_bits=dict(prep.per_node_peak_bits),
+        per_node_peak_qubits=qubits,
+        leader=leader,
+    )

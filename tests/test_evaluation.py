@@ -133,16 +133,18 @@ def test_eval_context_rejects_outside_candidates():
 def _contexts(spec):
     """The leader's context over all nodes, plus restricted ones: the s
     nodes closest to the leader or to the farthest node, as the
-    approximation algorithm picks them.  Only sets with s > d are used, the
-    ones on which the engine's token walk visits no node twice."""
+    approximation algorithm picks them.  Sets with s <= d are included: on
+    those the window is wider than the tour, and the token walk revisits
+    nodes."""
     g, tree = prepared(spec)
     contexts = [make_eval_context(g, tree)]
     w = max(range(g.n), key=lambda v: (graphs.eccentricity(g, v), -v))
     for root in (tree.leader, w):
         tree_r, _ = build_bfs_tree(g, root)
         order = sorted(range(g.n), key=lambda v: (tree_r.dist[v], v))
-        for size in sorted({tree_r.ecc_leader + 1, g.n - 1}):
-            if tree_r.ecc_leader < size < g.n:
+        d = tree_r.ecc_leader
+        for size in sorted({1, (d + 1) // 2, d, d + 1, g.n - 1}):
+            if 0 < size < g.n:
                 contexts.append(make_eval_context(g, tree_r, frozenset(order[:size])))
     return contexts
 

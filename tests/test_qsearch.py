@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qcongest.engine import CostReport
 from qcongest.qsearch import (
     AmplitudeState,
     QOptConfig,
+    SearchCost,
     SearchError,
     amplitude_amplify_decide,
     decide_call_budget,
@@ -95,13 +97,13 @@ def test_setup_subset_rejects_bad_support():
 def test_decide_empty_marked_returns_none():
     state = setup_uniform(range(16))
     for seed in range(20):
-        found, _ = amplitude_amplify_decide(state, lambda x: False, 0.25, 0.1, seed)
+        found, _ = amplitude_amplify_decide(state, np.zeros(16, bool), 0.25, 0.1, seed)
         assert found is None
 
 
 def test_decide_success_rate():
     state = setup_uniform(range(16))
-    marked = lambda x: x < 4
+    marked = np.arange(16) < 4
     hits = sum(
         amplitude_amplify_decide(state, marked, 4 / 16, 0.1, seed)[0] is not None
         for seed in range(1000)
@@ -112,7 +114,7 @@ def test_decide_success_rate():
 def test_decide_output_distribution_uniform_over_marked():
     # conditional law over the marked set stays proportional to the setup
     state = setup_uniform(range(16))
-    marked = lambda x: x < 4
+    marked = np.arange(16) < 4
     counts = {x: 0 for x in range(4)}
     total = 0
     for seed in range(1000):
@@ -129,13 +131,13 @@ def test_decide_output_distribution_uniform_over_marked():
 def test_decide_call_budget_respected():
     state = setup_uniform(range(64))
     for eps, delta in [(1 / 64, 0.1), (0.25, 0.01), (1 / 32, 1 / 4096)]:
-        _, cost = amplitude_amplify_decide(state, lambda x: False, eps, delta, 5)
+        _, cost = amplitude_amplify_decide(state, np.zeros(64, bool), eps, delta, 5)
         assert cost.total_calls <= decide_call_budget(eps, delta)
 
 
 def test_maximize_constant_function():
     state = setup_uniform(range(8))
-    best, _ = quantum_maximize(lambda x: 5, state, QOptConfig(0.5, 0.05, seed=3))
+    best, _ = quantum_maximize([5] * 8, state, QOptConfig(0.5, 0.05, seed=3))
     assert best in range(8)
 
 
@@ -144,9 +146,7 @@ def test_maximize_small_instance():
     state = setup_uniform(range(4))
     wins = 0
     for seed in range(200):
-        best, _ = quantum_maximize(
-            lambda x: f[x], state, QOptConfig(0.25, 0.05, seed=seed)
-        )
+        best, _ = quantum_maximize(f, state, QOptConfig(0.25, 0.05, seed=seed))
         wins += best == 2
     assert wins >= 190  # 1 - delta = 0.95
 
@@ -155,12 +155,10 @@ def test_maximize_restricted_support():
     f = [9, 1, 4, 1, 7, 2]
     state = setup_subset(range(6), {1, 2, 3})
     for seed in range(50):
-        best, _ = quantum_maximize(
-            lambda x: f[x], state, QOptConfig(1 / 3, 0.05, seed=seed)
-        )
+        best, _ = quantum_maximize(f, state, QOptConfig(1 / 3, 0.05, seed=seed))
         assert best in {1, 2, 3}
     hits = sum(
-        quantum_maximize(lambda x: f[x], state, QOptConfig(1 / 3, 0.05, seed=s))[0] == 2
+        quantum_maximize(f, state, QOptConfig(1 / 3, 0.05, seed=s))[0] == 2
         for s in range(500)
     )
     assert hits >= 475
@@ -174,8 +172,8 @@ def test_maximize_empirical_success_many_instances():
         p_opt = float(np.sum(vals == best_val)) / 12
         state = setup_uniform(range(12))
         good = sum(
-            vals[quantum_maximize(lambda x: int(vals[x]), state,
-                                  QOptConfig(p_opt, 0.1, seed=s))[0]] == best_val
+            vals[quantum_maximize(vals, state, QOptConfig(p_opt, 0.1, seed=s))[0]]
+            == best_val
             for s in range(500)
         )
         assert good >= 450  # 1 - delta
@@ -185,7 +183,7 @@ def test_maximize_cost_soundness():
     f = [0, 1, 2, 3, 4, 5, 6, 7]
     state = setup_uniform(range(8))
     for eps, delta in [(1 / 8, 0.05), (0.5, 0.01)]:
-        _, cost = quantum_maximize(lambda x: f[x], state, QOptConfig(eps, delta, seed=1))
+        _, cost = quantum_maximize(f, state, QOptConfig(eps, delta, seed=1))
         assert cost.total_calls <= maximize_call_budget(eps, delta)
 
 
@@ -196,35 +194,53 @@ def test_maximize_stops_after_one_decision_at_target_epsilon():
     f = [9, 3, 5, 1, 7, 2, 8, 4, 6, 0, 1, 2, 3, 4, 5, 6]
     state = setup_uniform(range(16))
     eps, delta, seed = 1 / 16, 0.05, 7
-    best, cost = quantum_maximize(lambda x: f[x], state, QOptConfig(eps, delta, seed=seed))
+    best, cost = quantum_maximize(f, state, QOptConfig(eps, delta, seed=seed))
     found, decide = amplitude_amplify_decide(
-        state, lambda x: False, eps, delta, np.random.default_rng(seed)
+        state, np.zeros(16, bool), eps, delta, np.random.default_rng(seed)
     )
     assert best == 0 and found is None
     assert cost.total_calls == 1 + decide.total_calls
 
 
 def test_distributed_cost_formula():
-    zero = distributed_cost(10, 3, 5, _cost(0, 0, 0), 4, epsilon=0.5, n_candidates=8)
-    assert zero.rounds == 10
-    twelve = distributed_cost(10, 7, 6, _cost(4, 4, 4), 4, epsilon=0.5, n_candidates=8)
+    prep = CostReport(rounds=10, total_words=100, per_node_peak_bits={0: 5, 1: 6})
+    zero = distributed_cost(prep, 10, 3, 5, 9, _cost(0, 0, 0), [4, 4], 0.5, 0)
+    assert (zero.rounds, zero.total_words) == (10, 100)
+    twelve = distributed_cost(prep, 10, 7, 6, 9, _cost(4, 4, 4), [4, 4], 0.5, 0)
     assert twelve.rounds == 10 + 12 * 7  # = 94: calls charged at max(T_setup, T_eval)
+    assert twelve.total_words == 100 + 12 * 9
+    assert twelve.per_node_peak_bits == prep.per_node_peak_bits
 
 
 def _cost(s, e, i):
-    from qcongest.qsearch import SearchCost
-
     return SearchCost(setup_calls=s, eval_calls=e, inverse_calls=i)
 
 
 def test_distributed_cost_memory_charges():
     cost = _cost(1, 1, 1)
-    report = distributed_cost(
-        0, 1, 1, cost, s_node_qubits=20, epsilon=1 / 64, n_candidates=128, leader=3
-    )
-    assert cost.node_qubits_peak == 20
-    assert cost.leader_qubits_peak == 20 * 6 + 7 * 6
-    assert report.per_node_peak_qubits == {3: cost.leader_qubits_peak}
+    node_qubits = [20 - v % 3 for v in range(128)]
+    report = distributed_cost(CostReport(), 0, 1, 1, 1, cost, node_qubits, 1 / 64, 3)
+    # the leader: (max node qubits + 7 index bits) * log2(64)
+    assert report.per_node_peak_qubits[3] == 20 * 6 + 7 * 6
+    assert report.leader == 3
+    assert {v: q for v, q in report.per_node_peak_qubits.items() if v != 3} == {
+        v: q for v, q in enumerate(node_qubits) if v != 3
+    }
+    assert cost == _cost(1, 1, 1)  # the call counts are not touched
+
+
+def test_maximize_rejects_values_not_one_per_candidate():
+    state = setup_uniform(range(4))
+    for values in ([3, 1, 4], [[3, 1, 4, 1]], 5):
+        with pytest.raises(SearchError):
+            quantum_maximize(values, state, QOptConfig(0.25, 0.05))
+
+
+def test_decide_rejects_marks_not_one_per_candidate():
+    state = setup_uniform(range(4))
+    for marked in (True, np.ones(3, bool), np.ones((4, 1), bool), np.array([0, 1, 0, 0])):
+        with pytest.raises(SearchError):
+            amplitude_amplify_decide(state, marked, 0.25, 0.1, 0)
 
 
 def test_config_validation():
@@ -238,6 +254,6 @@ def test_config_validation():
 def test_determinism_per_seed(seed):
     f = [2, 7, 1, 8, 2, 8]
     state = setup_uniform(range(6))
-    a = quantum_maximize(lambda x: f[x], state, QOptConfig(1 / 3, 0.1, seed=seed))
-    b = quantum_maximize(lambda x: f[x], state, QOptConfig(1 / 3, 0.1, seed=seed))
+    a = quantum_maximize(f, state, QOptConfig(1 / 3, 0.1, seed=seed))
+    b = quantum_maximize(f, state, QOptConfig(1 / 3, 0.1, seed=seed))
     assert a[0] == b[0] and a[1].total_calls == b[1].total_calls
