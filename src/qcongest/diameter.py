@@ -4,9 +4,10 @@
 All three elect the minimum-id leader, build its BFS tree, then maximize an
 eccentricity-style function with the amplitude-level search layer.  The
 searched value vector is filled by running the corresponding distributed
-procedure once per support candidate; ``distributed_cost`` charges each
-oracle call at the (branch-uniform) network cost of one such run and builds
-the run's report.
+procedure once per support candidate, each run read from a table that
+simulates all candidates together; ``distributed_cost`` charges each oracle
+call at the (branch-uniform) network cost of one such run and builds the
+run's report.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .procedures import (
     elect_leader_and_ecc,
     id_bits,
     multi_source_bfs,
+    simple_eval_register_bits,
+    simple_eval_table,
 )
 from .qsearch import QOptConfig, SearchCost, distributed_cost, quantum_maximize, setup_subset, setup_uniform
 
@@ -61,11 +64,6 @@ class DiameterResult:
 
 def _poly_delta(n: int) -> float:
     return 1.0 / max(4, n * n)
-
-
-def _simple_node_qubits(n: int) -> int:
-    L = id_bits(n)
-    return 4 * L  # u0, dist, report counter, running max
 
 
 def _init_phases(
@@ -103,8 +101,9 @@ def exact_diameter_simple(
     delta = _poly_delta(g.n) if delta is None else delta
     leader, d, tree, rep0 = _init_phases(g, seed)
 
+    table = simple_eval_table(g, tree)
     values, reports = zip(
-        *(eccentricity_simple_eval(g, tree, u0) for u0 in range(g.n))
+        *(eccentricity_simple_eval(g, tree, u0, table) for u0 in range(g.n))
     )
     epsilon = 1.0 / g.n
     best, cost = quantum_maximize(
@@ -112,7 +111,7 @@ def exact_diameter_simple(
     )
     t_eval = max(rep.rounds for rep in reports)
     words_eval = max(rep.total_words for rep in reports)
-    qubits = [_simple_node_qubits(g.n)] * g.n
+    qubits = [simple_eval_register_bits(g.n)] * g.n
     report = distributed_cost(
         rep0, rep0.rounds, d, t_eval, words_eval, cost, qubits, epsilon, leader
     )

@@ -98,9 +98,6 @@ class EvalContext:
     def total_rounds(self) -> int:
         return 9 * self.d + 1
 
-    def node_quantum_bits(self) -> int:
-        return max(self.quantum_bits)
-
     @functools.cached_property
     def branches(self) -> dict[int, Branch]:
         """Every candidate's branch (``restrict``, or all nodes), simulated

@@ -6,6 +6,16 @@ plus the flood/convergecast building blocks used by the diameter
 algorithms.  All programs are event-driven: they act on message arrival, so
 the engine only steps nodes that have work.
 
+The simple algorithm's evaluation has two paths.  ``simple_eval_table``
+fills every branch u0 at once from the event times of ``SimpleEvalProgram``:
+an all-sources BFS gives each node's activation round, one bottom-up pass
+over the leader tree gives each node's report round, and rounds and words
+follow from those, with the engine's register-width and round-limit checks
+kept.  ``eccentricity_simple_eval`` reads a branch's row from that table,
+or, without one, runs the program on the word-level engine, and checks the
+declared round bound on either path; the engine run is the reference the
+table is tested against.
+
 The DFS numbering walks the tree as a closed Euler tour.  The tour occupies
 positions 0 .. 2(k-1) of a cyclic index space of size 2k (k = number of
 nodes covered); the one leftover position is an idle step at the root, which
@@ -16,16 +26,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import graphs
 from .engine import (
     CostReport,
     EngineError,
+    EngineTimeout,
     NodeContext,
     NodeProgram,
     RegisterField,
     RegisterSchema,
+    SchemaViolationError,
     Word,
     pack_bits,
     run,
@@ -506,18 +520,128 @@ class SimpleEvalProgram(NodeProgram):
         return state["best"] if ctx.node == self.tree.leader else None
 
 
+def simple_eval_register_bits(n: int) -> int:
+    """Per-node register size of the simple evaluation: u0, dist, the report
+    counter and the running max, all branch-dependent, each L bits.  Every
+    node reaches it once the flood arrives."""
+    return 4 * id_bits(n)
+
+
+def _simple_round_limit(n: int) -> int:
+    """Forward rounds after which the simple evaluation is declared hung."""
+    return 4 * n + 16
+
+
+def _all_sources_distances(g: Graph) -> np.ndarray:
+    """``dist[v, s]`` for every node v and source s: a BFS from every source
+    at once, one level per step, over the neighbor lists."""
+    deg = np.fromiter((len(a) for a in g.adj), dtype=np.intp, count=g.n)
+    starts = np.concatenate(([0], np.cumsum(deg)[:-1]))
+    neighbors = np.fromiter(
+        (u for a in g.adj for u in a), dtype=np.intp, count=int(deg.sum())
+    )
+    dist = np.full((g.n, g.n), -1, dtype=np.int64)
+    np.fill_diagonal(dist, 0)
+    frontier = np.eye(g.n, dtype=bool)
+    level = 0
+    while frontier.any():
+        level += 1
+        # row v: the sources whose frontier holds a neighbor of v
+        frontier = np.logical_or.reduceat(frontier[neighbors], starts, axis=0)
+        frontier &= dist < 0
+        dist[frontier] = level
+    return dist
+
+
+def simple_eval_table(g: Graph, tree: BfsTreeState) -> tuple[tuple[int, int, int], ...]:
+    """Every branch of the simple evaluation at once: row u0 holds
+    (ecc(u0), forward rounds, forward words) of ``SimpleEvalProgram(u0)``.
+
+    The rows follow from the program's event times.  Node v learns its
+    distance in round dist[v] and reports once that is known and every tree
+    child has reported, so it is ready in round
+    ready[v] = max(dist[v], max over children c of ready[c] + 1).  The leader
+    halts at ready[leader]; when that is also its activation round, its
+    flood needs one more delivery round.  Every node floods each neighbor
+    once and every non-leader reports once, except that a node ready in its
+    activation round sends its flood and its report to the parent as one
+    ``_SF_BOTH`` word.  ``eccentricity_simple_eval`` on the engine is the
+    reference these rows are tested against.
+    """
+    _require_size(g)
+    n, leader = g.n, tree.leader
+    dist = _all_sources_distances(g)  # rows: nodes, columns: u0
+    # registers: u0 < n, dist and best <= ecc(u0), reports <= #children
+    widest = max(n - 1, int(dist.max()), max(len(c) for c in tree.children))
+    if widest >= 1 << id_bits(n):
+        raise SchemaViolationError(
+            f"simple evaluation register value {widest} does not fit {id_bits(n)} bits"
+        )
+    ready = dist.copy()
+    for v in sorted(range(n), key=tree.dist.__getitem__, reverse=True):
+        if v != leader:
+            p = tree.parent[v]
+            np.maximum(ready[p], ready[v] + 1, out=ready[p])
+    merged = ready == dist
+    merged[leader] = False
+    halt = ready[leader]
+    limit = _simple_round_limit(n)
+    if (halt > limit).any():
+        u0 = int(np.argmax(halt > limit))  # the first branch to time out
+        raise EngineTimeout(
+            limit,
+            _simple_partial_report(g, leader, dist[:, u0], ready[:, u0], merged[:, u0], limit),
+        )
+    rounds = halt + (halt == dist[leader])
+    words = 2 * g.m + (n - 1) - merged.sum(axis=0)
+    ecc = dist.max(axis=0)
+    return tuple(zip(ecc.tolist(), rounds.tolist(), words.tolist()))
+
+
+def _simple_partial_report(
+    g: Graph, leader: int, dist: np.ndarray, ready: np.ndarray, merged: np.ndarray, limit: int
+) -> CostReport:
+    """What the engine has charged one branch when round ``limit`` ends: the
+    words delivered so far, and every register set at the nodes the flood
+    has reached (all but ``dist`` elsewhere)."""
+    reports = ~merged
+    reports[leader] = False
+    words = sum(g.degree(v) for v in range(g.n) if dist[v] < limit)
+    words += int((reports & (ready < limit)).sum())
+    full = simple_eval_register_bits(g.n)
+    peaks = {v: full if dist[v] <= limit else full - id_bits(g.n) for v in range(g.n)}
+    return CostReport(limit, words, peaks, dict(peaks))
+
+
 def eccentricity_simple_eval(
-    g: Graph, tree: BfsTreeState, u0: int
+    g: Graph,
+    tree: BfsTreeState,
+    u0: int,
+    table: Sequence[tuple[int, int, int]] | None = None,
 ) -> tuple[int, CostReport]:
     """Compute ecc(u0) at the leader; cost doubled for the cleanup reversal.
 
-    Forward pass runs in at most 2*ecc(u0) + ecc(leader) + O(1) rounds.
+    With ``table`` (from ``simple_eval_table``) the branch is read from its
+    row; without, ``SimpleEvalProgram`` runs on the word-level engine, which
+    is the reference the table is tested against.  Both give the same value
+    and report.  The forward pass runs in at most 2*ecc(u0) + ecc(leader) + 4
+    rounds, checked on every call.
     """
-    _require_size(g)
-    outputs, report = run(
-        g, SimpleEvalProgram(g.n, u0, tree), max_rounds=4 * g.n + 16
-    )
-    value = outputs[tree.leader]
+    if table is None:
+        _require_size(g)
+        outputs, report = run(
+            g, SimpleEvalProgram(g.n, u0, tree), max_rounds=_simple_round_limit(g.n)
+        )
+        value = outputs[tree.leader]
+    else:
+        value, rounds, words = table[u0]
+        peaks = dict.fromkeys(range(g.n), simple_eval_register_bits(g.n))
+        report = CostReport(rounds, words, peaks, dict(peaks))
+    if report.rounds > 2 * value + tree.ecc_leader + 4:
+        raise EngineError(
+            f"simple evaluation of {u0} took {report.rounds} forward rounds, "
+            f"exceeding 2*{value}+{tree.ecc_leader}+4"
+        )
     report.leader = tree.leader
     report.rounds = 2 * report.rounds
     report.total_words = 2 * report.total_words

@@ -119,7 +119,7 @@ def test_quantum_register_footprint_is_logarithmic():
     g, tree = prepared(("random", 20, 7, 0.15))
     ectx = make_eval_context(g, tree)
     L = (g.n - 1).bit_length()
-    assert ectx.node_quantum_bits() <= 8 * L + 16
+    assert max(ectx.quantum_bits) <= 8 * L + 16
 
 
 def test_eval_context_rejects_outside_candidates():

@@ -3,8 +3,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from qcongest import graphs
+from qcongest import graphs, procedures
+from qcongest.engine import EngineError, EngineTimeout, SchemaViolationError
 from qcongest.graphs import generate
 from qcongest.procedures import (
     BfsTreeState,
@@ -15,6 +17,7 @@ from qcongest.procedures import (
     multi_source_bfs,
     argmax_convergecast,
     set_S,
+    simple_eval_table,
 )
 
 CORPUS = [
@@ -212,6 +215,69 @@ def test_simple_eval_matches_oracle_with_round_bound():
             ecc = graphs.eccentricity(g, u0)
             assert val == ecc
             assert report.rounds <= 2 * (2 * ecc + d + 4)  # doubled for reversal
+
+
+def assert_table_matches_engine(g, tree):
+    table = simple_eval_table(g, tree)
+    for u0 in range(g.n):
+        assert eccentricity_simple_eval(g, tree, u0, table) == eccentricity_simple_eval(
+            g, tree, u0
+        ), u0
+
+
+def test_simple_eval_table_matches_engine():
+    # the 3-node path from its middle node: the leader is ready in its own
+    # activation round, so its flood costs one more delivery round
+    for g in corpus() + [generate("path", 3, seed=0)]:
+        assert_table_matches_engine(g, make_tree(g))
+
+
+@given(
+    st.integers(3, 24),
+    st.floats(0.0, 0.5),
+    st.integers(0, 10**6),
+    st.integers(0, 23),
+)
+def test_simple_eval_table_matches_engine_on_random_graphs(n, p, seed, root):
+    g = generate("random", n, seed=seed, p=p)
+    tree, _ = build_bfs_tree(g, root % n)
+    assert_table_matches_engine(g, tree)
+
+
+@pytest.mark.parametrize("limit", [1, 3, 6, 9])
+def test_simple_eval_table_times_out_like_the_engine(monkeypatch, limit):
+    monkeypatch.setattr(procedures, "_simple_round_limit", lambda n: limit)
+    g = generate("lollipop", 11, seed=5)
+    tree = make_tree(g)
+    with pytest.raises(EngineTimeout) as batched:
+        simple_eval_table(g, tree)
+    for u0 in range(g.n):
+        try:
+            eccentricity_simple_eval(g, tree, u0)
+        except EngineTimeout as engine:
+            assert batched.value.report == engine.report
+            assert len(engine.report.per_node_peak_qubits) == g.n
+            break
+    else:
+        pytest.fail("the engine did not time out")
+
+
+def test_simple_eval_table_checks_register_width(monkeypatch):
+    g = graphs.path_graph(5)
+    tree, _ = build_bfs_tree(g, 0, 4)
+    monkeypatch.setattr(procedures, "id_bits", lambda n: 2)  # distance 4 needs 3
+    with pytest.raises(SchemaViolationError):
+        simple_eval_table(g, tree)
+
+
+def test_simple_eval_checks_the_declared_round_bound():
+    g = graphs.path_graph(4)
+    tree, _ = build_bfs_tree(g, 0, 3)
+    table = list(simple_eval_table(g, tree))
+    ecc, _, words = table[0]
+    table[0] = (ecc, 2 * ecc + tree.ecc_leader + 5, words)
+    with pytest.raises(EngineError, match="forward rounds"):
+        eccentricity_simple_eval(g, tree, 0, table)
 
 
 # -- approx-preparation helpers -------------------------------------------------
