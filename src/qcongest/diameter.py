@@ -5,7 +5,7 @@ All three elect the minimum-id leader, build its BFS tree, then maximize an
 eccentricity-style function with the amplitude-level search layer.  The
 searched value vector is filled by running the corresponding distributed
 procedure once per support candidate, each run read from a table that
-simulates all candidates together; ``distributed_cost`` charges each oracle
+fills all candidates together; ``distributed_cost`` charges each oracle
 call at the (branch-uniform) network cost of one such run and builds the
 run's report.
 """

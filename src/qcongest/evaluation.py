@@ -19,28 +19,40 @@ It runs in three budgeted phases plus a mirror-cost cleanup reversal:
 
 Phase 2's budget is one round more than the 6d a naive count suggests: a
 wave started at relative round 4d can take 2d further hops, so its last
-delivery lands at relative round 6d.  Delivery completeness is asserted.
+delivery lands at relative round 6d.
 
-The wave discipline is self-synchronizing: first arrivals of wave types at
-any node come in increasing tau' order (asserted, with the start of a
-node's own wave counting as an event), and all messages surviving the
-drop rule in one round at one node are identical (asserted).  The computed
-S is checked against the central window oracle on every run.
+The wave discipline is self-synchronizing.  This is the pipelining lemma of
+Holzer-Wattenhofer (PODC 2012) and Peleg-Roditty-Tal (ICALP 2012): two
+window nodes u, w with tau'(u) < tau'(w) satisfy
+dist(u, w) <= tau'(w) - tau'(u), so no wave overtakes or meets a later one,
+and wave u reaches node v in round 2d + 2*tau'(u) + dist(u, v).  Every node
+therefore keeps and forwards every wave of S exactly once, first arrivals
+come in increasing tau' order (the start of a node's own wave counting as
+an event), and surviving messages are identical.  The computed S is checked
+against the central window oracle on every run.
 
 Two backends produce identical values and identical cost accounting.  The
 engine backend runs one branch as a word-level NodeProgram (traceable, and
 the test oracle).  The fast backend reads the branch's row of a table that
-an EvalContext fills on first use: one lockstep simulation of every
-candidate's branch over a (branch x node) state, with every invariant
-checked per branch.  This is the pipelined multi-source technique of
-Peleg-Roditty-Tal (ICALP 2012) applied across the branches of the search.
+an EvalContext fills on first use, in closed form from the lemma and one
+all-sources distance matrix:
+
+    S     = the first-visited nodes of the token walk,
+    f     = max over u in S of ecc(u),
+    words = walk sends + |S|*2m + (n - 1).
+
+The lemma's consequences stay checked per branch, as inequalities on the
+arrival times: at every node arrivals strictly increase in tau' order,
+arrival minus tau' never decreases, no offset exceeds 2d, and the last
+arrival is at most 8d.  A violation names the earliest offending node and
+branch.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +69,14 @@ from .engine import (
     unpack_bits,
 )
 from .graphs import Graph
-from .procedures import BfsTreeState, DfsNumbering, dfs_numbering, id_bits, set_S
+from .procedures import (
+    BfsTreeState,
+    DfsNumbering,
+    all_sources_distances,
+    dfs_numbering,
+    id_bits,
+    set_S,
+)
 
 _TAG_TOKEN, _TAG_EVAL, _TAG_UPCAST = 0, 1, 2
 
@@ -78,8 +97,7 @@ class EvalContext:
     first_visit: tuple[bool, ...]  # per tour position
     d: int
     base: int  # cyclic index space (2k)
-    indptr: np.ndarray
-    indices: np.ndarray
+    dist: np.ndarray  # all-sources hop distances
     quantum_bits: tuple[int, ...]  # per-node branch-dependent register size
 
     @property
@@ -100,14 +118,10 @@ class EvalContext:
 
     @functools.cached_property
     def branches(self) -> dict[int, Branch]:
-        """Every candidate's branch (``restrict``, or all nodes), simulated
-        together on first use."""
+        """Every candidate's branch (``restrict``, or all nodes) in closed
+        form, filled on first use from the walks and the distance matrix."""
         candidates = range(self.g.n) if self.restrict is None else sorted(self.restrict)
-        chunk = max(1, _ROUND_DELIVERY_CAP // max(1, int(self.indptr[-1])))
-        table: dict[int, Branch] = {}
-        for i in range(0, len(candidates), chunk):
-            table.update(_simulate_chunk(self, candidates[i : i + chunk]))
-        return table
+        return {u0: _branch(self, u0) for u0 in candidates}
 
 
 def _eval_field_bits(n: int, deg: int) -> int:
@@ -130,12 +144,6 @@ def make_eval_context(
     first_visit = tuple(
         numbering.tau[v] == p for p, v in enumerate(numbering.traversal)
     )
-    indptr = np.zeros(g.n + 1, dtype=np.int64)
-    for v in range(g.n):
-        indptr[v + 1] = indptr[v] + g.degree(v)
-    indices = np.fromiter(
-        (u for v in range(g.n) for u in g.adj[v]), dtype=np.int64, count=int(indptr[-1])
-    )
     qbits = tuple(_eval_field_bits(g.n, g.degree(v)) for v in range(g.n))
     return EvalContext(
         g=g,
@@ -146,8 +154,7 @@ def make_eval_context(
         first_visit=first_visit,
         d=tree.ecc_leader,
         base=numbering.index_space,
-        indptr=indptr,
-        indices=indices,
+        dist=all_sources_distances(g),
         quantum_bits=qbits,
     )
 
@@ -362,14 +369,8 @@ def _evaluate_engine(ectx: EvalContext, u0: int) -> tuple[int, int, int, dict[in
 
 
 # ---------------------------------------------------------------------------
-# Batched backend: every branch of the candidate set in one lockstep run
+# Closed-form backend: every branch's row from the distance matrix
 # ---------------------------------------------------------------------------
-
-# Word deliveries one round of the batched simulation may hold.  A branch
-# delivers at most 2m words a round (each node sends once, to every
-# neighbor), so this caps the branches simulated together and keeps memory
-# flat on dense graphs.
-_ROUND_DELIVERY_CAP = 1 << 15
 
 
 class Branch(NamedTuple):
@@ -380,105 +381,67 @@ class Branch(NamedTuple):
     window: frozenset[int]
 
 
-def _simulate_chunk(ectx: EvalContext, chunk: Sequence[int]) -> dict[int, Branch]:
-    """Run the three forward phases of every branch in ``chunk`` in lockstep.
+def _branch(ectx: EvalContext, u0: int) -> Branch:
+    """One branch in closed form.  Wave u of S reaches node v in round
+    2d + 2*tau'(u) + dist(u, v), so every node keeps and forwards every wave
+    of S once and d_v ends at the largest distance from S."""
+    taup, sends = _walk_positions(ectx, u0)
+    waves = sorted(taup, key=taup.__getitem__)
+    tau = np.fromiter((taup[u] for u in waves), dtype=np.int64, count=len(waves))
+    hops = ectx.dist[waves]
+    _check_arrivals(ectx, u0, waves, tau, 2 * ectx.d + 2 * tau[:, None] + hops)
+    # each wave crosses every edge once each way; every non-root reports once
+    words = sends + len(waves) * 2 * ectx.g.m + ectx.g.n - 1
+    return Branch(int(hops.max()), words, frozenset(waves))
 
-    Node v of the b-th branch is the flat index b*n + v.  All branches share
-    d, so their wave rounds 2d..8d+1 line up.  A wave (tau', delta) travels
-    as the key tau'*K + delta, where K exceeds every hop count; a node's
-    ``floor`` is K times its last kept tau' plus one, so a wave survives the
-    drop rule exactly when its key reaches the floor.  Every invariant of
-    the engine backend is checked per (branch, node).
-    """
-    d, n = ectx.d, ectx.g.n
-    indptr, indices = ectx.indptr, ectx.indices
-    degree = np.diff(indptr)
-    K = ectx.total_rounds  # a hop count never reaches the round count
-    span = K * (2 * d + 1)  # exceeds every key, as tau' <= 2d
-    size = len(chunk) * n
 
-    def where(flat: int) -> str:
-        b, v = divmod(int(flat), n)
-        return f"node {v} on branch u0={chunk[b]}"
-
-    walks = [_walk_positions(ectx, u0) for u0 in chunk]
-    starts = [(b * n + v, t) for b, (taup, _) in enumerate(walks) for v, t in taup.items()]
-    starts.sort(key=lambda s: s[1])
-    s_flat = np.array([v for v, _ in starts], dtype=np.int64)
-    s_tau = np.array([t for _, t in starts], dtype=np.int64)
-    s_bounds = np.searchsorted(s_tau, np.arange(2 * d + 2))
-    start_round = np.full(size, -1, dtype=np.int64)
-    start_round[s_flat] = 2 * d + 2 * s_tau
-
-    floor = np.zeros(size, dtype=np.int64)
-    lag = np.full(size, -(1 << 62), dtype=np.int64)  # round - tau' of the last event
-    dv = np.zeros(size, dtype=np.int64)
-    sent = np.zeros(size, dtype=np.int64)  # rounds in which the node sent
-    src = key = np.empty(0, dtype=np.int64)  # waves in flight
-    for r in range(2 * d, ectx.s3_start + 1):
-        kept = kept_key = np.empty(0, dtype=np.int64)
-        if src.size:
-            node = src % n
-            deg = degree[node]
-            ends = np.cumsum(deg)
-            offset = np.repeat(indptr[node] - (ends - deg), deg)
-            recv = indices[np.arange(int(ends[-1])) + offset] + np.repeat(src - node, deg)
-            rkey = np.repeat(key, deg)
-            live = rkey >= floor[recv]
-            recv, rkey = recv[live], rkey[live]
-            if recv.size:
-                if r > ectx.s2_last_send:
-                    raise EvaluationInvariantError(
-                        f"wave still in flight at {where(recv[0])} after the 6d-round window"
-                    )
-                pairs = recv * span + rkey
-                pairs.sort()
-                pairs = pairs[np.concatenate(([True], pairs[1:] != pairs[:-1]))]
-                kept = pairs // span
-                clash = np.flatnonzero(kept[1:] == kept[:-1])
-                if clash.size:
-                    raise EvaluationInvariantError(
-                        f"non-identical surviving messages at {where(kept[clash[0]])}"
-                    )
-                kept_key = pairs - kept * span
-                tau = kept_key // K
-                bad = np.flatnonzero(start_round[kept] == r)
-                if bad.size:
-                    raise EvaluationInvariantError(
-                        f"{where(kept[bad[0]])} keeps a foreign wave in its own start round"
-                    )
-                bad = np.flatnonzero(r - tau < lag[kept])
-                if bad.size:
-                    raise EvaluationInvariantError(f"wave order violated at {where(kept[bad[0]])}")
-                lag[kept] = r - tau
-                floor[kept] = (tau + 1) * K
-                # the key carries hops-so-far minus one, as on the wire
-                dv[kept] = np.maximum(dv[kept], kept_key - tau * K + 1)
-        src, key = kept, kept_key + 1
-        t, odd = divmod(r - 2 * d, 2)
-        if not odd and t <= 2 * d:
-            own = s_flat[s_bounds[t] : s_bounds[t + 1]]
-            bad = np.flatnonzero(r - t < lag[own])
-            if bad.size:
-                raise EvaluationInvariantError(
-                    f"wave order violated at the own start of {where(own[bad[0]])}"
-                )
-            lag[own] = r - t
-            floor[own] = np.maximum(floor[own], (t + 1) * K)
-            src = np.concatenate([src, own])
-            key = np.concatenate([key, np.full(own.size, t * K, dtype=np.int64)])
-        sent[src] += 1
-
-    wave_words = sent.reshape(-1, n) @ degree
-    f = dv.reshape(-1, n).max(axis=1)
-    return {
-        u0: Branch(
-            int(f[b]),
-            walks[b][1] + int(wave_words[b]) + n - 1,  # upcast: every non-root reports once
-            frozenset(walks[b][0]),
-        )
-        for b, u0 in enumerate(chunk)
-    }
+def _check_arrivals(
+    ectx: EvalContext, u0: int, waves: list[int], tau: np.ndarray, arrival: np.ndarray
+) -> None:
+    """The engine's invariants as inequalities on ``arrival[i, v]``, the
+    round wave i (in tau' order) reaches node v: arrivals strictly increase
+    at every node, arrival minus tau' never decreases, no offset exceeds the
+    walk's 2d steps, and the last arrival is at most 8d.  On a violation,
+    replay each node's arrivals in round order as the engine sees them and
+    raise for the earliest one."""
+    step = np.diff(arrival, axis=0)
+    if (
+        (step >= np.maximum(np.diff(tau), 1)[:, None]).all()
+        and tau[-1] <= 2 * ectx.d
+        and arrival[-1].max() <= ectx.s2_last_send
+    ):
+        return
+    n = ectx.g.n
+    order = np.argsort(arrival, axis=0, kind="stable")
+    rounds = np.take_along_axis(arrival, order, axis=0)
+    taus = tau[order]
+    own = np.asarray(waves)[order] == np.arange(n)
+    ahead = np.maximum.accumulate(taus, axis=0)  # largest tau' seen so far
+    overtaken = np.zeros_like(own)
+    overtaken[1:] = ~own[1:] & (taus[1:] <= ahead[:-1])
+    lag = rounds - taus
+    late = np.zeros_like(own)
+    late[1:] = ~overtaken[1:] & (lag[1:] < lag[:-1])
+    clash = np.zeros_like(own)
+    clash[1:] = rounds[1:] == rounds[:-1]
+    own_clash = clash.copy()
+    own_clash[1:] &= own[1:] | own[:-1]
+    # (message, where it holds), in the engine's check order within a round
+    kinds = (
+        ("wave still in flight at {} after the 6d-round window", rounds > ectx.s2_last_send),
+        ("non-identical surviving messages at {}", clash & ~own_clash),
+        ("{} keeps a foreign wave in its own start round", own_clash),
+        ("wave order violated at {}", late & ~own),
+        ("wave order violated at the own start of {}", late & own),
+        ("wave overtaken at {}: a later wave arrived first", overtaken),
+        ("{} starts its wave after the walk's 2d steps", own & (taus > 2 * ectx.d)),
+    )
+    _, kind, v = min(
+        (int(rounds[k, v]), kind, int(v))
+        for kind, (_, mask) in enumerate(kinds)
+        for k, v in zip(*np.nonzero(mask))
+    )
+    raise EvaluationInvariantError(kinds[kind][0].format(f"node {v} on branch u0={u0}"))
 
 
 # ---------------------------------------------------------------------------

@@ -532,25 +532,40 @@ def _simple_round_limit(n: int) -> int:
     return 4 * n + 16
 
 
-def _all_sources_distances(g: Graph) -> np.ndarray:
-    """``dist[v, s]`` for every node v and source s: a BFS from every source
-    at once, one level per step, over the neighbor lists."""
-    deg = np.fromiter((len(a) for a in g.adj), dtype=np.intp, count=g.n)
+def all_sources_distances(g: Graph) -> np.ndarray:
+    """``dist[v, s]`` for every node v and source s (symmetric) of a
+    connected graph with n >= 2: a BFS from every source at once, one level
+    per step.
+
+    Row v of the frontier is a bit set of sources packed into 64-bit words;
+    a level ORs the rows of v's neighbors with one ``reduceat`` over the
+    neighbor lists.  Only the nonzero words of a level's frontier are
+    unpacked into distances.
+    """
+    n = g.n
+    deg = np.fromiter((len(a) for a in g.adj), dtype=np.intp, count=n)
     starts = np.concatenate(([0], np.cumsum(deg)[:-1]))
     neighbors = np.fromiter(
         (u for a in g.adj for u in a), dtype=np.intp, count=int(deg.sum())
     )
-    dist = np.full((g.n, g.n), -1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    frontier = np.eye(g.n, dtype=bool)
-    level = 0
-    while frontier.any():
+    nodes = np.arange(n, dtype="<u8")
+    seen = np.zeros((n, (n + 63) // 64), dtype="<u8")
+    seen[nodes, nodes // 64] = np.left_shift(1, nodes % 64, dtype="<u8")
+    dist = np.zeros((n, n), dtype=np.int32)
+    frontier, level = seen, 0
+    while True:
         level += 1
         # row v: the sources whose frontier holds a neighbor of v
-        frontier = np.logical_or.reduceat(frontier[neighbors], starts, axis=0)
-        frontier &= dist < 0
-        dist[frontier] = level
-    return dist
+        frontier = np.bitwise_or.reduceat(frontier[neighbors], starts, axis=0) & ~seen
+        rows, cols = np.nonzero(frontier)
+        if not rows.size:
+            return dist
+        seen |= frontier
+        bits = np.unpackbits(
+            frontier[rows, cols].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+        )
+        hit, bit = np.nonzero(bits)
+        dist[rows[hit], cols[hit] * 64 + bit] = level
 
 
 def simple_eval_table(g: Graph, tree: BfsTreeState) -> tuple[tuple[int, int, int], ...]:
@@ -570,7 +585,7 @@ def simple_eval_table(g: Graph, tree: BfsTreeState) -> tuple[tuple[int, int, int
     """
     _require_size(g)
     n, leader = g.n, tree.leader
-    dist = _all_sources_distances(g)  # rows: nodes, columns: u0
+    dist = all_sources_distances(g)  # rows: nodes, columns: u0
     # registers: u0 < n, dist and best <= ecc(u0), reports <= #children
     widest = max(n - 1, int(dist.max()), max(len(c) for c in tree.children))
     if widest >= 1 << id_bits(n):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcongest import evaluation, graphs
 from qcongest.evaluation import (
@@ -149,17 +150,37 @@ def _contexts(spec):
     return contexts
 
 
+def assert_table_matches_engine(ectx):
+    candidates = sorted(ectx.restrict or range(ectx.g.n))
+    assert sorted(ectx.branches) == candidates
+    for u0 in candidates:
+        f, rounds, words, taup = _evaluate_engine(ectx, u0)
+        assert ectx.branches[u0] == (f, words, frozenset(taup))
+        assert rounds == ectx.total_rounds
+
+
 @pytest.mark.parametrize("spec", CORPUS, ids=[f"{s[0]}-{s[1]}" for s in CORPUS])
-def test_batched_table_matches_engine_per_branch(spec, monkeypatch):
+def test_batched_table_matches_engine_per_branch(spec):
     for ectx in _contexts(spec):
-        # three branches per chunk, so every candidate set spans several chunks
-        monkeypatch.setattr(evaluation, "_ROUND_DELIVERY_CAP", 3 * int(ectx.indptr[-1]))
-        candidates = sorted(ectx.restrict or range(ectx.g.n))
-        assert sorted(ectx.branches) == candidates
-        for u0 in candidates:
-            f, rounds, words, taup = _evaluate_engine(ectx, u0)
-            assert ectx.branches[u0] == (f, words, frozenset(taup))
-            assert rounds == ectx.total_rounds
+        assert_table_matches_engine(ectx)
+
+
+@given(
+    st.sampled_from([3, *range(5, 15)]),  # at n=4 the engine's wave words exceed 4*log2(n) bits
+    st.floats(0.0, 0.4),
+    st.integers(0, 10**6),
+    st.integers(0, 13),
+    st.integers(1, 14),
+)
+def test_closed_form_matches_engine_on_random_graphs(n, p, seed, root, size):
+    # the full context, and the `size` nodes closest to the root capped at
+    # d, so the window is wider than the restricted tour and the walk wraps
+    g = generate("random", n, seed=seed, p=p)
+    tree, _ = build_bfs_tree(g, root % n)
+    assert_table_matches_engine(make_eval_context(g, tree))
+    order = sorted(range(n), key=lambda v: (tree.dist[v], v))
+    restrict = frozenset(order[: min(size, tree.ecc_leader)])
+    assert_table_matches_engine(make_eval_context(g, tree, restrict))
 
 
 # (u0, node, shift of its offset tau', the invariant error), on the path
@@ -170,6 +191,9 @@ CORRUPTIONS = [
     (0, 4, -3, "non-identical surviving messages at node 3 on branch u0=0"),
     (2, 5, 5, "wave order violated at node 1 on branch u0=2"),
     (2, 5, 3, "wave order violated at the own start of node 0 on branch u0=2"),
+    # wave 5 reaches node 2 a round after node 2 starts its own wave at
+    # offset 6; a lockstep simulation drops it there without an error
+    (0, 2, 4, "wave overtaken at node 2 on branch u0=0: a later wave arrived first"),
 ]
 
 

@@ -10,6 +10,7 @@ from qcongest.engine import EngineError, EngineTimeout, SchemaViolationError
 from qcongest.graphs import generate
 from qcongest.procedures import (
     BfsTreeState,
+    all_sources_distances,
     build_bfs_tree,
     dfs_numbering,
     eccentricity_simple_eval,
@@ -215,6 +216,27 @@ def test_simple_eval_matches_oracle_with_round_bound():
             ecc = graphs.eccentricity(g, u0)
             assert val == ecc
             assert report.rounds <= 2 * (2 * ecc + d + 4)  # doubled for reversal
+
+
+def assert_matrix_matches_bfs(g):
+    dist = all_sources_distances(g)
+    assert dist.shape == (g.n, g.n)
+    for s in range(g.n):
+        bfs = graphs.bfs_distances(g, s)
+        assert dist[s].tolist() == [bfs[v] for v in range(g.n)], s
+        assert dist[:, s].tolist() == dist[s].tolist(), s
+
+
+def test_all_sources_distances_match_bfs():
+    # 65 and 130 nodes: the bit rows span more than one 64-bit word
+    extra = [generate("path", 65, seed=1), generate("random", 130, seed=2, p=0.03)]
+    for g in corpus() + extra + [graphs.path_graph(2)]:
+        assert_matrix_matches_bfs(g)
+
+
+@given(st.integers(2, 80), st.floats(0.0, 0.5), st.integers(0, 10**6))
+def test_all_sources_distances_match_bfs_on_random_graphs(n, p, seed):
+    assert_matrix_matches_bfs(generate("random", n, seed=seed, p=p))
 
 
 def assert_table_matches_engine(g, tree):
