@@ -102,15 +102,16 @@ def exact_diameter_simple(
     leader, d, tree, rep0 = _init_phases(g, seed)
 
     table = simple_eval_table(g, tree)
-    values, reports = zip(
-        *(eccentricity_simple_eval(g, tree, u0, table) for u0 in range(g.n))
-    )
+    values = [0] * g.n
+    t_eval = words_eval = 0
+    for u0 in range(g.n):
+        values[u0], rep = eccentricity_simple_eval(g, tree, u0, table)
+        t_eval = max(t_eval, rep.rounds)
+        words_eval = max(words_eval, rep.total_words)
     epsilon = 1.0 / g.n
     best, cost = quantum_maximize(
         values, setup_uniform(range(g.n)), QOptConfig(epsilon, delta, seed)
     )
-    t_eval = max(rep.rounds for rep in reports)
-    words_eval = max(rep.total_words for rep in reports)
     qubits = [simple_eval_register_bits(g.n)] * g.n
     report = distributed_cost(
         rep0, rep0.rounds, d, t_eval, words_eval, cost, qubits, epsilon, leader
@@ -136,19 +137,20 @@ def _windowed_maximize(
     the evaluation's qubits per node."""
     ectx = make_eval_context(g, tree, support)
     values = [0] * g.n  # entries outside the support are never read
-    reports = []
+    rounds: set[int] = set()
+    words_eval = 0
     for u0 in range(g.n) if support is None else sorted(support):
         values[u0], rep = evaluation_procedure(
             g, tree, u0, restrict=support, backend=backend, ectx=ectx
         )
-        reports.append(rep)
+        rounds.add(rep.rounds)
+        words_eval = max(words_eval, rep.total_words)
     if support is None:
         state0 = setup_uniform(range(g.n))
     else:
         state0 = setup_subset(range(g.n), support)
     best, cost = quantum_maximize(values, state0, QOptConfig(epsilon, delta, seed))
 
-    rounds = {rep.rounds for rep in reports}
     if len(rounds) != 1:
         raise AlgorithmError(f"evaluation cost must be branch-uniform, got {rounds}")
     t_eval = rounds.pop()
@@ -156,7 +158,6 @@ def _windowed_maximize(
         raise AlgorithmError(
             f"evaluation took {t_eval} rounds, exceeding 18*{tree.ecc_leader}+{EVAL_ROUND_SLACK}"
         )
-    words_eval = max(rep.total_words for rep in reports)
     return values[best], t_eval, cost, words_eval, ectx.quantum_bits
 
 

@@ -1,10 +1,11 @@
 """Deterministic round-synchronous execution of per-node programs.
 
 The engine models a synchronous message-passing network: per round, each
-directed edge carries at most one word of at most ``bw_bits`` bits (a silent
-edge is an explicit empty word, which costs nothing).  Nodes run a step
-function each round until every node has halted.  Two runs with identical
-(graph, program, inputs, bandwidth) produce bit-identical transcripts.
+directed edge carries at most one word, an unsigned integer of a declared
+width of at most ``bw_bits`` bits (a silent edge is an explicit width-0
+word, which costs nothing).  Nodes run a step function each round until
+every node has halted.  Two runs with identical (graph, program, inputs,
+bandwidth) produce bit-identical transcripts.
 
 Round counting: nodes first step at round 0 with empty inboxes; every
 delivery phase afterwards increments the round counter.  A program that
@@ -46,50 +47,69 @@ class EngineTimeout(EngineError):
         self.report = report
 
 
-@dataclass(frozen=True)
 class Word:
-    """A single message: a bit string of bounded length."""
+    """A single message: an unsigned integer of a declared width in bits.
 
-    bits: str = ""
+    Fields are packed big-endian, so the first field packed occupies the
+    most significant bits.  A width-0 word is the explicit silent word.
+    """
 
-    def __post_init__(self) -> None:
-        if self.bits.strip("01"):
-            raise EngineError(f"word bits must be 0/1, got {self.bits!r}")
+    __slots__ = ("value", "width")
+
+    def __init__(self, value: int, width: int) -> None:
+        if width < 0 or value < 0 or value >> width:
+            raise EngineError(f"value {value} does not fit in {width} bits")
+        self.value = value
+        self.width = width
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self.width
 
-    @property
-    def empty(self) -> bool:
-        return not self.bits
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
+        return (self.value, self.width) == (other.value, other.width)
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.width))
+
+    def __repr__(self) -> str:
+        return f"Word({self.value}, {self.width})"
+
+    def head(self, k: int) -> int:
+        """The value of the word's k most significant bits."""
+        return self.value >> (self.width - k)
 
     def hex(self) -> str:
-        if not self.bits:
+        """Hex digits of the word right-padded with zero bits to a multiple
+        of 4; the empty string for the silent word."""
+        if not self.width:
             return ""
-        pad = (-len(self.bits)) % 4
-        return format(int(self.bits + "0" * pad, 2), "x").zfill((len(self.bits) + pad) // 4)
-
-
-EMPTY_WORD = Word("")
+        pad = (-self.width) % 4
+        return format(self.value << pad, "x").zfill((self.width + pad) // 4)
 
 
 def pack_bits(fields: Sequence[tuple[int, int]]) -> Word:
     """Pack (value, width) pairs big-endian into one Word."""
-    out = []
+    packed = total = 0
     for value, width in fields:
         if not (0 <= value < (1 << width)):
             raise EngineError(f"value {value} does not fit in {width} bits")
-        out.append(format(value, "b").zfill(width))
-    return Word("".join(out))
+        packed = (packed << width) | value
+        total += width
+    return Word(packed, total)
 
 
 def unpack_bits(word: Word, widths: Sequence[int]) -> tuple[int, ...]:
-    if len(word.bits) != sum(widths):
-        raise EngineError(f"word of {len(word)} bits does not match widths {widths}")
-    vals, pos = [], 0
-    for w in widths:
-        vals.append(int(word.bits[pos : pos + w], 2))
-        pos += w
+    """The fields of ``word`` packed with these widths, in packing order."""
+    if word.width != sum(widths):
+        raise EngineError(f"word of {word.width} bits does not match widths {widths}")
+    value = word.value
+    vals = []
+    for w in reversed(widths):
+        vals.append(value & ((1 << w) - 1))
+        value >>= w
+    vals.reverse()
     return tuple(vals)
 
 
@@ -242,6 +262,7 @@ def run(
         NodeContext(v, g.adj[v], g.n, bw, None if inputs is None else inputs.get(v))
         for v in range(g.n)
     ]
+    neighbor_sets = [frozenset(a) for a in g.adj]
     schemas = [program.schema(c) for c in ctxs]
     widths = [s.widths() for s in schemas]
     quantum = [
@@ -268,12 +289,13 @@ def run(
         bits, qbits = _check_state(v, round_no, state, widths[v], quantum[v])
         peak_bits[v] = max(peak_bits[v], bits)
         peak_qubits[v] = max(peak_qubits[v], qbits)
+        neighbors = neighbor_sets[v]
         for dst, word in outbox.items():
-            if dst not in ctxs[v].neighbors:
+            if dst not in neighbors:
                 raise EngineError(f"node {v} sent to non-neighbor {dst}")
-            if len(word) > bw:
-                raise OversizedWordError(v, round_no, len(word), bw)
-            if not word.empty:
+            if word.width > bw:
+                raise OversizedWordError(v, round_no, word.width, bw)
+            if word.width:
                 pending.append((v, dst, word))
         if halt:
             halted[v] = True
@@ -281,15 +303,16 @@ def run(
     def deliver_and_trace() -> dict[int, dict[int, Word]]:
         nonlocal pending
         inboxes: dict[int, dict[int, Word]] = {}
-        seen_edges: set[tuple[int, int]] = set()
         for src, dst, word in pending:
-            if (src, dst) in seen_edges:
+            inbox = inboxes.get(dst)
+            if inbox is None:
+                inbox = inboxes[dst] = {}
+            elif src in inbox:
                 raise EngineError(
                     f"two words on edge ({src}, {dst}) in round {round_no}"
                 )
-            seen_edges.add((src, dst))
-            report.total_words += 1
-            inboxes.setdefault(dst, {})[src] = word
+            inbox[src] = word
+        report.total_words += len(pending)
         if trace_fh is not None:
             for src, dst, word in sorted(pending, key=lambda t: (t[0], t[1])):
                 trace_fh.write(
@@ -298,7 +321,7 @@ def run(
                             "round": round_no,
                             "edge": [src, dst],
                             "hex": word.hex(),
-                            "bits": len(word),
+                            "bits": word.width,
                         }
                     )
                     + "\n"

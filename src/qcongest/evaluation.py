@@ -198,6 +198,10 @@ class EvaluationProgram(NodeProgram):
         n = ectx.g.n
         self.L = id_bits(n)
         self.L2 = (2 * n).bit_length()
+        # registers hold tau'+1 and t_v+1, which reach 2n; every value on
+        # the wire (offsets, tau', hop counts, maxima) stays below 2n, which
+        # keeps the eval word within the bandwidth when n is a power of two
+        self.M = (2 * n - 1).bit_length()
         self._arrivals: dict[int, tuple[int, int]] = {}
 
     def schema(self, ctx: NodeContext) -> RegisterSchema:
@@ -226,13 +230,13 @@ class EvaluationProgram(NodeProgram):
     # -- message helpers ----------------------------------------------------
 
     def _token(self, offset: int) -> Word:
-        return pack_bits([(_TAG_TOKEN, 2), (offset, self.L2)])
+        return pack_bits([(_TAG_TOKEN, 2), (offset, self.M)])
 
     def _eval(self, taup: int, delta: int) -> Word:
-        return pack_bits([(_TAG_EVAL, 2), (taup, self.L2), (delta, self.L2)])
+        return pack_bits([(_TAG_EVAL, 2), (taup, self.M), (delta, self.M)])
 
     def _upcast(self, val: int) -> Word:
-        return pack_bits([(_TAG_UPCAST, 2), (val, self.L2)])
+        return pack_bits([(_TAG_UPCAST, 2), (val, self.M)])
 
     def _event(self, v: int, round_no: int, taup: int) -> None:
         prev = self._arrivals.get(v)
@@ -270,9 +274,9 @@ class EvaluationProgram(NodeProgram):
         kept: list[tuple[int, int]] = []
         up_vals: list[int] = []
         for sender, word in inbox.items():
-            tag = int(word.bits[:2], 2)
+            tag = word.head(2)
             if tag == _TAG_TOKEN:
-                _, offset = unpack_bits(word, (2, self.L2))
+                _, offset = unpack_bits(word, (2, self.M))
                 assert offset == round_no, "token offset must equal the round index"
                 token_offset = offset
                 if sender == ectx.tree.parent[v]:
@@ -289,11 +293,11 @@ class EvaluationProgram(NodeProgram):
                 else:
                     state["cursor"] = ectx.children_r[v].index(sender) + 1
             elif tag == _TAG_EVAL:
-                _, taup, delta = unpack_bits(word, (2, self.L2, self.L2))
+                _, taup, delta = unpack_bits(word, (2, self.M, self.M))
                 if taup + 1 > state["t1"]:
                     kept.append((taup, delta))
             else:
-                _, val = unpack_bits(word, (2, self.L2))
+                _, val = unpack_bits(word, (2, self.M))
                 up_vals.append(val)
 
         if round_no == 0 and v == self.u0:
@@ -332,15 +336,13 @@ class EvaluationProgram(NodeProgram):
             # distance this wave traveled to reach us is delta + 1
             state["t1"] = taup + 1
             state["dv"] = max(state["dv"], delta + 1)
-            for u in ctx.neighbors:
-                out[u] = self._eval(taup, delta + 1)
+            out.update(dict.fromkeys(ctx.neighbors, self._eval(taup, delta + 1)))
 
         if state["taup1"] and round_no == 2 * d + 2 * (state["taup1"] - 1):
             taup = state["taup1"] - 1
             self._event(v, round_no, taup)
             state["t1"] = max(state["t1"], taup + 1)
-            for u in ctx.neighbors:
-                out[u] = self._eval(taup, 0)
+            out.update(dict.fromkeys(ctx.neighbors, self._eval(taup, 0)))
 
         # phase 3: subtree maxima climb one level per round; children's
         # reports land exactly in the round their parent is scheduled to send

@@ -131,15 +131,13 @@ class ElectionProgram(NodeProgram):
             if not ctx.neighbors:  # single-node network
                 state["leader"], state["ecc"] = ctx.node, 0
                 return state, out, True
-            for u in ctx.neighbors:
-                out[u] = self._wave(ctx.node, 0, 0)
-            return state, out, False
+            return state, dict.fromkeys(ctx.neighbors, self._wave(ctx.node, 0, 0)), False
 
         waves: list[tuple[int, int, int, int]] = []  # (b, dist, pflag, sender)
         echoes: list[tuple[int, int, int, int]] = []  # (b, maxdist, claim, sender)
         done: tuple[int, int] | None = None
         for sender, word in inbox.items():
-            tag = int(word.bits[:2], 2)
+            tag = word.head(2)
             if tag == _TAG_WAVE:
                 _, b, dist, pflag = unpack_bits(word, (2, L, L, 1))
                 waves.append((b, dist, pflag, sender))
@@ -152,9 +150,7 @@ class ElectionProgram(NodeProgram):
 
         if done is not None:
             state["leader"], state["ecc"] = done
-            for u in ctx.neighbors:
-                out[u] = self._done(*done)
-            return state, out, True
+            return state, dict.fromkeys(ctx.neighbors, self._done(*done)), True
 
         adopted = False
         cand = min((b for b, _, _, _ in waves), default=state["best"])
@@ -187,9 +183,7 @@ class ElectionProgram(NodeProgram):
             if state["seen"] == len(ctx.neighbors) and state["echoes"] == state["claims"]:
                 ecc = state["maxdist"]
                 state["leader"], state["ecc"] = ctx.node, ecc
-                for u in ctx.neighbors:
-                    out[u] = self._done(ctx.node, ecc)
-                return state, out, True
+                return state, dict.fromkeys(ctx.neighbors, self._done(ctx.node, ecc)), True
             return state, out, False
 
         echo_ready = (
@@ -198,9 +192,7 @@ class ElectionProgram(NodeProgram):
             and state["echoes"] == state["claims"]
         )
         if adopted:
-            for u in ctx.neighbors:
-                if u != state["parent"]:
-                    out[u] = self._wave(b, state["dist"], 0)
+            out = dict.fromkeys(ctx.neighbors, self._wave(b, state["dist"], 0))
             if echo_ready:
                 out[state["parent"]] = self._echo(
                     b, max(state["maxdist"], state["dist"]), 1
@@ -273,8 +265,7 @@ class BfsTreeProgram(NodeProgram):
                 return state, out, False
             state["parent"], state["dist"] = ctx.node, 0
             if self.budget > 0:
-                for u in ctx.neighbors:
-                    out[u] = pack_bits([(0, self.L)])
+                out = dict.fromkeys(ctx.neighbors, pack_bits([(0, self.L)]))
             return state, out, True
         if state["dist"] is not None or not inbox:
             return state, out, state["dist"] is not None
@@ -283,8 +274,7 @@ class BfsTreeProgram(NodeProgram):
         state["dist"] = dists.pop() + 1
         state["parent"] = min(inbox)
         if round_no < self.budget:
-            for u in ctx.neighbors:
-                out[u] = pack_bits([(state["dist"], self.L)])
+            out = dict.fromkeys(ctx.neighbors, pack_bits([(state["dist"], self.L)]))
         return state, out, True
 
     def output(self, ctx, state):
@@ -473,7 +463,7 @@ class SimpleEvalProgram(NodeProgram):
                 activated_now = True
         else:
             for sender, word in inbox.items():
-                tag = int(word.bits[:2], 2)
+                tag = word.head(2)
                 if tag == _SF_FLOOD:
                     _, dist = unpack_bits(word, (2, self.L))
                     rep = None
@@ -489,7 +479,8 @@ class SimpleEvalProgram(NodeProgram):
                     state["reports"] += 1
                     state["best"] = max(state["best"], rep)
 
-        flood_to = list(ctx.neighbors) if activated_now else []
+        if activated_now:
+            out = dict.fromkeys(ctx.neighbors, self._word(_SF_FLOOD, state["dist"]))
         ready = (
             state["dist"] is not None
             and state["reports"] == len(tree.children[v])
@@ -497,23 +488,15 @@ class SimpleEvalProgram(NodeProgram):
         if v == tree.leader:
             if ready:
                 state["best"] = max(state["best"], state["dist"])
-                return state, {u: self._word(_SF_FLOOD, state["dist"]) for u in flood_to}, True
-            for u in flood_to:
-                out[u] = self._word(_SF_FLOOD, state["dist"])
-            return state, out, False
+            return state, out, ready
         if ready:
             report = max(state["best"], state["dist"])
             p = tree.parent[v]
-            for u in flood_to:
-                if u != p:
-                    out[u] = self._word(_SF_FLOOD, state["dist"])
-            if p in flood_to:
+            if activated_now:
                 out[p] = self._word(_SF_BOTH, state["dist"], report)
             else:
                 out[p] = self._word(_SF_REPORT, report)
             return state, out, True
-        for u in flood_to:
-            out[u] = self._word(_SF_FLOOD, state["dist"])
         return state, out, False
 
     def output(self, ctx, state):
@@ -697,9 +680,8 @@ class MultiSourceBfsProgram(NodeProgram):
             state["src"] = min(s for _, s in arrivals)
         else:
             return state, out, False
-        for u in ctx.neighbors:
-            out[u] = pack_bits([(state["dist"], self.L), (state["src"], self.L)])
-        return state, out, True
+        word = pack_bits([(state["dist"], self.L), (state["src"], self.L)])
+        return state, dict.fromkeys(ctx.neighbors, word), True
 
     def output(self, ctx, state):
         return {"dist": state["dist"], "src": state["src"]}
@@ -764,13 +746,11 @@ class ArgmaxConvergecastProgram(NodeProgram):
         tree = self.tree
         v = ctx.node
         for sender, word in inbox.items():
-            tag = int(word.bits[:2], 2)
-            _, val, node = unpack_bits(word, (2, self.VB, self.L))
+            tag, val, node = unpack_bits(word, (2, self.VB, self.L))
             if tag == _AG_RESULT:
                 state["out_val"], state["out_node"] = val, node
-                for u in ctx.neighbors:
-                    if u != sender:
-                        out[u] = self._word(_AG_RESULT, val, node)
+                out = dict.fromkeys(ctx.neighbors, word)
+                del out[sender]
                 return state, out, True
             state["reports"] += 1
             if val > state["best_val"] or (
@@ -782,9 +762,8 @@ class ArgmaxConvergecastProgram(NodeProgram):
             state["sent"] = 1
             if v == tree.leader:
                 state["out_val"], state["out_node"] = state["best_val"], state["best_node"]
-                for u in ctx.neighbors:
-                    out[u] = self._word(_AG_RESULT, state["best_val"], state["best_node"])
-                return state, out, True
+                result = self._word(_AG_RESULT, state["best_val"], state["best_node"])
+                return state, dict.fromkeys(ctx.neighbors, result), True
             out[tree.parent[v]] = self._word(
                 _AG_REPORT, state["best_val"], state["best_node"]
             )

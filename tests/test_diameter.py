@@ -46,6 +46,19 @@ def test_exact_engine_backend_agrees():
     assert res_fast.report.rounds == res_engine.report.rounds
 
 
+def test_exact_engine_backend_agrees_at_n4():
+    # at n=4 a wave word is 2 + 2*3 bits, exactly the 8-bit bandwidth
+    g = generate("path", 4, seed=0)
+    fast = exact_diameter(g, seed=1, backend="fast")
+    engine = exact_diameter(g, seed=1, backend="engine")
+    assert (engine.d_out, engine.report, engine.search, engine.t_eval) == (
+        fast.d_out,
+        fast.report,
+        fast.search,
+        fast.t_eval,
+    )
+
+
 def test_approx_guarantee_small_diameter():
     for seed in range(5):
         g = generate("random", 16, seed=seed, p=0.45)

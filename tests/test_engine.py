@@ -3,9 +3,12 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcongest import graphs
 from qcongest.engine import (
+    EngineError,
     EngineTimeout,
     NodeProgram,
     OversizedWordError,
@@ -117,7 +120,7 @@ def test_oversized_word_names_node_and_round():
             return {}
 
         def step(self, ctx, state, inbox, round_no):
-            return state, {u: Word("0" * 99) for u in ctx.neighbors}, True
+            return state, {u: Word(0, 99) for u in ctx.neighbors}, True
 
     with pytest.raises(OversizedWordError) as exc:
         run(graphs.path_graph(2), TooBig())
@@ -149,7 +152,7 @@ def test_empty_words_are_free():
 
         def step(self, ctx, state, inbox, round_no):
             if round_no == 0 and ctx.node == 0:
-                return state, {1: Word("")}, True
+                return state, {1: Word(0, 0)}, True
             return state, {}, True
 
     _, report = run(graphs.path_graph(2), Pinger())
@@ -172,9 +175,65 @@ def test_pack_unpack_roundtrip():
 
 
 def test_word_hex_stable():
-    assert Word("1111").hex() == "f"
-    assert Word("10000").hex() == "80"
-    assert Word("").hex() == ""
+    assert Word(0b1111, 4).hex() == "f"
+    assert Word(0b10000, 5).hex() == "80"
+    assert Word(0, 0).hex() == ""
+
+
+def test_word_rejects_a_value_wider_than_its_width():
+    with pytest.raises(EngineError):
+        Word(16, 4)
+    with pytest.raises(EngineError):
+        Word(-1, 4)
+
+
+@st.composite
+def _fields(draw):
+    """(value, width) pairs whose widths sum to 0..64."""
+    fields, total = [], 0
+    for width in draw(st.lists(st.integers(1, 64), max_size=6)):
+        if total + width > 64:
+            break
+        fields.append((draw(st.integers(0, (1 << width) - 1)), width))
+        total += width
+    return fields
+
+
+@given(_fields())
+def test_word_matches_the_bit_string_formula(fields):
+    # the word as a '0'/'1' string: fields big-endian, hex right-padded to
+    # whole nibbles
+    bits = "".join(format(value, "b").zfill(width) for value, width in fields)
+    pad = (-len(bits)) % 4
+    expected_hex = (
+        format(int(bits + "0" * pad, 2), "x").zfill((len(bits) + pad) // 4) if bits else ""
+    )
+    word = pack_bits(fields)
+    assert len(word) == len(bits)
+    assert word.hex() == expected_hex
+    assert word.head(min(2, len(bits))) == int(bits[:2] or "0", 2)
+    widths = [width for _, width in fields]
+    ends = [sum(widths[: i + 1]) for i in range(len(widths))]
+    assert unpack_bits(word, widths) == tuple(
+        int(bits[end - width : end], 2) for width, end in zip(widths, ends)
+    )
+
+
+def test_send_to_non_neighbor_rejected():
+    class Skip(NodeProgram):
+        def schema(self, ctx):
+            return RegisterSchema(())
+
+        def init_state(self, ctx):
+            return {}
+
+        def step(self, ctx, state, inbox, round_no):
+            if ctx.node == 0:
+                return state, {2: pack_bits([(1, 1)])}, True
+            return state, {}, True
+
+    with pytest.raises(EngineError, match="node 0 sent to non-neighbor 2"):
+        run(graphs.path_graph(3), Skip())
 
 
 def _transcript(trace_path) -> list[dict]:
