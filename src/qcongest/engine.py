@@ -274,7 +274,13 @@ def run(
     peak_qubits = [0] * g.n
     for v in range(g.n):
         peak_bits[v], peak_qubits[v] = _check_state(v, 0, states[v], widths[v], quantum[v])
-    wake_sets = [program.wake_rounds(c) for c in ctxs]
+    # nodes to step in a given round besides those with mail
+    wake_at: dict[int, list[int]] = {}
+    for v in range(g.n):
+        for r in program.wake_rounds(ctxs[v]):
+            wake_at.setdefault(r, []).append(v)
+    every_round = full_step or program.always_wake
+    live = g.n
 
     trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
     report = CostReport()
@@ -283,7 +289,7 @@ def run(
     round_no = 0
 
     def step_node(v: int, inbox: dict[int, Word]) -> None:
-        nonlocal pending
+        nonlocal live
         state, outbox, halt = program.step(ctxs[v], states[v], inbox, round_no)
         states[v] = state
         bits, qbits = _check_state(v, round_no, state, widths[v], quantum[v])
@@ -299,6 +305,7 @@ def run(
                 pending.append((v, dst, word))
         if halt:
             halted[v] = True
+            live -= 1
 
     def deliver_and_trace() -> dict[int, dict[int, Word]]:
         nonlocal pending
@@ -332,7 +339,7 @@ def run(
     try:
         for v in range(g.n):
             step_node(v, {})
-        while not all(halted):
+        while live:
             round_no += 1
             if round_no > max_rounds:
                 report.rounds = round_no - 1
@@ -340,17 +347,13 @@ def run(
                 report.per_node_peak_qubits = {v: peak_qubits[v] for v in range(g.n)}
                 raise EngineTimeout(max_rounds, report)
             inboxes = deliver_and_trace()
-            for v in range(g.n):
-                if halted[v]:
-                    continue
-                inbox = inboxes.get(v, {})
-                if (
-                    full_step
-                    or program.always_wake
-                    or inbox
-                    or round_no in wake_sets[v]
-                ):
-                    step_node(v, inbox)
+            if every_round:
+                due = range(g.n)
+            else:
+                due = sorted(inboxes.keys() | wake_at.get(round_no, ()))
+            for v in due:
+                if not halted[v]:
+                    step_node(v, inboxes.get(v, {}))
         if pending:
             # words sent by the last nodes to halt still occupy one round
             round_no += 1
