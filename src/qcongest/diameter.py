@@ -8,6 +8,15 @@ procedure once per support candidate, each run read from a table that
 fills all candidates together; ``distributed_cost`` charges each oracle
 call at the (branch-uniform) network cost of one such run and builds the
 run's report.
+
+Every phase reads one all-sources distance matrix, built once per run by
+``_init_phases``: the classical procedures (election, BFS trees, and the
+approximation's multi-source BFS and argmax) take their results and cost
+reports in closed form from it, the evaluation tables are filled from it,
+and the approximation reads the landmark eccentricities and ecc(w) off it.
+The word-level engine programs behind those closed forms are the oracle
+they are tested against; with the default backend a run makes no engine
+call.
 """
 
 from __future__ import annotations
@@ -16,12 +25,14 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from . import graphs
+import numpy as np
+
 from .engine import CostReport, EngineError
 from .evaluation import evaluation_procedure, make_eval_context
 from .graphs import Graph
 from .procedures import (
     BfsTreeState,
+    all_sources_distances,
     argmax_convergecast,
     build_bfs_tree,
     eccentricity_simple_eval,
@@ -68,10 +79,13 @@ def _poly_delta(n: int) -> float:
 
 def _init_phases(
     g: Graph, seed: int
-) -> tuple[int, int, BfsTreeState, CostReport]:
-    leader, ecc_leader, rep_elect = elect_leader_and_ecc(g)
-    tree, rep_bfs = build_bfs_tree(g, leader, ecc_leader)
-    return leader, ecc_leader, tree, rep_elect.merge(rep_bfs)
+) -> tuple[int, int, BfsTreeState, CostReport, np.ndarray]:
+    """Election and leader tree, plus the run's one all-sources distance
+    matrix, which every later phase reads."""
+    dist = all_sources_distances(g)
+    leader, ecc_leader, rep_elect = elect_leader_and_ecc(g, dist=dist)
+    tree, rep_bfs = build_bfs_tree(g, leader, ecc_leader, dist=dist)
+    return leader, ecc_leader, tree, rep_elect.merge(rep_bfs), dist
 
 
 def _trivial_result(g: Graph) -> DiameterResult:
@@ -99,9 +113,9 @@ def exact_diameter_simple(
     if g.n <= 2:
         return _trivial_result(g)
     delta = _poly_delta(g.n) if delta is None else delta
-    leader, d, tree, rep0 = _init_phases(g, seed)
+    leader, d, tree, rep0, dist = _init_phases(g, seed)
 
-    table = simple_eval_table(g, tree)
+    table = simple_eval_table(g, tree, dist)
     values = [0] * g.n
     t_eval = words_eval = 0
     for u0 in range(g.n):
@@ -131,11 +145,12 @@ def _windowed_maximize(
     delta: float,
     seed: int,
     backend: str,
+    dist: np.ndarray,
 ) -> tuple[int, int, SearchCost, int, tuple[int, ...]]:
     """Shared quantum phase of the exact and approximate algorithms: the
     maximum found, T_eval, the call counts, the words of one evaluation and
     the evaluation's qubits per node."""
-    ectx = make_eval_context(g, tree, support)
+    ectx = make_eval_context(g, tree, support, dist)
     values = [0] * g.n  # entries outside the support are never read
     rounds: set[int] = set()
     words_eval = 0
@@ -173,10 +188,10 @@ def exact_diameter(
     if g.n <= 2:
         return _trivial_result(g)
     delta = _poly_delta(g.n) if delta is None else delta
-    leader, d, tree, rep0 = _init_phases(g, seed)
+    leader, d, tree, rep0, dist = _init_phases(g, seed)
     epsilon = min(1.0, d / (2.0 * g.n))
     d_out, t_eval, cost, words_eval, qubits = _windowed_maximize(
-        g, tree, None, epsilon, delta, seed, backend
+        g, tree, None, epsilon, delta, seed, backend, dist
     )
     report = distributed_cost(
         rep0, rep0.rounds, d, t_eval, words_eval, cost, qubits, epsilon, leader
@@ -209,7 +224,7 @@ def approx_diameter(
         return _trivial_result(g)
     n = g.n
     delta = _poly_delta(n) if delta is None else delta
-    leader, d_leader, tree_leader, rep0 = _init_phases(g, seed)
+    leader, d_leader, tree_leader, rep0, dist = _init_phases(g, seed)
 
     s = max(1, min(n, math.ceil(n ** (2 / 3) / max(1, d_leader) ** (1 / 3))))
     rng = random.Random(f"qcongest-approx:{seed}")
@@ -223,15 +238,15 @@ def approx_diameter(
         if landmarks and len(landmarks) <= n * math.log2(max(n, 2)) ** 2 / s:
             break
 
-    closest, rep_ms = multi_source_bfs(g, landmarks)
+    closest, rep_ms = multi_source_bfs(g, landmarks, dist)
     values = {v: closest[v][0] for v in range(n)}
-    _, w, rep_ag = argmax_convergecast(g, tree_leader, values)
+    _, w, rep_ag = argmax_convergecast(g, tree_leader, values, dist=dist)
 
     # the landmark BFS trees give every landmark its eccentricity; their
     # pipelined cost is |S| + 2*ecc(leader) rounds on top of the flood above
-    ecc_landmarks = max(graphs.eccentricity(g, u) for u in landmarks)
+    ecc_landmarks = int(dist[landmarks].max())
 
-    tree_w, rep_w = build_bfs_tree(g, w)
+    tree_w, rep_w = build_bfs_tree(g, w, dist=dist)
     d = tree_w.ecc_leader
     order = sorted(range(n), key=lambda v: (tree_w.dist[v], v))
     r_set = frozenset(order[:s])
@@ -242,7 +257,7 @@ def approx_diameter(
 
     epsilon = min(1.0, d / (2.0 * len(r_set)))
     d_quantum, t_eval, cost, words_eval, qubits = _windowed_maximize(
-        g, tree_w, r_set, epsilon, delta, seed, backend
+        g, tree_w, r_set, epsilon, delta, seed, backend, dist
     )
     d_bar = max(d_quantum, ecc_landmarks, d)
     report = distributed_cost(prep, t0, d, t_eval, words_eval, cost, qubits, epsilon, w)

@@ -131,8 +131,13 @@ def _eval_field_bits(n: int, deg: int) -> int:
 
 
 def make_eval_context(
-    g: Graph, tree: BfsTreeState, restrict: frozenset[int] | None = None
+    g: Graph,
+    tree: BfsTreeState,
+    restrict: frozenset[int] | None = None,
+    dist: np.ndarray | None = None,
 ) -> EvalContext:
+    """The branch-independent context; ``dist`` is the all-sources distance
+    matrix, computed here when the caller has none."""
     numbering = dfs_numbering(tree, restrict)
     allowed = None if restrict is None else frozenset(restrict)
     children_r = tuple(
@@ -154,7 +159,7 @@ def make_eval_context(
         first_visit=first_visit,
         d=tree.ecc_leader,
         base=numbering.index_space,
-        dist=all_sources_distances(g),
+        dist=all_sources_distances(g) if dist is None else dist,
         quantum_bits=qbits,
     )
 
@@ -277,7 +282,8 @@ class EvaluationProgram(NodeProgram):
             tag = word.head(2)
             if tag == _TAG_TOKEN:
                 _, offset = unpack_bits(word, (2, self.M))
-                assert offset == round_no, "token offset must equal the round index"
+                if offset != round_no:
+                    raise EvaluationInvariantError("token offset must equal the round index")
                 token_offset = offset
                 if sender == ectx.tree.parent[v]:
                     # top-down arrival: first visit on the master tour; a

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -45,9 +46,13 @@ class Graph:
             bfs_distances(g, 0)  # raises naming the unreachable node
         return g
 
-    @property
+    @cached_property
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
+
+    def __getstate__(self) -> dict:
+        # pickles carry the fields only, whether or not m is cached
+        return {"n": self.n, "adj": self.adj}
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

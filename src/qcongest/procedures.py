@@ -1,27 +1,32 @@
-"""Distributed classical subroutines on the round-synchronous engine.
+"""Distributed classical subroutines: engine programs and their closed forms.
 
 Provides min-id leader election with eccentricity computation, BFS tree
 construction, the DFS numbering of the tree with its cyclic window sets,
 plus the flood/convergecast building blocks used by the diameter
-algorithms.  All programs are event-driven: they act on message arrival, so
-the engine only steps nodes that have work.
+algorithms.  Each procedure is a ``NodeProgram`` for the word-level engine;
+all programs are event-driven: they act on message arrival, so the engine
+only steps nodes that have work.
 
-The simple algorithm's evaluation has two paths.  ``simple_eval_table``
-fills every branch u0 at once from the event times of ``SimpleEvalProgram``:
-an all-sources BFS gives each node's activation round, one bottom-up pass
-over the leader tree gives each node's report round, and rounds and words
-follow from those, with the engine's register-width and round-limit checks
-kept.  ``eccentricity_simple_eval`` reads a branch's row from that table,
-or, without one, runs the program on the word-level engine, and checks the
-declared round bound on either path; the engine run is the reference the
-table is tested against.
+The production path runs no program.  A diameter run builds one
+all-sources distance matrix (``all_sources_distances``), and every
+procedure that is passed it derives its outputs and its exact
+``CostReport`` in closed form from the program's event times on that
+matrix, with the engine's register-width and bandwidth checks kept:
+``elect_leader_and_ecc``, ``build_bfs_tree``, ``multi_source_bfs`` and
+``argmax_convergecast`` take ``dist``, and ``simple_eval_table`` fills
+every branch u0 of the simple evaluation at once (an all-sources BFS gives
+each node's activation round, one bottom-up pass over the leader tree its
+report round), which ``eccentricity_simple_eval`` reads.  Where the engine
+would time out, the closed form runs the program so the caller gets the
+engine's error and partial report.  Without the matrix, or with a
+``trace_path``, the programs run on the engine: they are the oracle the
+closed forms are tested against and the writers of word traces.
 
 The DFS numbering walks the tree as a closed Euler tour.  The tour occupies
 positions 0 .. 2(k-1) of a cyclic index space of size 2k (k = number of
 nodes covered); the one leftover position is an idle step at the root, which
 keeps the distributed traversal aligned with the cyclic window definition.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -37,10 +42,12 @@ from .engine import (
     EngineTimeout,
     NodeContext,
     NodeProgram,
+    OversizedWordError,
     RegisterField,
     RegisterSchema,
     SchemaViolationError,
     Word,
+    default_bandwidth,
     pack_bits,
     run,
     unpack_bits,
@@ -59,6 +66,33 @@ MIN_PROCEDURE_N = 3  # message layouts need ceil(log2 n) >= 2 at bandwidth 4*cei
 def _require_size(g: Graph) -> None:
     if g.n < MIN_PROCEDURE_N:
         raise EngineError(f"distributed procedures require n >= {MIN_PROCEDURE_N}, got {g.n}")
+
+
+# ---------------------------------------------------------------------------
+# The engine's checks, applied by the closed forms.
+# ---------------------------------------------------------------------------
+
+
+def _check_register(procedure: str, widest: int, bits: int) -> None:
+    if widest >= 1 << bits:
+        raise SchemaViolationError(
+            f"{procedure} register value {widest} does not fit {bits} bits"
+        )
+
+
+def _check_word(node: int, size: int, n: int) -> None:
+    """The engine's bandwidth check on the first word a procedure sends: by
+    ``node`` in round 0."""
+    if size > default_bandwidth(n):
+        raise OversizedWordError(node, 0, size, default_bandwidth(n))
+
+
+def _adjacency(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees, the start of each node's slice of the flat neighbor array,
+    and that array (ascending ids per node), read off a distance matrix."""
+    rows, neighbors = np.nonzero(dist == 1)
+    deg = np.bincount(rows, minlength=len(dist))
+    return deg, np.cumsum(deg) - deg, neighbors
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +191,8 @@ class ElectionProgram(NodeProgram):
         if cand < state["best"]:
             arrivals = [(d, s) for b, d, _, s in waves if b == cand]
             dists = {d for d, _ in arrivals}
-            assert len(dists) == 1, "same-round arrivals of one wave must agree on dist"
+            if len(dists) != 1:
+                raise EngineError("same-round arrivals of one wave must agree on dist")
             state["best"] = cand
             state["dist"] = dists.pop() + 1
             state["parent"] = min(s for _, s in arrivals)
@@ -215,26 +250,101 @@ class ElectionProgram(NodeProgram):
 
 
 def elect_leader_and_ecc(
-    g: Graph, max_rounds: int | None = None, trace_path: str | None = None
+    g: Graph,
+    max_rounds: int | None = None,
+    trace_path: str | None = None,
+    dist: np.ndarray | None = None,
 ) -> tuple[int, int, CostReport]:
     """Elect the minimum-id node and compute its eccentricity, known to all.
 
-    Runs in at most 3*ecc(leader) + O(1) rounds.
+    Runs in at most 3*ecc(leader) + O(1) rounds.  With ``dist`` (from
+    ``all_sources_distances``) and no ``trace_path`` the result and report
+    are derived in closed form; otherwise ``ElectionProgram`` runs on the
+    word-level engine, the reference the closed form is tested against.
     """
     if g.n == 1:
         return 0, 0, CostReport(leader=0)
     _require_size(g)
+    max_rounds = max_rounds or (8 * g.n + 32)
+    if dist is not None and trace_path is None:
+        report = _election_report(g, dist)
+        # the last round only delivers DONE words, so the engine never
+        # counts it against the limit; past the limit the engine raises
+        if report.rounds - 1 <= max_rounds:
+            return 0, int(dist[0].max()), report
     outputs, report = run(
-        g,
-        ElectionProgram(g.n),
-        max_rounds=max_rounds or (8 * g.n + 32),
-        trace_path=trace_path,
+        g, ElectionProgram(g.n), max_rounds=max_rounds, trace_path=trace_path
     )
     leaders = {o["leader"] for o in outputs.values()}
     eccs = {o["ecc"] for o in outputs.values()}
-    assert leaders == {min(range(g.n))} and len(eccs) == 1
+    if leaders != {0} or len(eccs) != 1:
+        raise EngineError("all nodes must agree on leader 0 and its eccentricity")
     report.leader = leaders.pop()
     return report.leader, eccs.pop(), report
+
+
+def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
+    """``ElectionProgram``'s report from its event times.
+
+    Node v adopts wave b in round dist(b, v) exactly when b is smaller than
+    every id closer to v (ties by id), and holds it until its next adoption.
+    Its parent for b is its smallest neighbor one level closer to b.  Its
+    echo for b is ready in round E, the latest arrival of a non-parent
+    neighbor's b-wave (dist(b, w) + 1) or of a child's echo (E_c + 1), and
+    is sent only if every non-parent neighbor adopts b, every child echoes
+    and E comes before v's next adoption.  An echo ready in the adoption
+    round rides on the claim word; a later one costs a word of its own.
+    Round 0 and each adoption send deg(v) words.  Node 0 completes in round
+    R0 = max over its children of E + 1, and DONE floods 2m words in
+    ecc(0) rounds plus one that only delivers.
+    """
+    n, L = g.n, id_bits(g.n)
+    _check_register("election", n - 1, L)
+    _check_word(0, 2 * L + 3, n)
+    deg, starts, neighbors = _adjacency(dist)
+    # records (v, b) of v adopting b, round 0 counting as adopting v itself;
+    # per v, b ascends and the adoption round descends
+    closest = np.minimum.accumulate(dist, axis=1)
+    adopts = np.ones((n, n), dtype=bool)
+    adopts[:, 1:] = dist[:, 1:] < closest[:, :-1]
+    rv, rb = np.nonzero(adopts)
+    rk = dist[rv, rb]
+    size = len(rv)
+    record = np.full((n, n), -1, dtype=np.int32)
+    record[rv, rb] = np.arange(size, dtype=np.int32)
+    next_round = np.full(size, np.iinfo(rk.dtype).max, dtype=rk.dtype)
+    same = rv[1:] == rv[:-1]
+    next_round[1:][same] = rk[:-1][same]
+
+    # one entry per (record, neighbor w of its node)
+    count = deg[rv]
+    first = np.cumsum(count) - count
+    entry = np.repeat(np.arange(size), count)
+    w = neighbors[np.arange(int(count.sum())) - np.repeat(first - starts[rv], count)]
+    b = rb[entry]
+    dw = dist[b, w]
+    parent = np.minimum.reduceat(np.where(dw == rk[entry] - 1, w, n), first)
+    nonparent = w != parent[entry]
+    echoes = np.logical_and.reduceat(~nonparent | (record[w, b] >= 0), first)
+    ready = np.maximum(rk, np.maximum.reduceat(np.where(nonparent, dw + 1, 0), first))
+    adoption = rk > 0
+    up = np.zeros(size, dtype=np.int32)
+    up[adoption] = record[parent[adoption], rb[adoption]]
+
+    # children before parents: each level's echoes feed the level above
+    order = np.argsort(rk, kind="stable")
+    bounds = np.searchsorted(rk[order], np.arange(int(rk.max()) + 2))
+    for k in range(int(rk.max()), 0, -1):
+        level = order[bounds[k] : bounds[k + 1]]
+        echoes[level] &= ready[level] < next_round[level]
+        np.maximum.at(ready, up[level], ready[level] + 1)
+        np.logical_and.at(echoes, up[level], echoes[level])
+
+    words = int(count.sum()) + 2 * g.m + int((echoes & adoption & (ready > rk)).sum())
+    rounds = int(ready[record[0, 0]]) + int(dist[0].max()) + 1
+    bits = dict.fromkeys(range(n), 9 * L + 1)
+    bits[0] = 8 * L + 1  # the leader never has a parent
+    return CostReport(rounds, words, bits, dict.fromkeys(range(n), 0), leader=0)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +380,8 @@ class BfsTreeProgram(NodeProgram):
         if state["dist"] is not None or not inbox:
             return state, out, state["dist"] is not None
         dists = {unpack_bits(w, (self.L,))[0] for w in inbox.values()}
-        assert len(dists) == 1, "simultaneous activations must carry equal distance"
+        if len(dists) != 1:
+            raise EngineError("simultaneous activations must carry equal distance")
         state["dist"] = dists.pop() + 1
         state["parent"] = min(inbox)
         if round_no < self.budget:
@@ -313,18 +424,39 @@ class BfsTreeState:
 
 
 def build_bfs_tree(
-    g: Graph, leader: int, ecc_leader: int | None = None
+    g: Graph, leader: int, ecc_leader: int | None = None, dist: np.ndarray | None = None
 ) -> tuple[BfsTreeState, CostReport]:
     """Construct BFS(leader) in exactly ecc(leader) rounds.
 
     ``ecc_leader`` is the round budget; the election normally supplies it,
-    standalone callers may omit it and the oracle value is used.
+    standalone callers may omit it and the eccentricity is read from
+    ``dist`` or the oracle.  With ``dist`` the tree and report are derived
+    in closed form: the parent is the smallest neighbor one level up, and
+    every node closer than the budget sends one word per edge.  A budget
+    below ecc(leader) runs ``BfsTreeProgram`` on the engine, which times out.
     """
     if ecc_leader is None:
-        ecc_leader = graphs.eccentricity(g, leader)
+        ecc_leader = graphs.eccentricity(g, leader) if dist is None else int(dist[leader].max())
     if g.n == 1:
         return BfsTreeState(leader, 0, (leader,), (0,)), CostReport(leader=leader)
     _require_size(g)
+    if dist is not None and ecc_leader >= dist[leader].max():
+        row = dist[leader]
+        L = id_bits(g.n)
+        deg, starts, neighbors = _adjacency(dist)
+        below = np.repeat(row - 1, deg) == row[neighbors]
+        parent = np.minimum.reduceat(np.where(below, neighbors, g.n), starts)
+        parent[leader] = leader
+        _check_register("BFS tree", int(max(parent.max(), row.max())), L)
+        _check_word(leader, L, g.n)
+        bits = dict.fromkeys(range(g.n), 2 * L)
+        report = CostReport(
+            int(row.max()), int(deg[row < ecc_leader].sum()), bits,
+            dict.fromkeys(range(g.n), 0), leader,
+        )
+        # a budget above ecc(leader) fails the depth check, as on the engine
+        state = BfsTreeState(leader, ecc_leader, tuple(parent.tolist()), tuple(row.tolist()))
+        return state, report
     outputs, report = run(
         g, BfsTreeProgram(g.n, leader, ecc_leader), max_rounds=ecc_leader + 2
     )
@@ -396,7 +528,8 @@ def dfs_numbering(
             stack.pop()
             if stack:
                 walk.append(stack[-1][0])
-    assert len(walk) == 2 * (k - 1) + 1 and len(tau) == k
+    if len(walk) != 2 * (k - 1) + 1 or len(tau) != k:
+        raise EngineError("DFS walk must visit every node and return to the root")
     return DfsNumbering(root, tau, tuple(walk), 2 * k)
 
 
@@ -551,7 +684,9 @@ def all_sources_distances(g: Graph) -> np.ndarray:
         dist[rows[hit], cols[hit] * 64 + bit] = level
 
 
-def simple_eval_table(g: Graph, tree: BfsTreeState) -> tuple[tuple[int, int, int], ...]:
+def simple_eval_table(
+    g: Graph, tree: BfsTreeState, dist: np.ndarray | None = None
+) -> tuple[tuple[int, int, int], ...]:
     """Every branch of the simple evaluation at once: row u0 holds
     (ecc(u0), forward rounds, forward words) of ``SimpleEvalProgram(u0)``.
 
@@ -568,7 +703,8 @@ def simple_eval_table(g: Graph, tree: BfsTreeState) -> tuple[tuple[int, int, int
     """
     _require_size(g)
     n, leader = g.n, tree.leader
-    dist = all_sources_distances(g)  # rows: nodes, columns: u0
+    if dist is None:
+        dist = all_sources_distances(g)  # rows: nodes, columns: u0
     # registers: u0 < n, dist and best <= ecc(u0), reports <= #children
     widest = max(n - 1, int(dist.max()), max(len(c) for c in tree.children))
     if widest >= 1 << id_bits(n):
@@ -675,7 +811,8 @@ class MultiSourceBfsProgram(NodeProgram):
         elif inbox:
             arrivals = [unpack_bits(w, (self.L, self.L)) for w in inbox.values()]
             dists = {d for d, _ in arrivals}
-            assert len(dists) == 1
+            if len(dists) != 1:
+                raise EngineError("simultaneous activations must carry equal distance")
             state["dist"] = dists.pop() + 1
             state["src"] = min(s for _, s in arrivals)
         else:
@@ -688,13 +825,30 @@ class MultiSourceBfsProgram(NodeProgram):
 
 
 def multi_source_bfs(
-    g: Graph, sources: Iterable[int]
+    g: Graph, sources: Iterable[int], dist: np.ndarray | None = None
 ) -> tuple[dict[int, tuple[int, int]], CostReport]:
-    """Distance and closest source for every node: {v: (dist, source)}."""
+    """Distance and closest source for every node: {v: (dist, source)}.
+
+    With ``dist`` the result and report are derived in closed form: node v
+    is reached in round min over sources of dist(s, v), keeps the smallest
+    of the nearest sources, and sends one word per edge; the words of the
+    farthest nodes take one more round to deliver.
+    """
     _require_size(g)
     srcs = frozenset(sources)
     if not srcs:
         raise EngineError("multi-source BFS needs at least one source")
+    if dist is not None and srcs <= frozenset(range(g.n)):
+        L = id_bits(g.n)
+        cols = np.array(sorted(srcs))
+        near = dist[:, cols]
+        hops = near.min(axis=1)
+        _check_register("multi-source BFS", int(max(cols[-1], hops.max())), L)
+        _check_word(int(cols[0]), 2 * L, g.n)
+        closest = dict(enumerate(zip(hops.tolist(), cols[near.argmin(axis=1)].tolist())))
+        bits = dict.fromkeys(range(g.n), 2 * L)
+        report = CostReport(int(hops.max()) + 1, 2 * g.m, bits, dict.fromkeys(range(g.n), 0))
+        return closest, report
     outputs, report = run(
         g, MultiSourceBfsProgram(g.n, srcs), max_rounds=2 * g.n + 16
     )
@@ -774,18 +928,43 @@ class ArgmaxConvergecastProgram(NodeProgram):
 
 
 def argmax_convergecast(
-    g: Graph, tree: BfsTreeState, values: Mapping[int, int], value_bits: int | None = None
+    g: Graph,
+    tree: BfsTreeState,
+    values: Mapping[int, int],
+    value_bits: int | None = None,
+    dist: np.ndarray | None = None,
 ) -> tuple[int, int, CostReport]:
-    """(best_value, best_node) over per-node values, known to all nodes."""
+    """(best_value, best_node) over per-node values, known to all nodes.
+
+    With ``dist`` the result and report are derived in closed form: the
+    reports reach the root after the tree's height in rounds, and the result
+    floods from it in ecc(root) more, every edge carrying one word either
+    way.  The farthest nodes forward the result to their other neighbors in
+    one more round, which a farthest node of degree 1 does not need.
+    """
     _require_size(g)
     vb = value_bits or id_bits(g.n)
-    outputs, report = run(
-        g,
-        ArgmaxConvergecastProgram(g.n, tree, vb),
-        inputs=dict(values),
-        max_rounds=4 * g.n + 16,
-    )
-    results = set(outputs.values())
-    assert len(results) == 1, "all nodes must agree on the argmax"
-    val, node = results.pop()
-    return val, node, report
+    if dist is None:
+        outputs, report = run(
+            g,
+            ArgmaxConvergecastProgram(g.n, tree, vb),
+            inputs=dict(values),
+            max_rounds=4 * g.n + 16,
+        )
+        results = set(outputs.values())
+        if len(results) != 1:
+            raise EngineError("all nodes must agree on the argmax")
+        val, node = results.pop()
+        return val, node, report
+    L = id_bits(g.n)
+    inputs = [values.get(v) for v in range(g.n)]
+    if not all(isinstance(x, int) and 0 <= x < 1 << vb for x in inputs):
+        raise SchemaViolationError(f"argmax input does not fit {vb} bits")
+    _check_register("argmax", g.n - 1, L)
+    _check_word(min(v for v in range(g.n) if not tree.children[v]), 2 + vb + L, g.n)
+    node = max(range(g.n), key=lambda v: (inputs[v], -v))
+    row = dist[tree.leader]
+    deg = np.count_nonzero(dist == 1, axis=1)
+    rounds = max(tree.dist) + int(row.max()) + int((deg[row == row.max()] > 1).any())
+    bits = dict.fromkeys(range(g.n), 3 * L + 2 * vb + 1)
+    return inputs[node], node, CostReport(rounds, 2 * g.m, bits, dict.fromkeys(range(g.n), 0))

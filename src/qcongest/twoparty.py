@@ -31,7 +31,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .engine import NodeContext, NodeProgram, RegisterField, RegisterSchema, Word, pack_bits, run, unpack_bits
+from .engine import (
+    EngineError,
+    NodeContext,
+    NodeProgram,
+    RegisterField,
+    RegisterSchema,
+    Word,
+    pack_bits,
+    run,
+    unpack_bits,
+)
 from .graphs import path_graph
 
 ALICE = "alice"
@@ -417,7 +427,8 @@ class _PathProgram(NodeProgram):
             (t % 2 == 1 and i <= self.d) or (t % 2 == 0 and 1 <= i)
         )
         if acts:
-            assert state["has_t"], f"node {i} acts at t={t} without its register"
+            if not state["has_t"]:
+                raise EngineError(f"node {i} acts at t={t} without its register")
             state["r"], state["t"] = self.p.apply(i, t, state["r"], state["t"])
             self.transcript[(i, t)] = (state["r"], state["t"])
             dest = i + 1 if t % 2 == 1 else i - 1

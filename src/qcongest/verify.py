@@ -1,7 +1,9 @@
 """Invariant suite behind the ``verify`` CLI command.
 
 Each check returns (ok, detail).  The suite covers the oracle cross-checks,
-the window and wave invariants, backend equivalence, amplitude exactness, the
+the closed forms of the classical procedures against their engine programs
+(the election and BFS tree checks run on the engine, the oracle), the
+window and wave invariants, backend equivalence, amplitude exactness, the
 gadget gap, and the two-party schedule grid, at sizes small enough to run
 in a few seconds.
 """
@@ -18,7 +20,15 @@ import numpy as np
 from . import graphs
 from .evaluation import make_eval_context, evaluation_procedure
 from .gadgets import DisjInput, build_reduction_instance
-from .procedures import build_bfs_tree, dfs_numbering, elect_leader_and_ecc, set_S
+from .procedures import (
+    all_sources_distances,
+    argmax_convergecast,
+    build_bfs_tree,
+    dfs_numbering,
+    elect_leader_and_ecc,
+    multi_source_bfs,
+    set_S,
+)
 from .qsearch import grover_iterate, setup_uniform
 from .twoparty import (
     build_two_party_schedule,
@@ -97,6 +107,27 @@ def check_bfs_tree() -> tuple[bool, str]:
         if rep.rounds != ecc:
             return False, f"tree build took {rep.rounds} rounds, expected {ecc}"
     return True, "tree construction matches the BFS oracle in exactly ecc rounds"
+
+
+def check_closed_forms() -> tuple[bool, str]:
+    for g in _corpus():
+        dist = all_sources_distances(g)
+        elected = elect_leader_and_ecc(g)
+        if elect_leader_and_ecc(g, dist=dist) != elected:
+            return False, f"closed-form election differs from the engine at n={g.n}"
+        leader, ecc, _ = elected
+        built = build_bfs_tree(g, leader, ecc)
+        if build_bfs_tree(g, leader, ecc, dist) != built:
+            return False, f"closed-form BFS tree differs from the engine at n={g.n}"
+        sources = range(0, g.n, 3)
+        closest = multi_source_bfs(g, sources)
+        if multi_source_bfs(g, sources, dist) != closest:
+            return False, f"closed-form multi-source BFS differs from the engine at n={g.n}"
+        values = {v: hops for v, (hops, _) in closest[0].items()}
+        tree = built[0]
+        if argmax_convergecast(g, tree, values, dist=dist) != argmax_convergecast(g, tree, values):
+            return False, f"closed-form argmax differs from the engine at n={g.n}"
+    return True, "election, BFS tree, multi-source BFS and argmax closed forms equal the engine"
 
 
 def check_window_coverage() -> tuple[bool, str]:
@@ -196,6 +227,7 @@ CHECKS: list[tuple[str, Check]] = [
     ("ecc-relations", check_ecc_relations),
     ("leader-election", check_election),
     ("bfs-tree", check_bfs_tree),
+    ("closed-forms", check_closed_forms),
     ("window-coverage", check_window_coverage),
     ("window-distances", check_window_distances),
     ("evaluation", check_evaluation),

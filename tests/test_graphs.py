@@ -173,3 +173,16 @@ def test_bipartite_delta_definition():
     assert delta == max(dist[u][v] for u in gad.left for v in gad.right)
     assert delta == 3  # some x_ij = y_ij = 1 forces a cross distance of 3
     assert delta <= diameter_bruteforce(g)
+
+
+def test_edge_count_is_cached_without_changing_equality_hash_or_pickles():
+    import pickle
+
+    g = graphs.generate("random", 20, seed=1, p=0.2)
+    before = pickle.dumps(g)
+    same = graphs.generate("random", 20, seed=1, p=0.2)
+    assert g.m == len(list(g.edges()))
+    assert "m" in vars(g)  # computed once, then read from the instance
+    assert g == same and hash(g) == hash(same)
+    assert pickle.dumps(g) == before
+    assert pickle.loads(before).m == g.m

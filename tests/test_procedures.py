@@ -1,12 +1,24 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qcongest import graphs, procedures
-from qcongest.engine import EngineError, EngineTimeout, SchemaViolationError
+from qcongest import evaluation, graphs, procedures
+from qcongest.diameter import (
+    approx_diameter,
+    approx_guarantee_holds,
+    exact_diameter,
+    exact_diameter_simple,
+)
+from qcongest.engine import (
+    EngineError,
+    EngineTimeout,
+    OversizedWordError,
+    SchemaViolationError,
+)
 from qcongest.graphs import generate
 from qcongest.procedures import (
     BfsTreeState,
@@ -324,3 +336,111 @@ def test_argmax_convergecast_with_ties():
         expect = max(values.values())
         assert best_val == expect
         assert best_node == min(v for v in values if values[v] == expect)
+
+
+# -- closed forms against their engine programs ----------------------------------
+
+
+def outcome(call):
+    """A call's result, or the type of the engine error it raises plus the
+    partial report of a timeout."""
+    try:
+        return call()
+    except EngineTimeout as exc:
+        return EngineTimeout, exc.report
+    except EngineError as exc:
+        return type(exc)
+
+
+def assert_closed_forms_match_engine(g, root, seed):
+    dist = all_sources_distances(g)
+    assert elect_leader_and_ecc(g, dist=dist) == elect_leader_and_ecc(g)
+    assert build_bfs_tree(g, root, dist=dist) == build_bfs_tree(g, root)
+    tree, _ = build_bfs_tree(g, root)
+    rng = random.Random(seed)
+    sources = rng.sample(range(g.n), rng.randint(1, g.n))
+    assert multi_source_bfs(g, sources, dist) == multi_source_bfs(g, sources)
+    # a narrow range of values makes ties, broken to the smallest id
+    top = rng.choice([2, 1 << procedures.id_bits(g.n)])
+    values = {v: rng.randrange(top) for v in range(g.n)}
+    assert argmax_convergecast(g, tree, values, dist=dist) == argmax_convergecast(
+        g, tree, values
+    )
+
+
+def test_closed_forms_match_engine_on_corpus():
+    for g in corpus() + [generate("path", 3, seed=0), graphs.complete_graph(5)]:
+        for root in (0, g.n // 2, g.n - 1):
+            assert_closed_forms_match_engine(g, root, seed=root)
+
+
+@given(
+    st.integers(3, 40),
+    st.floats(0.0, 0.5),
+    st.integers(0, 10**6),
+    st.integers(0, 39),
+)
+def test_closed_forms_match_engine_on_random_graphs(n, p, seed, root):
+    assert_closed_forms_match_engine(generate("random", n, seed=seed, p=p), root % n, seed)
+
+
+@pytest.mark.parametrize("family", ["path", "lollipop", "grid", "random"])
+def test_closed_form_election_times_out_like_the_engine(family, monkeypatch):
+    g = generate(family, 20, seed=4, p=0.2)
+    dist = all_sources_distances(g)
+    rounds = elect_leader_and_ecc(g, dist=dist)[2].rounds
+    for limit in (1, rounds // 2, rounds - 2):
+        closed = outcome(lambda: elect_leader_and_ecc(g, max_rounds=limit, dist=dist))
+        assert closed[0] is EngineTimeout
+        assert closed == outcome(lambda: elect_leader_and_ecc(g, max_rounds=limit))
+    # the last round only delivers DONE words and does not count, so this
+    # limit holds, and the closed form answers without the engine
+    engine = elect_leader_and_ecc(g, max_rounds=rounds - 1)
+    monkeypatch.setattr(procedures, "run", None)
+    assert elect_leader_and_ecc(g, max_rounds=rounds - 1, dist=dist) == engine
+
+
+def test_closed_form_bfs_tree_fails_like_the_engine_off_budget():
+    g = generate("lollipop", 15, seed=2)
+    dist = all_sources_distances(g)
+    ecc = graphs.eccentricity(g, 4)
+    below = outcome(lambda: build_bfs_tree(g, 4, ecc - 1, dist))
+    assert below[0] is EngineTimeout
+    assert below == outcome(lambda: build_bfs_tree(g, 4, ecc - 1))
+    assert outcome(lambda: build_bfs_tree(g, 4, ecc + 1, dist)) is EngineError
+    assert outcome(lambda: build_bfs_tree(g, 4, ecc + 1)) is EngineError
+
+
+def test_closed_form_argmax_checks_inputs_and_bandwidth_like_the_engine():
+    g = generate("random", 16, seed=1, p=0.2)
+    dist = all_sources_distances(g)
+    tree = make_tree(g)
+    wide = {v: v % 3 for v in range(g.n)}
+    wide[5] = 1 << 3  # does not fit value_bits=3
+    assert outcome(lambda: argmax_convergecast(g, tree, wide, 3, dist)) is SchemaViolationError
+    assert outcome(lambda: argmax_convergecast(g, tree, wide, 3)) is SchemaViolationError
+    # 2 + value_bits + id_bits exceeds the 4*id_bits bandwidth
+    values = {v: 0 for v in range(g.n)}
+    vb = 3 * procedures.id_bits(g.n)
+    assert outcome(lambda: argmax_convergecast(g, tree, values, vb, dist)) is OversizedWordError
+    assert outcome(lambda: argmax_convergecast(g, tree, values, vb)) is OversizedWordError
+
+
+def test_production_path_makes_no_engine_call(monkeypatch):
+    def engine_run(*args, **kwargs):
+        raise AssertionError("the word-level engine ran")
+
+    monkeypatch.setattr(procedures, "run", engine_run)
+    monkeypatch.setattr(evaluation, "run", engine_run)
+    g = generate("random", 20, seed=3, p=0.15)
+    d = graphs.diameter_bruteforce(g)
+    assert exact_diameter(g, seed=1).d_out == d
+    assert exact_diameter_simple(g, seed=1).d_out == d
+    assert approx_guarantee_holds(approx_diameter(g, seed=1).d_out, d)
+
+
+def test_verify_checks_the_closed_forms():
+    from qcongest.verify import check_closed_forms
+
+    ok, detail = check_closed_forms()
+    assert ok, detail
