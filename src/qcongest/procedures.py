@@ -262,10 +262,12 @@ def elect_leader_and_ecc(
     are derived in closed form; otherwise ``ElectionProgram`` runs on the
     word-level engine, the reference the closed form is tested against.
     """
+    max_rounds = 8 * g.n + 32 if max_rounds is None else max_rounds
+    if max_rounds <= 0:
+        raise EngineError("max_rounds must be positive")
     if g.n == 1:
         return 0, 0, CostReport(leader=0)
     _require_size(g)
-    max_rounds = max_rounds or (8 * g.n + 32)
     if dist is not None and trace_path is None:
         report = _election_report(g, dist)
         # the last round only delivers DONE words, so the engine never
@@ -943,7 +945,9 @@ def argmax_convergecast(
     one more round, which a farthest node of degree 1 does not need.
     """
     _require_size(g)
-    vb = value_bits or id_bits(g.n)
+    vb = id_bits(g.n) if value_bits is None else value_bits
+    if vb <= 0:
+        raise EngineError("value_bits must be positive")
     if dist is None:
         outputs, report = run(
             g,

@@ -9,6 +9,15 @@ a complex amplitude per branch is a lossless representation.  No
 inter-branch entanglement beyond the index register can arise, hence the
 whole quantum layer reduces to bookkeeping on an amplitude map.
 
+A decision does not step that map.  Flipping the marked branches and
+reflecting about the setup state both keep the state in the plane of the
+setup's marked and unmarked parts, where one iteration is a rotation by
+2*theta, sin^2(theta) being the marked setup mass (Boyer-Brassard-Hoyer-Tapp
+1998).  So each try samples its measurement from the exact law after its j
+iterations (``_try_distribution``) in O(|X|) work.  ``grover_iterate``, which
+applies the two reflections to the amplitude vector, is the reference that
+law is tested and verified against.
+
 Cost accounting: one amplification iteration applies the evaluation (the
 marking oracle), its inverse, and the setup reflection (setup + inverse
 setup); measuring restarts from a fresh setup.  Branches share rounds, so a
@@ -75,11 +84,6 @@ class AmplitudeState:
 
     def probability(self, mask: np.ndarray) -> float:
         return float(np.sum(np.abs(self.amps[mask]) ** 2))
-
-    def measure(self, rng: np.random.Generator) -> int:
-        p = np.abs(self.amps) ** 2
-        p = p / p.sum()
-        return int(rng.choice(len(self.candidates), p=p))
 
 
 def setup_uniform(candidates: Sequence[int]) -> AmplitudeState:
@@ -184,6 +188,52 @@ def _per_candidate(state: AmplitudeState, arr, what: str) -> np.ndarray:
     return out
 
 
+def _try_distribution(
+    setup_amps: np.ndarray, mask: np.ndarray
+) -> Callable[[int], np.ndarray]:
+    """The measurement law of a try, as a function of its iteration count j.
+
+    With w = |setup|^2, marked mass P and unmarked mass Q, j iterations
+    rotate the state by 2j*theta in the plane of the setup's marked and
+    unmarked parts, theta = atan(sqrt(P/Q)).  So the try measures branch x
+    with probability sin^2((2j+1)theta) * w_x/P if x is marked and
+    cos^2((2j+1)theta) * w_x/Q otherwise (a part of mass 0 drops out).
+    """
+    w = np.abs(setup_amps) ** 2
+    marked_mass = float(w[mask].sum())
+    unmarked_mass = float(w[~mask].sum())
+    total = marked_mass + unmarked_mass
+    if abs(total - 1.0) > _NORM_TOL:
+        raise SearchError(f"state not normalized: |psi|^2 = {total}")
+    theta = math.atan2(math.sqrt(marked_mass), math.sqrt(unmarked_mass))
+    on_marked = np.where(mask, w, 0.0)
+    on_unmarked = w - on_marked
+    if marked_mass > 0.0:
+        on_marked /= marked_mass
+    if unmarked_mass > 0.0:
+        on_unmarked /= unmarked_mass
+
+    def after(j: int) -> np.ndarray:
+        angle = (2 * j + 1) * theta
+        return math.sin(angle) ** 2 * on_marked + math.cos(angle) ** 2 * on_unmarked
+
+    return after
+
+
+def _sample(p: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an index with probability ``p``, checking that ``p`` sums to 1.
+
+    The draw is the one ``rng.choice(len(p), p=p / p.sum())`` makes: one
+    ``rng.random()`` value located on the normalized CDF, without
+    ``choice``'s argument validation."""
+    mass = p.sum()
+    if not abs(mass - 1.0) <= _NORM_TOL:
+        raise SearchError(f"measurement law not normalized: total {mass}")
+    cdf = np.cumsum(p / mass)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def amplitude_amplify_decide(
     state0: AmplitudeState,
     marked: np.ndarray,
@@ -196,8 +246,9 @@ def amplitude_amplify_decide(
 
     ``marked`` holds one bool per entry of ``state0.candidates``.  Returns a
     sampled marked candidate (branch x with conditional probability
-    |alpha_x|^2 / P_M) or None, plus the oracle-call counts.  Measurement is
-    simulated by seeded sampling from the exact final amplitudes.
+    |alpha_x|^2 / P_M) or None, plus the oracle-call counts.  Each try's
+    measurement is sampled, by seeded inverse CDF, from the exact law of its
+    final state (``_try_distribution``), which ``grover_iterate`` steps to.
     """
     mask = _per_candidate(state0, marked, "marked")
     if mask.dtype != bool:
@@ -206,6 +257,7 @@ def amplitude_amplify_decide(
         raise SearchError("invalid epsilon or delta")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
+    law = _try_distribution(state0.setup_amps, mask)
     cost = SearchCost()
     m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
@@ -213,19 +265,14 @@ def amplitude_amplify_decide(
         m = 1.0
         while True:
             j = int(rng.integers(0, max(1, int(m))))
-            state = AmplitudeState(
-                state0.candidates, state0.setup_amps.copy(), state0.setup_amps
-            )
-            cost.setup_calls += 1
-            for _ in range(j):
-                state = _grover_step(state, mask)
-                cost.eval_calls += 1
-                cost.setup_calls += 1
-                cost.inverse_calls += 2
-            i = state.measure(rng)
-            cost.eval_calls += 1  # classical check of the measured branch
+            # one setup, j iterations of eval + setup + two inverses, and the
+            # classical check of the measured branch
+            cost.setup_calls += 1 + j
+            cost.eval_calls += j + 1
+            cost.inverse_calls += 2 * j
+            i = _sample(law(j), rng)
             if mask[i]:
-                return state.candidates[i], cost
+                return state0.candidates[i], cost
             if m >= m_cap:
                 break
             m = min(m * 6.0 / 5.0, m_cap)

@@ -29,7 +29,7 @@ from .procedures import (
     multi_source_bfs,
     set_S,
 )
-from .qsearch import grover_iterate, setup_uniform
+from .qsearch import _try_distribution, grover_iterate, setup_uniform
 from .twoparty import (
     build_two_party_schedule,
     execute_direct,
@@ -187,13 +187,19 @@ def check_grover() -> tuple[bool, str]:
         state = setup_uniform(range(64))
         marked = lambda x: x < frac
         theta = math.asin(math.sqrt(frac / 64))
+        law = _try_distribution(state.setup_amps, np.arange(64) < frac)
         for k in range(1, 21):
             state = grover_iterate(state, marked)
             expect = math.sin((2 * k + 1) * theta) ** 2
             got = float(np.sum(np.abs(state.amps[:frac]) ** 2))
             if abs(got - expect) > 1e-9:
                 return False, f"recurrence broken at k={k}, p={frac}/64"
-    return True, "single-marked exactness and sin((2k+1)theta) recurrence hold"
+            if np.max(np.abs(law(k) - np.abs(state.amps) ** 2)) > 1e-9:
+                return False, f"closed-form law off the steps at k={k}, p={frac}/64"
+    return True, (
+        "single-marked exactness, sin((2k+1)theta) recurrence and the "
+        "decision's closed-form law hold"
+    )
 
 
 def check_gadget_gap() -> tuple[bool, str]:

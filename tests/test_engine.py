@@ -236,6 +236,30 @@ def test_send_to_non_neighbor_rejected():
         run(graphs.path_graph(3), Skip())
 
 
+def test_two_words_on_one_edge_rejected():
+    class Twice(dict):
+        """An outbox whose items() yields one destination twice."""
+
+        def items(self):
+            return [*super().items(), *super().items()]
+
+    class Double(NodeProgram):
+        def schema(self, ctx):
+            return RegisterSchema(())
+
+        def init_state(self, ctx):
+            return {}
+
+        def step(self, ctx, state, inbox, round_no):
+            if ctx.node == 0:
+                return state, Twice({1: pack_bits([(1, 1)])}), True
+            return state, {}, True
+
+    # sent in round 0, so the two words would be delivered in round 1
+    with pytest.raises(EngineError, match=r"two words on edge \(0, 1\) in round 1"):
+        run(graphs.path_graph(3), Double())
+
+
 def _transcript(trace_path) -> list[dict]:
     return [json.loads(line) for line in open(trace_path, encoding="utf-8")]
 

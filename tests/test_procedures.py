@@ -400,6 +400,26 @@ def test_closed_form_election_times_out_like_the_engine(family, monkeypatch):
     assert elect_leader_and_ecc(g, max_rounds=rounds - 1, dist=dist) == engine
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["engine", "closed-form"])
+@pytest.mark.parametrize("limit", [0, -3])
+def test_election_rejects_an_explicit_non_positive_round_limit(closed, limit):
+    # an explicit limit of 0 is an error as in engine.run, not the default
+    g = generate("path", 10, seed=1)
+    dist = all_sources_distances(g) if closed else None
+    with pytest.raises(EngineError, match="max_rounds must be positive"):
+        elect_leader_and_ecc(g, max_rounds=limit, dist=dist)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["engine", "closed-form"])
+@pytest.mark.parametrize("value_bits", [0, -1])
+def test_argmax_rejects_an_explicit_non_positive_value_width(closed, value_bits):
+    g = generate("path", 10, seed=1)
+    dist = all_sources_distances(g) if closed else None
+    values = dict.fromkeys(range(g.n), 0)
+    with pytest.raises(EngineError, match="value_bits must be positive"):
+        argmax_convergecast(g, make_tree(g), values, value_bits, dist)
+
+
 def test_closed_form_bfs_tree_fails_like_the_engine_off_budget():
     g = generate("lollipop", 15, seed=2)
     dist = all_sources_distances(g)

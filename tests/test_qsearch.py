@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qcongest import diameter, graphs, qsearch
 from qcongest.engine import CostReport
 from qcongest.qsearch import (
     AmplitudeState,
@@ -20,6 +21,9 @@ from qcongest.qsearch import (
     quantum_maximize,
     setup_subset,
     setup_uniform,
+    _grover_step,
+    _sample,
+    _try_distribution,
 )
 
 
@@ -257,3 +261,155 @@ def test_determinism_per_seed(seed):
     a = quantum_maximize(f, state, QOptConfig(1 / 3, 0.1, seed=seed))
     b = quantum_maximize(f, state, QOptConfig(1 / 3, 0.1, seed=seed))
     assert a[0] == b[0] and a[1].total_calls == b[1].total_calls
+
+
+def _random_setup(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    if kind == "uniform":
+        return setup_uniform(range(n)).setup_amps
+    if kind == "subset":
+        support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        return setup_subset(range(n), support.tolist()).setup_amps
+    raw = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return raw / np.linalg.norm(raw)
+
+
+def _random_mask(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    if kind == "empty":
+        return np.zeros(n, bool)
+    if kind == "full":
+        return np.ones(n, bool)
+    return rng.random(n) < rng.random()
+
+
+@given(
+    st.integers(1, 64),
+    st.integers(0, 10**6),
+    st.sampled_from(["uniform", "subset", "general"]),
+    st.sampled_from(["empty", "full", "random"]),
+    st.integers(0, 60),
+)
+def test_try_distribution_equals_the_vector_grover_steps(n, seed, setup_kind, mask_kind, j):
+    rng = np.random.default_rng(seed)
+    setup = _random_setup(rng, n, setup_kind)
+    mask = _random_mask(rng, n, mask_kind)
+    state = AmplitudeState(tuple(range(n)), setup.copy(), setup.copy())
+    for _ in range(j):
+        state = grover_iterate(state, lambda x: bool(mask[x]))
+    got = _try_distribution(setup, mask)(j)
+    assert np.max(np.abs(got - np.abs(state.amps) ** 2)) <= 1e-12
+
+
+def _stepped_decide(state0, mask, epsilon, delta, rng):
+    """Reference decision that steps the amplitude vector: j ``_grover_step``
+    calls per try, then one ``rng.choice`` on the final amplitudes."""
+    cost = SearchCost()
+    m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
+    reps = max(1, math.ceil(math.log2(1.0 / delta)))
+    for _ in range(reps):
+        m = 1.0
+        while True:
+            j = int(rng.integers(0, max(1, int(m))))
+            state = AmplitudeState(
+                state0.candidates, state0.setup_amps.copy(), state0.setup_amps
+            )
+            cost.setup_calls += 1
+            for _ in range(j):
+                state = _grover_step(state, mask)
+                cost.eval_calls += 1
+                cost.setup_calls += 1
+                cost.inverse_calls += 2
+            p = np.abs(state.amps) ** 2
+            i = int(rng.choice(len(state.candidates), p=p / p.sum()))
+            cost.eval_calls += 1
+            if mask[i]:
+                return state.candidates[i], cost
+            if m >= m_cap:
+                break
+            m = min(m * 6.0 / 5.0, m_cap)
+    return None, cost
+
+
+def _decide_cases(count: int):
+    """Seeded decisions: n in 1..64, marked mass 0, 1 or random, epsilon 1
+    or at most the marked mass (often just below it), delta in (0, 1)."""
+    rng = np.random.default_rng(2027)
+    for case in range(count):
+        n = int(rng.integers(1, 65))
+        setup = _random_setup(rng, n, ("uniform", "subset", "general")[case % 3])
+        mask_kind = ("empty", "full", "random", "random")[case % 4]
+        mask = _random_mask(rng, n, mask_kind)
+        marked_mass = float(np.sum(np.abs(setup[mask]) ** 2))
+        if mask_kind != "random" or marked_mass == 0.0:
+            epsilon = 1.0 if case % 3 else float(rng.uniform(0.01, 1.0))
+        elif case % 2:
+            epsilon = marked_mass * (1.0 - 1e-9)  # the mass is just above epsilon
+        else:
+            epsilon = marked_mass * float(rng.uniform(0.01, 1.0))
+        delta = float(rng.uniform(0.001, 0.999))
+        state = AmplitudeState(tuple(range(n)), setup.copy(), setup.copy())
+        yield state, mask, epsilon, delta, case
+
+
+def test_decide_matches_the_stepped_reference():
+    for state, mask, epsilon, delta, seed in _decide_cases(600):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = amplitude_amplify_decide(state, mask, epsilon, delta, ours)
+        assert got == _stepped_decide(state, mask, epsilon, delta, ref), seed
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_draws_what_generator_choice_draws():
+    # if a numpy upgrade changes how choice(p=...) draws, this test fails
+    data = np.random.default_rng(5)
+    for seed in range(300):
+        n = int(data.integers(1, 65))
+        p = data.random(n) * (data.random(n) < 0.7)
+        if not p.any():
+            p[int(data.integers(n))] = 1.0
+        p /= p.sum()
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert _sample(p, ours) == ref.choice(n, p=p / p.sum())
+        assert ours.random() == ref.random()
+
+
+def test_sample_rejects_a_law_that_does_not_sum_to_one():
+    with pytest.raises(SearchError, match="not normalized"):
+        _sample(np.array([0.5, 0.6]), np.random.default_rng(0))
+    with pytest.raises(SearchError, match="not normalized"):
+        _sample(np.array([np.nan, 0.5]), np.random.default_rng(0))
+
+
+def test_decide_rejects_a_setup_that_is_no_longer_normalized():
+    state = setup_uniform(range(4))
+    state.setup_amps[0] = 1.0
+    with pytest.raises(SearchError, match="not normalized"):
+        amplitude_amplify_decide(state, np.arange(4) < 2, 0.25, 0.1, 0)
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [diameter.exact_diameter, diameter.exact_diameter_simple, diameter.approx_diameter],
+)
+def test_production_runs_step_no_amplitude_vector(algorithm, monkeypatch):
+    def refuse(state, mask):
+        raise AssertionError("a production run stepped the amplitude vector")
+
+    monkeypatch.setattr(qsearch, "_grover_step", refuse)
+    g = graphs.generate("random", 12, seed=4, p=0.3)
+    assert algorithm(g, seed=1).d_out == graphs.diameter_bruteforce(g)
+
+
+def test_verify_checks_the_decision_law(monkeypatch):
+    from qcongest import verify
+
+    ok, detail = verify.check_grover()
+    assert ok and "closed-form law" in detail
+
+    def off_by_one(setup_amps, mask):
+        law = _try_distribution(setup_amps, mask)
+        return lambda j: law(j + 1)
+
+    monkeypatch.setattr(verify, "_try_distribution", off_by_one)
+    ok, detail = verify.check_grover()
+    assert not ok and "closed-form law off the steps" in detail
