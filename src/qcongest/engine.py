@@ -316,7 +316,7 @@ def run(
                 inbox = inboxes[dst] = {}
             elif src in inbox:
                 raise EngineError(
-                    f"two words on edge ({src}, {dst}) in round {round_no}"
+                    f"two words on edge ({src}, {dst}) sent in round {round_no - 1}"
                 )
             inbox[src] = word
         report.total_words += len(pending)

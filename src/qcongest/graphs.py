@@ -1,9 +1,12 @@
 """Undirected graph core: representation, generators, and brute-force oracles.
 
-Every distributed algorithm in this repo is checked against the plain
-BFS-based oracles defined here, so this module stays deliberately simple.
-Node ids are dense integers in [0, n) and neighbor lists are sorted, which
-makes all traversals deterministic.
+Every distributed algorithm in this repo is checked against the oracles
+defined here: a single-source BFS (`bfs_distances`, `eccentricity`) and an
+all-sources ball-growing pass over integer bitsets (`all_eccentricities`,
+`diameter_bruteforce`).  The module is pure Python over the adjacency
+tuples and shares no code with the procedures it checks.  Node ids are
+dense integers in [0, n) and neighbor lists are sorted, which makes all
+traversals deterministic.
 """
 
 from __future__ import annotations
@@ -111,12 +114,46 @@ def eccentricity(g: Graph, u: int) -> int:
     return max(bfs_distances(g, u).values())
 
 
-def diameter_bruteforce(g: Graph) -> int:
-    return max(eccentricity(g, u) for u in range(g.n))
-
-
 def all_eccentricities(g: Graph) -> list[int]:
-    return [eccentricity(g, u) for u in range(g.n)]
+    """Every node's eccentricity from one all-sources ball-growing pass.
+
+    ``ball[v]`` is the bitset of nodes within distance k of v.  Level k + 1
+    ORs into each open ball its neighbours' balls of level k (read from the
+    previous level's list only), and ecc(v) is the first level at which
+    ``ball[v]`` holds every node.  A ball that stops growing before it is
+    full means the graph is disconnected.
+    """
+    n, adj = g.n, g.adj
+    full = (1 << n) - 1
+    ball = [1 << v for v in range(n)]
+    ecc = [0] * n
+    open_nodes = [v for v in range(n) if ball[v] != full]
+    level = 0
+    while open_nodes:
+        level += 1
+        grown = ball[:]
+        still_open = []
+        for v in open_nodes:
+            b = ball[v]
+            for u in adj[v]:
+                b |= ball[u]
+            grown[v] = b
+            if b == full:
+                ecc[v] = level
+            elif b == ball[v]:
+                missing = ~b & full
+                raise GraphError(
+                    f"graph disconnected: node {(missing & -missing).bit_length() - 1}"
+                    f" unreachable from {v}"
+                )
+            else:
+                still_open.append(v)
+        ball, open_nodes = grown, still_open
+    return ecc
+
+
+def diameter_bruteforce(g: Graph) -> int:
+    return max(all_eccentricities(g))
 
 
 def bipartite_delta(gad: BipartiteGadget) -> int:
@@ -217,7 +254,12 @@ def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Return g with node i renamed to perm[i]."""
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    if sorted(perm) != list(range(g.n)):
+        raise GraphError(f"relabelling is not a permutation of range({g.n})")
+    adj: list[tuple[int, ...]] = [()] * g.n
+    for u, neighbors in enumerate(g.adj):
+        adj[perm[u]] = tuple(sorted([perm[v] for v in neighbors]))
+    return Graph(g.n, tuple(adj))
 
 
 def generate(family: str, n: int, seed: int = 0, p: float | None = None) -> Graph:

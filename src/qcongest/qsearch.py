@@ -82,9 +82,6 @@ class AmplitudeState:
             if abs(norm - 1.0) > _NORM_TOL:
                 raise SearchError(f"state not normalized: |psi|^2 = {norm}")
 
-    def probability(self, mask: np.ndarray) -> float:
-        return float(np.sum(np.abs(self.amps[mask]) ** 2))
-
 
 def setup_uniform(candidates: Sequence[int]) -> AmplitudeState:
     xs = tuple(candidates)

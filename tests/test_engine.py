@@ -255,8 +255,8 @@ def test_two_words_on_one_edge_rejected():
                 return state, Twice({1: pack_bits([(1, 1)])}), True
             return state, {}, True
 
-    # sent in round 0, so the two words would be delivered in round 1
-    with pytest.raises(EngineError, match=r"two words on edge \(0, 1\) in round 1"):
+    # named by the send round, as an oversized word is
+    with pytest.raises(EngineError, match=r"two words on edge \(0, 1\) sent in round 0"):
         run(graphs.path_graph(3), Double())
 
 

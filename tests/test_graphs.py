@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,11 +11,13 @@ from qcongest import graphs
 from qcongest.graphs import (
     Graph,
     GraphError,
+    all_eccentricities,
     bfs_distances,
     diameter_bruteforce,
     eccentricity,
     generate,
     read_edge_list,
+    relabel,
     write_edge_list,
 )
 
@@ -186,3 +192,99 @@ def test_edge_count_is_cached_without_changing_equality_hash_or_pickles():
     assert g == same and hash(g) == hash(same)
     assert pickle.dumps(g) == before
     assert pickle.loads(before).m == g.m
+
+
+def _family_graphs(sizes, seeds):
+    """Every family at every size it accepts, under each seed's labelling."""
+    for family in graphs.FAMILIES:
+        p = 0.1 if family == "random" else None
+        for n in sizes:
+            for seed in seeds:
+                try:
+                    yield generate(family, n, seed=seed, p=p)
+                except GraphError:
+                    break  # size below the family's minimum
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random tree (each node hangs off an earlier one) plus extra edges."""
+    n = draw(st.integers(1, 40))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n > 1:
+        node = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+        edges += [(u, v) for u, v in extra if u != v]
+    return Graph.from_edges(n, edges)
+
+
+def test_all_eccentricities_match_single_source_bfs_on_every_family():
+    count = 0
+    for g in _family_graphs((1, 2, 3, 5, 16, 33, 64), seeds=(0, 1, 2)):
+        eccs = all_eccentricities(g)
+        assert eccs == [eccentricity(g, u) for u in range(g.n)]
+        assert diameter_bruteforce(g) == max(eccs)
+        count += 1
+    assert count > 80  # every family contributed its sizes
+
+
+@given(connected_graphs())
+def test_all_eccentricities_match_single_source_bfs_on_random_graphs(g):
+    eccs = all_eccentricities(g)
+    assert eccs == [eccentricity(g, u) for u in range(g.n)]
+    assert diameter_bruteforce(g) == max(eccs)
+
+
+def test_all_eccentricities_reject_a_disconnected_graph():
+    g = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)], require_connected=False)
+    with pytest.raises(GraphError, match=r"graph disconnected: node 2 unreachable from 0"):
+        all_eccentricities(g)
+    with pytest.raises(GraphError, match="unreachable"):
+        diameter_bruteforce(Graph.from_edges(2, [], require_connected=False))
+
+
+def test_oracles_import_neither_numpy_nor_the_procedures():
+    tree = ast.parse(Path(graphs.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+    for name in names:
+        parts = name.split(".")
+        assert "numpy" not in parts and "procedures" not in parts, name
+
+
+@pytest.mark.parametrize("family", graphs.FAMILIES)
+def test_relabel_equals_rebuilding_from_the_edges(family):
+    p = 0.2 if family == "random" else None
+    for n in (3, 8, 21):
+        g = generate(family, n, seed=5, p=p)
+        perm = list(range(n))
+        random.Random(n).shuffle(perm)
+        rebuilt = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert relabel(g, perm) == rebuilt
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
+def test_relabel_rejects_a_non_permutation(perm):
+    with pytest.raises(GraphError, match="not a permutation"):
+        relabel(graphs.path_graph(3), perm)
+
+
+def test_verify_compares_the_all_sources_oracle_node_by_node(monkeypatch):
+    from qcongest import verify
+
+    ok, detail = verify.check_ecc_relations()
+    assert ok and "all-sources oracle equals per-node BFS" in detail
+
+    def off_at_node_3(g):
+        eccs = all_eccentricities(g)
+        eccs[3] += 1
+        return eccs
+
+    monkeypatch.setattr(graphs, "all_eccentricities", off_at_node_3)
+    ok, detail = verify.check_ecc_relations()
+    assert not ok and "at node 3" in detail
