@@ -1,7 +1,7 @@
 """Desk-scale simulator of classical and quantum CONGEST networks."""
 
 from .graphs import Graph, bfs_distances, diameter_bruteforce, eccentricity, generate
-from .engine import CostReport, Word, default_bandwidth, run
+from .engine import CostReport, NodePeaks, Word, default_bandwidth, run
 from .procedures import (
     BfsTreeState,
     DfsNumbering,
@@ -31,6 +31,7 @@ __all__ = [
     "diameter_bruteforce",
     "generate",
     "CostReport",
+    "NodePeaks",
     "Word",
     "default_bandwidth",
     "run",

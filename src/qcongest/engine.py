@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Graph
 
@@ -178,29 +178,104 @@ class NodeProgram:
         return frozenset()
 
 
+class NodePeaks:
+    """Per-node peak register sizes of nodes 0..n-1, stored densely.
+
+    Reads like a ``dict[int, int]`` keyed by node: ``[v]``, ``get``,
+    assignment to an existing node, ``len``, iteration over the nodes,
+    ``values``, ``items``, and ``==`` against such a dict.  The
+    values sit in one tuple that reports may share: assigning an entry gives
+    this object a new tuple and leaves every other holder untouched.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Iterable[int] = ()) -> None:
+        self._values = tuple(values)  # a tuple passes through uncopied
+
+    @classmethod
+    def uniform(cls, n: int, value: int) -> "NodePeaks":
+        return cls((value,) * n)
+
+    @classmethod
+    def of(cls, peaks: Mapping[int, int]) -> "NodePeaks":
+        """The dense form of a mapping whose keys are exactly 0..n-1."""
+        if set(peaks) != set(range(len(peaks))):
+            raise EngineError(f"per-node peaks must cover nodes 0..n-1, got {sorted(peaks)}")
+        return cls(peaks[v] for v in range(len(peaks)))
+
+    def __getitem__(self, v: int) -> int:
+        if 0 <= v < len(self._values):
+            return self._values[v]
+        raise KeyError(v)
+
+    def get(self, v: int, default: int | None = None) -> int | None:
+        return self._values[v] if 0 <= v < len(self._values) else default
+
+    def __setitem__(self, v: int, value: int) -> None:
+        if not 0 <= v < len(self._values):
+            raise KeyError(v)
+        self._values = self._values[:v] + (value,) + self._values[v + 1 :]
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._values)))
+
+    def values(self) -> tuple[int, ...]:
+        return self._values
+
+    def items(self) -> Iterator[tuple[int, int]]:
+        return enumerate(self._values)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NodePeaks):
+            return self._values == other._values
+        if isinstance(other, Mapping):
+            return dict(enumerate(self._values)) == dict(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"NodePeaks({list(self._values)})"
+
+    def copy(self) -> "NodePeaks":
+        return NodePeaks(self._values)
+
+    def merge(self, other: "NodePeaks") -> "NodePeaks":
+        """The elementwise maximum; a node only one side covers keeps its value."""
+        a, b = self._values, other._values
+        if len(a) < len(b):
+            a, b = b, a
+        return NodePeaks(tuple(map(max, a, b)) + a[len(b) :])
+
+
 @dataclass
 class CostReport:
-    """Per-execution accounting of rounds, words, and per-node peak memory."""
+    """Per-execution accounting of rounds, words, and per-node peak memory.
+
+    Peaks given as a dict over nodes 0..n-1 are stored as ``NodePeaks``.
+    """
 
     rounds: int = 0
     total_words: int = 0
-    per_node_peak_bits: dict[int, int] = field(default_factory=dict)
-    per_node_peak_qubits: dict[int, int] = field(default_factory=dict)
+    per_node_peak_bits: NodePeaks = field(default_factory=NodePeaks)
+    per_node_peak_qubits: NodePeaks = field(default_factory=NodePeaks)
     leader: int | None = None
+
+    def __post_init__(self) -> None:
+        if type(self.per_node_peak_bits) is not NodePeaks:
+            self.per_node_peak_bits = NodePeaks.of(self.per_node_peak_bits)
+        if type(self.per_node_peak_qubits) is not NodePeaks:
+            self.per_node_peak_qubits = NodePeaks.of(self.per_node_peak_qubits)
 
     def merge(self, other: "CostReport") -> "CostReport":
         """Sequential composition: rounds and words add, peaks take the max."""
-        bits = dict(self.per_node_peak_bits)
-        for k, v in other.per_node_peak_bits.items():
-            bits[k] = max(bits.get(k, 0), v)
-        qubits = dict(self.per_node_peak_qubits)
-        for k, v in other.per_node_peak_qubits.items():
-            qubits[k] = max(qubits.get(k, 0), v)
         return CostReport(
             rounds=self.rounds + other.rounds,
             total_words=self.total_words + other.total_words,
-            per_node_peak_bits=bits,
-            per_node_peak_qubits=qubits,
+            per_node_peak_bits=self.per_node_peak_bits.merge(other.per_node_peak_bits),
+            per_node_peak_qubits=self.per_node_peak_qubits.merge(other.per_node_peak_qubits),
             leader=self.leader if self.leader is not None else other.leader,
         )
 
@@ -343,8 +418,8 @@ def run(
             round_no += 1
             if round_no > max_rounds:
                 report.rounds = round_no - 1
-                report.per_node_peak_bits = {v: peak_bits[v] for v in range(g.n)}
-                report.per_node_peak_qubits = {v: peak_qubits[v] for v in range(g.n)}
+                report.per_node_peak_bits = NodePeaks(peak_bits)
+                report.per_node_peak_qubits = NodePeaks(peak_qubits)
                 raise EngineTimeout(max_rounds, report)
             inboxes = deliver_and_trace()
             if every_round:
@@ -363,7 +438,7 @@ def run(
             trace_fh.close()
 
     report.rounds = round_no
-    report.per_node_peak_bits = {v: peak_bits[v] for v in range(g.n)}
-    report.per_node_peak_qubits = {v: peak_qubits[v] for v in range(g.n)}
+    report.per_node_peak_bits = NodePeaks(peak_bits)
+    report.per_node_peak_qubits = NodePeaks(peak_qubits)
     outputs = {v: program.output(ctxs[v], states[v]) for v in range(g.n)}
     return outputs, report

@@ -34,23 +34,27 @@ against the central window oracle on every run.
 Two backends produce identical values and identical cost accounting.  The
 engine backend runs one branch as a word-level NodeProgram (traceable, and
 the test oracle).  The fast backend reads the branch's row of a table that
-an EvalContext fills on first use, in closed form from the lemma and one
-all-sources distance matrix:
+an EvalContext fills on first use, in closed form from the lemma, the tour
+positions and one all-sources distance matrix:
 
     S     = the first-visited nodes of the token walk,
     f     = max over u in S of ecc(u),
     words = walk sends + |S|*2m + (n - 1).
 
-The lemma's consequences stay checked per branch, as inequalities on the
-arrival times: at every node arrivals strictly increase in tau' order,
+The lemma's consequences stay checked for every branch, as inequalities on
+the arrival times: at every node arrivals strictly increase in tau' order,
 arrival minus tau' never decreases, no offset exceeds 2d, and the last
-arrival is at most 8d.  A violation names the earliest offending node and
-branch.
+arrival is at most 8d.  Between consecutive waves the check depends only on
+the pair, so the table makes it once per consecutive pair of first-visit
+order and each branch reads the pairs of its window.  A failing branch is
+replayed from its full arrival matrix, and the violation names the earliest
+offending node and branch.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,6 +64,7 @@ from .engine import (
     CostReport,
     EngineError,
     NodeContext,
+    NodePeaks,
     NodeProgram,
     RegisterField,
     RegisterSchema,
@@ -117,11 +122,10 @@ class EvalContext:
         return 9 * self.d + 1
 
     @functools.cached_property
-    def branches(self) -> dict[int, Branch]:
+    def branches(self) -> WindowTable:
         """Every candidate's branch (``restrict``, or all nodes) in closed
-        form, filled on first use from the walks and the distance matrix."""
-        candidates = range(self.g.n) if self.restrict is None else sorted(self.restrict)
-        return {u0: _branch(self, u0) for u0 in candidates}
+        form, filled on first use from the tour and the distance matrix."""
+        return _window_table(self)
 
 
 def _eval_field_bits(n: int, deg: int) -> int:
@@ -165,7 +169,9 @@ def make_eval_context(
 
 
 def _walk_positions(ectx: EvalContext, u0: int) -> tuple[dict[int, int], int]:
-    """Offsets tau' of first-visited nodes plus the number of token sends."""
+    """Offsets tau' of first-visited nodes plus the number of token sends,
+    stepping the token walk of one branch as the engine does; the reference
+    for the offsets and sends the window table derives in closed form."""
     tour = ectx.numbering.traversal
     t0 = ectx.numbering.tau[u0]
     base = ectx.base
@@ -377,8 +383,11 @@ def _evaluate_engine(ectx: EvalContext, u0: int) -> tuple[int, int, int, dict[in
 
 
 # ---------------------------------------------------------------------------
-# Closed-form backend: every branch's row from the distance matrix
+# Closed-form backend: the window table
 # ---------------------------------------------------------------------------
+
+
+_CHUNK = 1 << 16  # elements per temporary in the table's chunked passes
 
 
 class Branch(NamedTuple):
@@ -389,11 +398,120 @@ class Branch(NamedTuple):
     window: frozenset[int]
 
 
-def _branch(ectx: EvalContext, u0: int) -> Branch:
-    """One branch in closed form.  Wave u of S reaches node v in round
-    2d + 2*tau'(u) + dist(u, v), so every node keeps and forwards every wave
-    of S once and d_v ends at the largest distance from S."""
-    taup, sends = _walk_positions(ectx, u0)
+class WindowTable(Mapping[int, Branch]):
+    """Every candidate's branch, keyed by u0 in ascending order.
+
+    Row i belongs to the i-th node of first-visit order; its window is the
+    ``count[i]`` first-visited nodes from there on, cyclically.  Reading a
+    branch builds its window, in O(|S|).
+    """
+
+    def __init__(
+        self, nodes: tuple[int, ...], f: list[int], words: list[int], count: list[int]
+    ) -> None:
+        self._unrolled = nodes + nodes
+        self._row = {v: i for i, v in enumerate(nodes)}
+        self._f, self._words, self._count = f, words, count
+
+    def __getitem__(self, u0: int) -> Branch:
+        i = self._row[u0]
+        window = frozenset(self._unrolled[i : i + self._count[i]])
+        return Branch(self._f[i], self._words[i], window)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(sorted(self._row))
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+
+def _window_table(ectx: EvalContext) -> WindowTable:
+    """Every branch in closed form, checked once per consecutive wave pair.
+
+    Row i's walk starts at first-visit index i.  Its offsets come from the
+    tour positions (``_walk_offsets``), its window is the nodes whose offset
+    is at most 2d, and its token sends are the 2d steps less those that land
+    on the root's idle position 2k-1 or on the restart at position 0.
+
+    Wave u reaches node v in round 2d + 2*tau'(u) + dist(u, v), so the step
+    between consecutive waves a, b of a window, delta = tau'(b) - tau'(a)
+    apart, passes ``_check_arrivals`` iff 2*delta + gap(a, b) >= max(delta, 1)
+    with gap(a, b) = min over v of dist(b, v) - dist(a, v).  The gap depends
+    only on the pair, so it is computed once per pair of first-visit order,
+    and each branch reads the gaps of its pairs.  f is the largest
+    eccentricity in the window, and the last wave's last arrival is
+    2d + 2*tau'_last + ecc(last).  A branch failing a check is replayed from
+    its full arrival matrix, in candidate order, so the first failing branch
+    raises the error ``_check_arrivals`` names.
+    """
+    num, d, dist = ectx.numbering, ectx.d, ectx.dist
+    nodes = np.asarray(num.first_visits)
+    k = len(nodes)
+    pos = np.asarray(num.positions, dtype=np.int64)
+    unrolled = np.concatenate((pos, pos + ectx.base))
+    end = pos + 2 * d  # each walk's last tour position, unrolled
+    count = np.minimum(np.searchsorted(unrolled, end, side="right") - np.arange(k), k)
+    sends = 2 * d - end // ectx.base - (end + 1) // ectx.base
+    words = sends + count * 2 * ectx.g.m + ectx.g.n - 1
+    ecc = dist.max(axis=1)[np.concatenate((nodes, nodes))]
+    gap = _pair_gaps(dist, nodes)
+
+    width = int(count.max())
+    steps = np.arange(width)
+    f = np.empty(k, dtype=np.int64)
+    bad = np.zeros(k, dtype=bool)
+    rows = max(1, min(_CHUNK, dist.size // 2) // width)  # int64, no larger than dist
+    for lo in range(0, k, rows):
+        first = np.arange(lo, min(k, lo + rows))
+        c = count[first]
+        taup = _walk_offsets(unrolled, lo, lo + len(first), width)
+        waves = first[:, None] + steps  # unrolled first-visit indices
+        f[first] = np.where(steps < c[:, None], ecc[waves], 0).max(axis=1)
+        delta = np.diff(taup, axis=1)
+        late = 2 * delta + gap[waves[:, :-1] % k] < np.maximum(delta, 1)
+        last = taup[np.arange(len(first)), c - 1]
+        bad[first] = (
+            (late & (steps[:-1] < c[:, None] - 1)).any(axis=1)
+            | (last > 2 * d)
+            | (2 * d + 2 * last + ecc[first + c - 1] > ectx.s2_last_send)
+        )
+
+    for i in sorted(np.flatnonzero(bad).tolist(), key=nodes.__getitem__):
+        c = int(count[i])
+        taup = _walk_offsets(unrolled, i, i + 1, width)[0, :c].tolist()
+        order = num.first_visits[i:] + num.first_visits[:i]
+        # raises, unless the row's offsets are out of tour order and still pass
+        _replay(ectx, order[0], dict(zip(order[:c], taup)), int(sends[i]))
+    return WindowTable(num.first_visits, f.tolist(), words.tolist(), count.tolist())
+
+
+def _walk_offsets(positions: np.ndarray, lo: int, hi: int, width: int) -> np.ndarray:
+    """Offsets tau' along the walks from first-visit indices lo..hi-1, with
+    ``positions`` the first-visit tour positions unrolled over two rounds of
+    the index space: row j, column r is the offset of first-visit index
+    lo + j + r (cyclically) on the walk from lo + j.  Columns from the
+    walk's window count on lie past its 2d steps."""
+    return positions[np.arange(lo, hi)[:, None] + np.arange(width)] - positions[lo:hi, None]
+
+
+def _pair_gaps(dist: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """min over v of dist(b, v) - dist(a, v), for each node a of
+    first-visit order and its successor b (the first node after the last)."""
+    after = np.roll(nodes, -1)
+    gap = np.empty(len(nodes), dtype=np.int64)
+    rows = max(1, _CHUNK // len(dist))
+    for lo in range(0, len(nodes), rows):
+        hi = lo + rows
+        gap[lo:hi] = (dist[after[lo:hi]] - dist[nodes[lo:hi]]).min(axis=1)
+    return gap
+
+
+def _replay(ectx: EvalContext, u0: int, taup: dict[int, int], sends: int) -> Branch:
+    """One branch from its walk (offsets ``taup``, token ``sends``) through
+    the full arrival matrix of its waves; the table's reference.  Wave u of S
+    reaches node v in round 2d + 2*tau'(u) + dist(u, v), so every node keeps
+    and forwards every wave of S once and d_v ends at the largest distance
+    from S."""
     waves = sorted(taup, key=taup.__getitem__)
     tau = np.fromiter((taup[u] for u in waves), dtype=np.int64, count=len(waves))
     hops = ectx.dist[waves]
@@ -492,8 +610,8 @@ def evaluation_procedure(
     report = CostReport(
         rounds=2 * rounds,
         total_words=2 * words,
-        per_node_peak_bits={v: ectx.quantum_bits[v] for v in range(g.n)},
-        per_node_peak_qubits={v: ectx.quantum_bits[v] for v in range(g.n)},
+        per_node_peak_bits=NodePeaks(ectx.quantum_bits),
+        per_node_peak_qubits=NodePeaks(ectx.quantum_bits),
         leader=tree.leader,
     )
     return f, report

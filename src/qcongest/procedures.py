@@ -29,8 +29,10 @@ keeps the distributed traversal aligned with the cyclic window definition.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -41,6 +43,7 @@ from .engine import (
     EngineError,
     EngineTimeout,
     NodeContext,
+    NodePeaks,
     NodeProgram,
     OversizedWordError,
     RegisterField,
@@ -87,11 +90,11 @@ def _check_word(node: int, size: int, n: int) -> None:
         raise OversizedWordError(node, 0, size, default_bandwidth(n))
 
 
-def _adjacency(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degrees, the start of each node's slice of the flat neighbor array,
-    and that array (ascending ids per node), read off a distance matrix."""
-    rows, neighbors = np.nonzero(dist == 1)
-    deg = np.bincount(rows, minlength=len(dist))
+    and that array (ascending ids per node): ``g.adj`` in CSR form."""
+    deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=g.n)
+    neighbors = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=int(deg.sum()))
     return deg, np.cumsum(deg) - deg, neighbors
 
 
@@ -303,7 +306,7 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     n, L = g.n, id_bits(g.n)
     _check_register("election", n - 1, L)
     _check_word(0, 2 * L + 3, n)
-    deg, starts, neighbors = _adjacency(dist)
+    deg, starts, neighbors = _adjacency(g)
     # records (v, b) of v adopting b, round 0 counting as adopting v itself;
     # per v, b ascends and the adoption round descends
     closest = np.minimum.accumulate(dist, axis=1)
@@ -344,9 +347,8 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
 
     words = int(count.sum()) + 2 * g.m + int((echoes & adoption & (ready > rk)).sum())
     rounds = int(ready[record[0, 0]]) + int(dist[0].max()) + 1
-    bits = dict.fromkeys(range(n), 9 * L + 1)
-    bits[0] = 8 * L + 1  # the leader never has a parent
-    return CostReport(rounds, words, bits, dict.fromkeys(range(n), 0), leader=0)
+    bits = NodePeaks((8 * L + 1,) + (9 * L + 1,) * (n - 1))  # the leader has no parent
+    return CostReport(rounds, words, bits, NodePeaks.uniform(n, 0), leader=0)
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +447,15 @@ def build_bfs_tree(
     if dist is not None and ecc_leader >= dist[leader].max():
         row = dist[leader]
         L = id_bits(g.n)
-        deg, starts, neighbors = _adjacency(dist)
+        deg, starts, neighbors = _adjacency(g)
         below = np.repeat(row - 1, deg) == row[neighbors]
         parent = np.minimum.reduceat(np.where(below, neighbors, g.n), starts)
         parent[leader] = leader
         _check_register("BFS tree", int(max(parent.max(), row.max())), L)
         _check_word(leader, L, g.n)
-        bits = dict.fromkeys(range(g.n), 2 * L)
         report = CostReport(
-            int(row.max()), int(deg[row < ecc_leader].sum()), bits,
-            dict.fromkeys(range(g.n), 0), leader,
+            int(row.max()), int(deg[row < ecc_leader].sum()),
+            NodePeaks.uniform(g.n, 2 * L), NodePeaks.uniform(g.n, 0), leader,
         )
         # a budget above ecc(leader) fails the depth check, as on the engine
         state = BfsTreeState(leader, ecc_leader, tuple(parent.tolist()), tuple(row.tolist()))
@@ -479,12 +480,16 @@ class DfsNumbering:
 
     ``traversal`` lists the walk's node sequence (length 2(k-1)+1) and
     ``index_space`` is the cyclic index space 2k the windows live in.
+    ``first_visits`` lists the covered nodes in ascending ``tau``, and
+    ``positions`` their ``tau``: the (tau, node) order, sorted once.
     """
 
     root: int
     tau: dict[int, int]
     traversal: tuple[int, ...]
     index_space: int
+    positions: tuple[int, ...]
+    first_visits: tuple[int, ...]
 
 
 def dfs_numbering(
@@ -532,18 +537,28 @@ def dfs_numbering(
                 walk.append(stack[-1][0])
     if len(walk) != 2 * (k - 1) + 1 or len(tau) != k:
         raise EngineError("DFS walk must visit every node and return to the root")
-    return DfsNumbering(root, tau, tuple(walk), 2 * k)
+    by_tau = sorted((t, v) for v, t in tau.items())
+    return DfsNumbering(
+        root, tau, tuple(walk), 2 * k,
+        tuple(t for t, _ in by_tau), tuple(v for _, v in by_tau),
+    )
 
 
 def set_S(u0: int, d: int, numbering: DfsNumbering) -> frozenset[int]:
-    """Nodes whose DFS number lies in the cyclic window of width 2d from u0."""
+    """Nodes whose DFS number lies in the cyclic window of width 2d from u0:
+    every v with (tau(v) - tau(u0)) mod 2k <= 2d, found by bisecting the
+    (tau, node) order in O(log k + |S|)."""
     if u0 not in numbering.tau:
         raise EngineError(f"node {u0} not covered by the numbering")
     t0 = numbering.tau[u0]
     space = numbering.index_space
-    return frozenset(
-        v for v, t in numbering.tau.items() if (t - t0) % space <= 2 * d
-    )
+    pos, nodes = numbering.positions, numbering.first_visits
+    if 2 * d >= space - 1:  # every offset fits
+        return frozenset(nodes)
+    start, end = bisect.bisect_left(pos, t0), t0 + 2 * d
+    if end < space:
+        return frozenset(nodes[start : bisect.bisect_right(pos, end)])
+    return frozenset(nodes[start:] + nodes[: bisect.bisect_right(pos, end - space)])
 
 
 # ---------------------------------------------------------------------------
@@ -661,11 +676,7 @@ def all_sources_distances(g: Graph) -> np.ndarray:
     unpacked into distances.
     """
     n = g.n
-    deg = np.fromiter((len(a) for a in g.adj), dtype=np.intp, count=n)
-    starts = np.concatenate(([0], np.cumsum(deg)[:-1]))
-    neighbors = np.fromiter(
-        (u for a in g.adj for u in a), dtype=np.intp, count=int(deg.sum())
-    )
+    _, starts, neighbors = _adjacency(g)
     nodes = np.arange(n, dtype="<u8")
     seen = np.zeros((n, (n + 63) // 64), dtype="<u8")
     seen[nodes, nodes // 64] = np.left_shift(1, nodes % 64, dtype="<u8")
@@ -745,8 +756,8 @@ def _simple_partial_report(
     words = sum(g.degree(v) for v in range(g.n) if dist[v] < limit)
     words += int((reports & (ready < limit)).sum())
     full = simple_eval_register_bits(g.n)
-    peaks = {v: full if dist[v] <= limit else full - id_bits(g.n) for v in range(g.n)}
-    return CostReport(limit, words, peaks, dict(peaks))
+    peaks = NodePeaks(full if dist[v] <= limit else full - id_bits(g.n) for v in range(g.n))
+    return CostReport(limit, words, peaks, peaks.copy())
 
 
 def eccentricity_simple_eval(
@@ -771,8 +782,8 @@ def eccentricity_simple_eval(
         value = outputs[tree.leader]
     else:
         value, rounds, words = table[u0]
-        peaks = dict.fromkeys(range(g.n), simple_eval_register_bits(g.n))
-        report = CostReport(rounds, words, peaks, dict(peaks))
+        peaks = NodePeaks.uniform(g.n, simple_eval_register_bits(g.n))
+        report = CostReport(rounds, words, peaks, peaks.copy())
     if report.rounds > 2 * value + tree.ecc_leader + 4:
         raise EngineError(
             f"simple evaluation of {u0} took {report.rounds} forward rounds, "
@@ -848,8 +859,10 @@ def multi_source_bfs(
         _check_register("multi-source BFS", int(max(cols[-1], hops.max())), L)
         _check_word(int(cols[0]), 2 * L, g.n)
         closest = dict(enumerate(zip(hops.tolist(), cols[near.argmin(axis=1)].tolist())))
-        bits = dict.fromkeys(range(g.n), 2 * L)
-        report = CostReport(int(hops.max()) + 1, 2 * g.m, bits, dict.fromkeys(range(g.n), 0))
+        report = CostReport(
+            int(hops.max()) + 1, 2 * g.m,
+            NodePeaks.uniform(g.n, 2 * L), NodePeaks.uniform(g.n, 0),
+        )
         return closest, report
     outputs, report = run(
         g, MultiSourceBfsProgram(g.n, srcs), max_rounds=2 * g.n + 16
@@ -968,7 +981,9 @@ def argmax_convergecast(
     _check_word(min(v for v in range(g.n) if not tree.children[v]), 2 + vb + L, g.n)
     node = max(range(g.n), key=lambda v: (inputs[v], -v))
     row = dist[tree.leader]
-    deg = np.count_nonzero(dist == 1, axis=1)
-    rounds = max(tree.dist) + int(row.max()) + int((deg[row == row.max()] > 1).any())
-    bits = dict.fromkeys(range(g.n), 3 * L + 2 * vb + 1)
-    return inputs[node], node, CostReport(rounds, 2 * g.m, bits, dict.fromkeys(range(g.n), 0))
+    farthest = np.flatnonzero(row == row.max()).tolist()
+    rounds = max(tree.dist) + int(row.max()) + int(any(g.degree(v) > 1 for v in farthest))
+    report = CostReport(
+        rounds, 2 * g.m, NodePeaks.uniform(g.n, 3 * L + 2 * vb + 1), NodePeaks.uniform(g.n, 0)
+    )
+    return inputs[node], node, report

@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import CostReport
+from .engine import CostReport, NodePeaks
 
 # Declared engineering constants (empirically validated, see tests):
 # worst-case Setup+Evaluation+inverse calls per amplification decision is
@@ -337,12 +337,12 @@ def distributed_cost(
     """
     log_eps = max(1, math.ceil(math.log2(1.0 / epsilon)))
     index_bits = max(1, (max(len(node_qubits), 2) - 1).bit_length())
-    qubits = dict(enumerate(node_qubits))
+    qubits = list(node_qubits)
     qubits[leader] = (max(node_qubits) + index_bits) * log_eps
     return CostReport(
         rounds=t0 + calls.total_calls * max(t_setup, t_eval),
         total_words=prep.total_words + calls.total_calls * words_per_call,
-        per_node_peak_bits=dict(prep.per_node_peak_bits),
-        per_node_peak_qubits=qubits,
+        per_node_peak_bits=prep.per_node_peak_bits.copy(),
+        per_node_peak_qubits=NodePeaks(qubits),
         leader=leader,
     )

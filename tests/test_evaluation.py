@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcongest import evaluation, graphs
+from qcongest.diameter import approx_diameter
 from qcongest.evaluation import (
     EvaluationInvariantError,
     _evaluate_engine,
@@ -13,7 +14,13 @@ from qcongest.evaluation import (
     make_eval_context,
 )
 from qcongest.graphs import generate
-from qcongest.procedures import build_bfs_tree, dfs_numbering, elect_leader_and_ecc, set_S
+from qcongest.procedures import (
+    all_sources_distances,
+    build_bfs_tree,
+    dfs_numbering,
+    elect_leader_and_ecc,
+    set_S,
+)
 
 CORPUS = [
     ("path", 6, 1, None),
@@ -183,6 +190,40 @@ def test_closed_form_matches_engine_on_random_graphs(n, p, seed, root, size):
     assert_table_matches_engine(make_eval_context(g, tree, restrict))
 
 
+def _replayed(ectx, u0):
+    """A branch through the per-branch replay: the token walk stepped as the
+    engine does, then the full arrival matrix of its waves."""
+    return evaluation._replay(ectx, u0, *evaluation._walk_positions(ectx, u0))
+
+
+def _leader_context(g):
+    dist = all_sources_distances(g)
+    leader, ecc, _ = elect_leader_and_ecc(g, dist=dist)
+    tree, _ = build_bfs_tree(g, leader, ecc, dist=dist)
+    return make_eval_context(g, tree, dist=dist)
+
+
+@pytest.mark.parametrize("family, n", [("path", 300), ("lollipop", 200)])
+def test_table_matches_the_replay_beyond_engine_sizes(family, n):
+    ectx = _leader_context(generate(family, n, seed=1))
+    assert sorted(ectx.branches) == list(range(n))
+    for u0 in range(n):
+        assert ectx.branches[u0] == _replayed(ectx, u0)
+
+
+def test_table_matches_the_replay_on_the_approximations_r_set():
+    g = generate("grid", 256, seed=1)
+    details = approx_diameter(g, seed=1).details
+    tree, _ = build_bfs_tree(g, details["w"])
+    order = sorted(range(g.n), key=lambda v: (tree.dist[v], v))
+    restrict = frozenset(order[: details["s"]])
+    assert 1 < len(restrict) < g.n
+    ectx = make_eval_context(g, tree, restrict)
+    assert sorted(ectx.branches) == sorted(restrict)
+    for u0 in sorted(restrict):
+        assert ectx.branches[u0] == _replayed(ectx, u0)
+
+
 # (u0, node, shift of its offset tau', the invariant error), on the path
 # 0-1-...-5 rooted at 0.  Node 2 sits at offset 2 from u0 = 0; offset 1
 # starts its wave in the round u0's wave reaches it.
@@ -201,14 +242,31 @@ CORRUPTIONS = [
 def test_batch_rejects_a_corrupted_branch(u0, v, shift, message, monkeypatch):
     g = graphs.path_graph(6)
     tree, _ = build_bfs_tree(g, 0, 5)
-    walk = evaluation._walk_positions
+    # the table's rows and columns follow first-visit order: row `row` is
+    # the walk from u0, and v is the `col`-th wave of that walk
+    order = dfs_numbering(tree).first_visits
+    row, col = order.index(u0), (order.index(v) - order.index(u0)) % len(order)
+    walk = evaluation._walk_offsets
 
-    def shifted(ectx, x):
-        taup, sends = walk(ectx, x)
-        if x == u0:
-            taup = {**taup, v: taup[v] + shift}
-        return taup, sends
+    def shifted(positions, lo, hi, width):
+        taup = walk(positions, lo, hi, width)
+        if lo <= row < hi:
+            taup[row - lo, col] += shift
+        return taup
 
-    monkeypatch.setattr(evaluation, "_walk_positions", shifted)
+    monkeypatch.setattr(evaluation, "_walk_offsets", shifted)
     with pytest.raises(EvaluationInvariantError, match=message):
         make_eval_context(g, tree).branches
+
+
+def test_batch_rejects_a_wave_still_in_flight():
+    # node 5's row of the distance matrix inflated by 16: on branch u0 = 0
+    # its wave starts at offset 5 and reaches node 0 in round
+    # 2d + 2*5 + 21 = 41 > 8d, while every pair of waves stays in order
+    g = graphs.path_graph(6)
+    tree, _ = build_bfs_tree(g, 0, 5)
+    dist = all_sources_distances(g)
+    dist[5] += 16
+    message = "wave still in flight at node 0 on branch u0=0 after the 6d-round window"
+    with pytest.raises(EvaluationInvariantError, match=message):
+        make_eval_context(g, tree, dist=dist).branches

@@ -191,6 +191,29 @@ def test_set_s_contains_u0_and_respects_oracle_window():
                     assert (num.tau[v] - num.tau[u0]) % num.index_space <= 2 * d
 
 
+@given(
+    st.integers(3, 24),
+    st.floats(0.0, 0.5),
+    st.integers(0, 10**6),
+    st.integers(0, 23),
+    st.integers(1, 24),
+    st.integers(0, 60),
+)
+def test_set_s_matches_its_definition(n, p, seed, root, size, d):
+    # restricted to the `size` nodes closest to the root; d up to 60 makes
+    # windows wider than the tour (2d >= 2k - 1)
+    g = generate("random", n, seed=seed, p=p)
+    tree, _ = build_bfs_tree(g, root % n)
+    order = sorted(range(n), key=lambda v: (tree.dist[v], v))
+    for restrict in (None, frozenset(order[: min(size, n)])):
+        num = dfs_numbering(tree, restrict)
+        for u0, t0 in num.tau.items():
+            expected = frozenset(
+                v for v, t in num.tau.items() if (t - t0) % num.index_space <= 2 * d
+            )
+            assert set_S(u0, d, num) == expected
+
+
 def test_restricted_numbering():
     g = generate("random", 12, seed=11, p=0.3)
     tree = make_tree(g)
