@@ -14,9 +14,8 @@ Every phase reads one all-sources distance matrix, built once per run by
 approximation's multi-source BFS and argmax) take their results and cost
 reports in closed form from it, the evaluation tables are filled from it,
 and the approximation reads the landmark eccentricities and ecc(w) off it.
-The word-level engine programs behind those closed forms are the oracle
-they are tested against; with the default backend a run makes no engine
-call.
+A run makes no word-level engine call: the engine programs behind those
+closed forms are the references they are tested against.
 """
 
 from __future__ import annotations
@@ -77,14 +76,12 @@ def _poly_delta(n: int) -> float:
     return 1.0 / max(4, n * n)
 
 
-def _init_phases(
-    g: Graph, seed: int
-) -> tuple[int, int, BfsTreeState, CostReport, np.ndarray]:
+def _init_phases(g: Graph) -> tuple[int, int, BfsTreeState, CostReport, np.ndarray]:
     """Election and leader tree, plus the run's one all-sources distance
     matrix, which every later phase reads."""
     dist = all_sources_distances(g)
-    leader, ecc_leader, rep_elect = elect_leader_and_ecc(g, dist=dist)
-    tree, rep_bfs = build_bfs_tree(g, leader, ecc_leader, dist=dist)
+    leader, ecc_leader, rep_elect = elect_leader_and_ecc(g, dist)
+    tree, rep_bfs = build_bfs_tree(g, leader, dist)
     return leader, ecc_leader, tree, rep_elect.merge(rep_bfs), dist
 
 
@@ -113,7 +110,7 @@ def exact_diameter_simple(
     if g.n <= 2:
         return _trivial_result(g)
     delta = _poly_delta(g.n) if delta is None else delta
-    leader, d, tree, rep0, dist = _init_phases(g, seed)
+    leader, d, tree, rep0, dist = _init_phases(g)
 
     table = simple_eval_table(g, tree, dist)
     values = [0] * g.n
@@ -144,20 +141,17 @@ def _windowed_maximize(
     epsilon: float,
     delta: float,
     seed: int,
-    backend: str,
     dist: np.ndarray,
 ) -> tuple[int, int, SearchCost, int, tuple[int, ...]]:
     """Shared quantum phase of the exact and approximate algorithms: the
     maximum found, T_eval, the call counts, the words of one evaluation and
     the evaluation's qubits per node."""
-    ectx = make_eval_context(g, tree, support, dist)
+    ectx = make_eval_context(g, tree, dist, support)
     values = [0] * g.n  # entries outside the support are never read
     rounds: set[int] = set()
     words_eval = 0
     for u0 in range(g.n) if support is None else sorted(support):
-        values[u0], rep = evaluation_procedure(
-            g, tree, u0, restrict=support, backend=backend, ectx=ectx
-        )
+        values[u0], rep = evaluation_procedure(ectx, u0)
         rounds.add(rep.rounds)
         words_eval = max(words_eval, rep.total_words)
     if support is None:
@@ -176,9 +170,7 @@ def _windowed_maximize(
     return values[best], t_eval, cost, words_eval, ectx.quantum_bits
 
 
-def exact_diameter(
-    g: Graph, seed: int = 0, delta: float | None = None, backend: str = "fast"
-) -> DiameterResult:
+def exact_diameter(g: Graph, seed: int = 0, delta: float | None = None) -> DiameterResult:
     """Exact diameter in O(sqrt(n*D)) charged rounds.
 
     Maximizes f(u0) = max eccentricity over the DFS window of u0; the window
@@ -188,10 +180,10 @@ def exact_diameter(
     if g.n <= 2:
         return _trivial_result(g)
     delta = _poly_delta(g.n) if delta is None else delta
-    leader, d, tree, rep0, dist = _init_phases(g, seed)
+    leader, d, tree, rep0, dist = _init_phases(g)
     epsilon = min(1.0, d / (2.0 * g.n))
     d_out, t_eval, cost, words_eval, qubits = _windowed_maximize(
-        g, tree, None, epsilon, delta, seed, backend, dist
+        g, tree, None, epsilon, delta, seed, dist
     )
     report = distributed_cost(
         rep0, rep0.rounds, d, t_eval, words_eval, cost, qubits, epsilon, leader
@@ -208,9 +200,7 @@ def _sample_landmarks(n: int, s: int, rng: random.Random) -> list[int]:
     return [v for v in range(n) if rng.random() < p]
 
 
-def approx_diameter(
-    g: Graph, seed: int = 0, delta: float | None = None, backend: str = "fast"
-) -> DiameterResult:
+def approx_diameter(g: Graph, seed: int = 0, delta: float | None = None) -> DiameterResult:
     """3/2-approximation: returns D_bar with D_bar <= D <= ceil(3*D_bar/2).
 
     Classical preparation (landmark sampling, landmark BFS trees with their
@@ -224,7 +214,7 @@ def approx_diameter(
         return _trivial_result(g)
     n = g.n
     delta = _poly_delta(n) if delta is None else delta
-    leader, d_leader, tree_leader, rep0, dist = _init_phases(g, seed)
+    leader, d_leader, tree_leader, rep0, dist = _init_phases(g)
 
     s = max(1, min(n, math.ceil(n ** (2 / 3) / max(1, d_leader) ** (1 / 3))))
     rng = random.Random(f"qcongest-approx:{seed}")
@@ -240,13 +230,13 @@ def approx_diameter(
 
     closest, rep_ms = multi_source_bfs(g, landmarks, dist)
     values = {v: closest[v][0] for v in range(n)}
-    _, w, rep_ag = argmax_convergecast(g, tree_leader, values, dist=dist)
+    _, w, rep_ag = argmax_convergecast(g, tree_leader, values, dist)
 
     # the landmark BFS trees give every landmark its eccentricity; their
     # pipelined cost is |S| + 2*ecc(leader) rounds on top of the flood above
     ecc_landmarks = int(dist[landmarks].max())
 
-    tree_w, rep_w = build_bfs_tree(g, w, dist=dist)
+    tree_w, rep_w = build_bfs_tree(g, w, dist)
     d = tree_w.ecc_leader
     order = sorted(range(n), key=lambda v: (tree_w.dist[v], v))
     r_set = frozenset(order[:s])
@@ -257,7 +247,7 @@ def approx_diameter(
 
     epsilon = min(1.0, d / (2.0 * len(r_set)))
     d_quantum, t_eval, cost, words_eval, qubits = _windowed_maximize(
-        g, tree_w, r_set, epsilon, delta, seed, backend, dist
+        g, tree_w, r_set, epsilon, delta, seed, dist
     )
     d_bar = max(d_quantum, ecc_landmarks, d)
     report = distributed_cost(prep, t0, d, t_eval, words_eval, cost, qubits, epsilon, w)

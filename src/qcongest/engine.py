@@ -127,12 +127,6 @@ class RegisterSchema:
     def widths(self) -> dict[str, int]:
         return {f.name: f.bits for f in self.fields}
 
-    def total_bits(self) -> int:
-        return sum(f.bits for f in self.fields)
-
-    def quantum_bits(self) -> int:
-        return sum(f.bits for f in self.fields if f.quantum)
-
 
 @dataclass(frozen=True)
 class NodeContext:

@@ -31,11 +31,9 @@ come in increasing tau' order (the start of a node's own wave counting as
 an event), and surviving messages are identical.  The computed S is checked
 against the central window oracle on every run.
 
-Two backends produce identical values and identical cost accounting.  The
-engine backend runs one branch as a word-level NodeProgram (traceable, and
-the test oracle).  The fast backend reads the branch's row of a table that
-an EvalContext fills on first use, in closed form from the lemma, the tour
-positions and one all-sources distance matrix:
+``evaluation_procedure`` reads one branch from a table that an EvalContext
+fills on first use, in closed form from the lemma, the tour positions and
+the run's all-sources distance matrix:
 
     S     = the first-visited nodes of the token walk,
     f     = max over u in S of ecc(u),
@@ -49,6 +47,11 @@ the pair, so the table makes it once per consecutive pair of first-visit
 order and each branch reads the pairs of its window.  A failing branch is
 replayed from its full arrival matrix, and the violation names the earliest
 offending node and branch.
+
+``evaluate_on_engine`` runs one branch as the word-level ``EvaluationProgram``
+instead.  It takes the same arguments and gives the same value and report;
+it is the reference the table is tested against, and no production caller
+runs it.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from .graphs import Graph
 from .procedures import (
     BfsTreeState,
     DfsNumbering,
-    all_sources_distances,
+    _check_candidate,
     dfs_numbering,
     id_bits,
     set_S,
@@ -96,18 +99,11 @@ class EvalContext:
 
     g: Graph
     tree: BfsTreeState
-    restrict: frozenset[int] | None
-    numbering: DfsNumbering
-    children_r: tuple[tuple[int, ...], ...]
-    first_visit: tuple[bool, ...]  # per tour position
+    numbering: DfsNumbering  # covers exactly the candidates
     d: int
     base: int  # cyclic index space (2k)
     dist: np.ndarray  # all-sources hop distances
     quantum_bits: tuple[int, ...]  # per-node branch-dependent register size
-
-    @property
-    def s1_end(self) -> int:
-        return 2 * self.d
 
     @property
     def s2_last_send(self) -> int:
@@ -123,9 +119,16 @@ class EvalContext:
 
     @functools.cached_property
     def branches(self) -> WindowTable:
-        """Every candidate's branch (``restrict``, or all nodes) in closed
-        form, filled on first use from the tour and the distance matrix."""
+        """Every candidate's branch in closed form, filled on first use from
+        the tour and the distance matrix."""
         return _window_table(self)
+
+    @functools.cached_property
+    def children_r(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's tree children among the candidates: the token walk's
+        moves on the engine."""
+        tau = self.numbering.tau
+        return tuple(tuple(c for c in kids if c in tau) for kids in self.tree.children)
 
 
 def _eval_field_bits(n: int, deg: int) -> int:
@@ -137,33 +140,20 @@ def _eval_field_bits(n: int, deg: int) -> int:
 def make_eval_context(
     g: Graph,
     tree: BfsTreeState,
+    dist: np.ndarray,
     restrict: frozenset[int] | None = None,
-    dist: np.ndarray | None = None,
 ) -> EvalContext:
-    """The branch-independent context; ``dist`` is the all-sources distance
-    matrix, computed here when the caller has none."""
+    """The branch-independent context over the candidates ``restrict`` (all
+    nodes when None); ``dist`` is the run's all-sources distance matrix."""
     numbering = dfs_numbering(tree, restrict)
-    allowed = None if restrict is None else frozenset(restrict)
-    children_r = tuple(
-        tree.children[v]
-        if allowed is None
-        else tuple(c for c in tree.children[v] if c in allowed)
-        for v in range(g.n)
-    )
-    first_visit = tuple(
-        numbering.tau[v] == p for p, v in enumerate(numbering.traversal)
-    )
     qbits = tuple(_eval_field_bits(g.n, g.degree(v)) for v in range(g.n))
     return EvalContext(
         g=g,
         tree=tree,
-        restrict=allowed,
         numbering=numbering,
-        children_r=children_r,
-        first_visit=first_visit,
         d=tree.ecc_leader,
         base=numbering.index_space,
-        dist=all_sources_distances(g) if dist is None else dist,
+        dist=dist,
         quantum_bits=qbits,
     )
 
@@ -188,13 +178,13 @@ def _walk_positions(ectx: EvalContext, u0: int) -> tuple[dict[int, int], int]:
             sends += 1
         if p == 0 and prev_idle_or_wrap:
             prev_idle_or_wrap = False
-        if ectx.first_visit[p] and v not in taup:
+        if ectx.numbering.tau[v] == p and v not in taup:
             taup[v] = j
     return taup, sends
 
 
 # ---------------------------------------------------------------------------
-# Engine backend
+# The engine program, the reference of the window table
 # ---------------------------------------------------------------------------
 
 
@@ -375,15 +365,18 @@ class EvaluationProgram(NodeProgram):
         return result
 
 
-def _evaluate_engine(ectx: EvalContext, u0: int) -> tuple[int, int, int, dict[int, int]]:
-    program = EvaluationProgram(ectx, u0)
-    outputs, report = run(ectx.g, program, max_rounds=ectx.total_rounds + 2)
-    taup = {v: o["taup"] for v, o in outputs.items() if o["taup"] is not None}
-    return outputs[ectx.tree.leader]["f"], report.rounds, report.total_words, taup
+def evaluate_on_engine(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
+    """``evaluation_procedure``'s reference: one branch as
+    ``EvaluationProgram`` on the engine, with the same value and report."""
+    _check_candidate(u0, ectx.numbering.tau)
+    outputs, report = run(ectx.g, EvaluationProgram(ectx, u0), max_rounds=ectx.total_rounds + 2)
+    window = frozenset(v for v, o in outputs.items() if o["taup"] is not None)
+    f = outputs[ectx.tree.leader]["f"]
+    return _window_result(ectx, u0, Branch(f, report.total_words, window), report.rounds)
 
 
 # ---------------------------------------------------------------------------
-# Closed-form backend: the window table
+# The window table: every branch in closed form
 # ---------------------------------------------------------------------------
 
 
@@ -571,47 +564,37 @@ def _check_arrivals(
 
 
 # ---------------------------------------------------------------------------
-# Public entry point
+# Production entry point
 # ---------------------------------------------------------------------------
 
 
-def evaluation_procedure(
-    g: Graph,
-    tree: BfsTreeState,
-    u0: int,
-    restrict: frozenset[int] | None = None,
-    backend: str = "fast",
-    ectx: EvalContext | None = None,
-) -> tuple[int, CostReport]:
+def evaluation_procedure(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
     """Compute f(u0) = max eccentricity over the DFS window of u0.
 
-    Returns the value and a cost report whose rounds and words include the
-    mirror-image cost of the cleanup reversal (phase costs doubled).
+    Reads the branch from the context's window table.  Returns the value and
+    a cost report whose rounds and words include the mirror-image cost of
+    the cleanup reversal (phase costs doubled).
     """
-    if ectx is None:
-        ectx = make_eval_context(g, tree, restrict)
-    if ectx.restrict is not None and u0 not in ectx.restrict:
-        raise EngineError(f"u0={u0} outside the restricted candidate set")
-    if backend == "fast":
-        f, words, window = ectx.branches[u0]
-        rounds = ectx.total_rounds
-    elif backend == "engine":
-        f, rounds, words, taup = _evaluate_engine(ectx, u0)
-        window = frozenset(taup)
-    else:
-        raise EngineError(f"unknown backend {backend!r}")
+    _check_candidate(u0, ectx.numbering.tau)
+    return _window_result(ectx, u0, ectx.branches[u0], ectx.total_rounds)
 
+
+def _window_result(
+    ectx: EvalContext, u0: int, branch: Branch, rounds: int
+) -> tuple[int, CostReport]:
+    """Check the branch's window against the central oracle ``set_S``, then
+    report its value with forward rounds and words doubled."""
     expected = set_S(u0, ectx.d, ectx.numbering)
-    if window != expected:
+    if branch.window != expected:
         raise EvaluationInvariantError(
             f"computed S differs from the window oracle for u0={u0}: "
-            f"extra={sorted(window - expected)} missing={sorted(expected - window)}"
+            f"extra={sorted(branch.window - expected)} missing={sorted(expected - branch.window)}"
         )
     report = CostReport(
         rounds=2 * rounds,
-        total_words=2 * words,
+        total_words=2 * branch.words,
         per_node_peak_bits=NodePeaks(ectx.quantum_bits),
         per_node_peak_qubits=NodePeaks(ectx.quantum_bits),
-        leader=tree.leader,
+        leader=ectx.tree.leader,
     )
-    return f, report
+    return branch.f, report

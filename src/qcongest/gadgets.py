@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import BipartiteGadget, Graph, GraphError, diameter_bruteforce
+from .graphs import BipartiteGadget, Graph, GraphError, bipartite_delta, diameter_bruteforce
 
 
 class GadgetError(GraphError):
@@ -164,14 +164,6 @@ class ReductionInstance:
         return self.inp.disj()
 
 
-def _sides_delta(graph: Graph, left: frozenset[int], right: frozenset[int]) -> int:
-    from .graphs import bfs_distances
-
-    return max(
-        max(bfs_distances(graph, u)[v] for v in right) for u in left
-    )
-
-
 def build_reduction_instance(
     n: int, inp: DisjInput, stretch_d: int = 0
 ) -> ReductionInstance:
@@ -210,7 +202,7 @@ def build_reduction_instance(
         gadget=gad_out,
         graph=graph,
         stretch_d=stretch_d,
-        delta=_sides_delta(graph, gad.left, gad.right),
+        delta=bipartite_delta(graph, gad.left, gad.right),
         diameter=diameter_bruteforce(graph),
     )
 

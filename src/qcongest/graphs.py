@@ -156,13 +156,9 @@ def diameter_bruteforce(g: Graph) -> int:
     return max(all_eccentricities(g))
 
 
-def bipartite_delta(gad: BipartiteGadget) -> int:
-    """Largest distance between a left-part vertex and a right-part vertex."""
-    best = 0
-    for u in sorted(gad.left):
-        dist = bfs_distances(gad.graph, u)
-        best = max(best, max(dist[v] for v in gad.right))
-    return best
+def bipartite_delta(graph: Graph, left: frozenset[int], right: frozenset[int]) -> int:
+    """Largest distance in ``graph`` between a ``left`` and a ``right`` vertex."""
+    return max(max(bfs_distances(graph, u)[v] for v in right) for u in left)
 
 
 # ---------------------------------------------------------------------------

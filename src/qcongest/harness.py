@@ -118,12 +118,12 @@ def run_one(
 ) -> dict:
     g, d_true = _instance(family_spec, n, seed)
     if trace_dir is not None and n >= 3:
-        from .procedures import elect_leader_and_ecc
+        from .procedures import elect_on_engine
 
         family, _ = parse_family(family_spec)
         Path(trace_dir).mkdir(parents=True, exist_ok=True)
         trace = Path(trace_dir) / f"{family}-{n}-{seed}-election.jsonl"
-        elect_leader_and_ecc(g, trace_path=str(trace))
+        elect_on_engine(g, trace_path=str(trace))
     if algo == "exact":
         result: DiameterResult = exact_diameter(g, seed=algo_seed, delta=delta)
         ok = result.d_out == d_true

@@ -1,26 +1,24 @@
-"""Distributed classical subroutines: engine programs and their closed forms.
+"""Distributed classical subroutines: closed forms and their engine programs.
 
 Provides min-id leader election with eccentricity computation, BFS tree
 construction, the DFS numbering of the tree with its cyclic window sets,
 plus the flood/convergecast building blocks used by the diameter
-algorithms.  Each procedure is a ``NodeProgram`` for the word-level engine;
-all programs are event-driven: they act on message arrival, so the engine
-only steps nodes that have work.
+algorithms.
 
-The production path runs no program.  A diameter run builds one
-all-sources distance matrix (``all_sources_distances``), and every
-procedure that is passed it derives its outputs and its exact
-``CostReport`` in closed form from the program's event times on that
-matrix, with the engine's register-width and bandwidth checks kept:
-``elect_leader_and_ecc``, ``build_bfs_tree``, ``multi_source_bfs`` and
-``argmax_convergecast`` take ``dist``, and ``simple_eval_table`` fills
-every branch u0 of the simple evaluation at once (an all-sources BFS gives
-each node's activation round, one bottom-up pass over the leader tree its
-report round), which ``eccentricity_simple_eval`` reads.  Where the engine
-would time out, the closed form runs the program so the caller gets the
-engine's error and partial report.  Without the matrix, or with a
-``trace_path``, the programs run on the engine: they are the oracle the
-closed forms are tested against and the writers of word traces.
+Each procedure has one production entry point, which requires the run's
+all-sources distance matrix (``all_sources_distances``) and derives its
+outputs and exact ``CostReport`` in closed form from the program's event
+times on it, keeping the engine's register-width and bandwidth checks:
+``elect_leader_and_ecc``, ``build_bfs_tree``, ``multi_source_bfs``,
+``argmax_convergecast``, and ``simple_eval_table`` (every branch u0 of the
+simple evaluation at once), which ``eccentricity_simple_eval`` reads.
+
+Next to each program sits its reference, which runs it on the word-level
+engine and is what the closed form is tested against: ``elect_on_engine``
+(which also writes word traces), ``bfs_tree_on_engine``,
+``multi_source_bfs_on_engine``, ``argmax_on_engine`` and
+``simple_eval_on_engine``.  The programs are event-driven: they act on
+message arrival, so the engine only steps nodes that have work.
 
 The DFS numbering walks the tree as a closed Euler tour.  The tour occupies
 positions 0 .. 2(k-1) of a cyclic index space of size 2k (k = number of
@@ -33,11 +31,10 @@ import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import graphs
 from .engine import (
     CostReport,
     EngineError,
@@ -252,31 +249,29 @@ class ElectionProgram(NodeProgram):
         }
 
 
-def elect_leader_and_ecc(
-    g: Graph,
-    max_rounds: int | None = None,
-    trace_path: str | None = None,
-    dist: np.ndarray | None = None,
-) -> tuple[int, int, CostReport]:
+def elect_leader_and_ecc(g: Graph, dist: np.ndarray) -> tuple[int, int, CostReport]:
     """Elect the minimum-id node and compute its eccentricity, known to all.
 
-    Runs in at most 3*ecc(leader) + O(1) rounds.  With ``dist`` (from
-    ``all_sources_distances``) and no ``trace_path`` the result and report
-    are derived in closed form; otherwise ``ElectionProgram`` runs on the
-    word-level engine, the reference the closed form is tested against.
+    Runs in at most 3*ecc(leader) + O(1) rounds; the result and report are
+    derived in closed form from ``dist`` (``_election_report``).
     """
-    max_rounds = 8 * g.n + 32 if max_rounds is None else max_rounds
-    if max_rounds <= 0:
-        raise EngineError("max_rounds must be positive")
     if g.n == 1:
         return 0, 0, CostReport(leader=0)
     _require_size(g)
-    if dist is not None and trace_path is None:
-        report = _election_report(g, dist)
-        # the last round only delivers DONE words, so the engine never
-        # counts it against the limit; past the limit the engine raises
-        if report.rounds - 1 <= max_rounds:
-            return 0, int(dist[0].max()), report
+    return 0, int(dist[0].max()), _election_report(g, dist)
+
+
+def elect_on_engine(
+    g: Graph, max_rounds: int | None = None, trace_path: str | None = None
+) -> tuple[int, int, CostReport]:
+    """``elect_leader_and_ecc``'s reference: ``ElectionProgram`` on the
+    engine, stopped after ``max_rounds`` (a generous default) and writing
+    its word trace to ``trace_path``.  The last round only delivers DONE
+    words, so the engine never counts it against the limit."""
+    max_rounds = 8 * g.n + 32 if max_rounds is None else max_rounds
+    if max_rounds <= 0:
+        raise EngineError("max_rounds must be positive")
+    _require_size(g)
     outputs, report = run(
         g, ElectionProgram(g.n), max_rounds=max_rounds, trace_path=trace_path
     )
@@ -428,45 +423,47 @@ class BfsTreeState:
 
 
 def build_bfs_tree(
-    g: Graph, leader: int, ecc_leader: int | None = None, dist: np.ndarray | None = None
+    g: Graph, leader: int, dist: np.ndarray
 ) -> tuple[BfsTreeState, CostReport]:
     """Construct BFS(leader) in exactly ecc(leader) rounds.
 
-    ``ecc_leader`` is the round budget; the election normally supplies it,
-    standalone callers may omit it and the eccentricity is read from
-    ``dist`` or the oracle.  With ``dist`` the tree and report are derived
-    in closed form: the parent is the smallest neighbor one level up, and
-    every node closer than the budget sends one word per edge.  A budget
-    below ecc(leader) runs ``BfsTreeProgram`` on the engine, which times out.
+    The round budget is ecc(leader), which the leader knows from the
+    election.  The tree and report are derived in closed form from
+    ``dist``: the parent is the smallest neighbor one level up, and every
+    node closer than the budget sends one word per edge.
     """
-    if ecc_leader is None:
-        ecc_leader = graphs.eccentricity(g, leader) if dist is None else int(dist[leader].max())
     if g.n == 1:
         return BfsTreeState(leader, 0, (leader,), (0,)), CostReport(leader=leader)
     _require_size(g)
-    if dist is not None and ecc_leader >= dist[leader].max():
-        row = dist[leader]
-        L = id_bits(g.n)
-        deg, starts, neighbors = _adjacency(g)
-        below = np.repeat(row - 1, deg) == row[neighbors]
-        parent = np.minimum.reduceat(np.where(below, neighbors, g.n), starts)
-        parent[leader] = leader
-        _check_register("BFS tree", int(max(parent.max(), row.max())), L)
-        _check_word(leader, L, g.n)
-        report = CostReport(
-            int(row.max()), int(deg[row < ecc_leader].sum()),
-            NodePeaks.uniform(g.n, 2 * L), NodePeaks.uniform(g.n, 0), leader,
-        )
-        # a budget above ecc(leader) fails the depth check, as on the engine
-        state = BfsTreeState(leader, ecc_leader, tuple(parent.tolist()), tuple(row.tolist()))
-        return state, report
-    outputs, report = run(
-        g, BfsTreeProgram(g.n, leader, ecc_leader), max_rounds=ecc_leader + 2
+    row = dist[leader]
+    ecc_leader = int(row.max())
+    L = id_bits(g.n)
+    deg, starts, neighbors = _adjacency(g)
+    below = np.repeat(row - 1, deg) == row[neighbors]
+    parent = np.minimum.reduceat(np.where(below, neighbors, g.n), starts)
+    parent[leader] = leader
+    _check_register("BFS tree", int(max(parent.max(), ecc_leader)), L)
+    _check_word(leader, L, g.n)
+    report = CostReport(
+        ecc_leader, int(deg[row < ecc_leader].sum()),
+        NodePeaks.uniform(g.n, 2 * L), NodePeaks.uniform(g.n, 0), leader,
     )
+    state = BfsTreeState(leader, ecc_leader, tuple(parent.tolist()), tuple(row.tolist()))
+    return state, report
+
+
+def bfs_tree_on_engine(
+    g: Graph, leader: int, budget: int
+) -> tuple[BfsTreeState, CostReport]:
+    """``build_bfs_tree``'s reference: ``BfsTreeProgram`` on the engine for
+    ``budget`` rounds.  A budget below ecc(leader) times out; one above it
+    fails the tree's depth check."""
+    _require_size(g)
+    outputs, report = run(g, BfsTreeProgram(g.n, leader, budget), max_rounds=budget + 2)
     parent = tuple(outputs[v]["parent"] for v in range(g.n))
     dist = tuple(outputs[v]["dist"] for v in range(g.n))
     report.leader = leader
-    return BfsTreeState(leader, ecc_leader, parent, dist), report
+    return BfsTreeState(leader, budget, parent, dist), report
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +695,7 @@ def all_sources_distances(g: Graph) -> np.ndarray:
 
 
 def simple_eval_table(
-    g: Graph, tree: BfsTreeState, dist: np.ndarray | None = None
+    g: Graph, tree: BfsTreeState, dist: np.ndarray
 ) -> tuple[tuple[int, int, int], ...]:
     """Every branch of the simple evaluation at once: row u0 holds
     (ecc(u0), forward rounds, forward words) of ``SimpleEvalProgram(u0)``.
@@ -711,19 +708,14 @@ def simple_eval_table(
     flood needs one more delivery round.  Every node floods each neighbor
     once and every non-leader reports once, except that a node ready in its
     activation round sends its flood and its report to the parent as one
-    ``_SF_BOTH`` word.  ``eccentricity_simple_eval`` on the engine is the
-    reference these rows are tested against.
+    ``_SF_BOTH`` word.  ``simple_eval_on_engine`` is the reference these
+    rows are tested against.
     """
     _require_size(g)
     n, leader = g.n, tree.leader
-    if dist is None:
-        dist = all_sources_distances(g)  # rows: nodes, columns: u0
     # registers: u0 < n, dist and best <= ecc(u0), reports <= #children
     widest = max(n - 1, int(dist.max()), max(len(c) for c in tree.children))
-    if widest >= 1 << id_bits(n):
-        raise SchemaViolationError(
-            f"simple evaluation register value {widest} does not fit {id_bits(n)} bits"
-        )
+    _check_register("simple evaluation", widest, id_bits(n))
     ready = dist.copy()
     for v in sorted(range(n), key=tree.dist.__getitem__, reverse=True):
         if v != leader:
@@ -760,30 +752,47 @@ def _simple_partial_report(
     return CostReport(limit, words, peaks, peaks.copy())
 
 
+def _check_candidate(u0: int, candidates: Container[int]) -> None:
+    """Both evaluations' check that ``u0`` is one of the searched nodes,
+    made before any row or register is read."""
+    if u0 not in candidates:
+        raise EngineError(f"u0={u0} is not a candidate of this evaluation")
+
+
 def eccentricity_simple_eval(
     g: Graph,
     tree: BfsTreeState,
     u0: int,
-    table: Sequence[tuple[int, int, int]] | None = None,
+    table: Sequence[tuple[int, int, int]],
 ) -> tuple[int, CostReport]:
     """Compute ecc(u0) at the leader; cost doubled for the cleanup reversal.
 
-    With ``table`` (from ``simple_eval_table``) the branch is read from its
-    row; without, ``SimpleEvalProgram`` runs on the word-level engine, which
-    is the reference the table is tested against.  Both give the same value
-    and report.  The forward pass runs in at most 2*ecc(u0) + ecc(leader) + 4
-    rounds, checked on every call.
+    The branch is read from row u0 of ``table`` (from ``simple_eval_table``),
+    and the forward pass's bound of 2*ecc(u0) + ecc(leader) + 4 rounds is
+    checked on every call.
     """
-    if table is None:
-        _require_size(g)
-        outputs, report = run(
-            g, SimpleEvalProgram(g.n, u0, tree), max_rounds=_simple_round_limit(g.n)
-        )
-        value = outputs[tree.leader]
-    else:
-        value, rounds, words = table[u0]
-        peaks = NodePeaks.uniform(g.n, simple_eval_register_bits(g.n))
-        report = CostReport(rounds, words, peaks, peaks.copy())
+    _check_candidate(u0, range(g.n))
+    value, rounds, words = table[u0]
+    peaks = NodePeaks.uniform(g.n, simple_eval_register_bits(g.n))
+    return _simple_eval_result(tree, u0, value, CostReport(rounds, words, peaks, peaks.copy()))
+
+
+def simple_eval_on_engine(g: Graph, tree: BfsTreeState, u0: int) -> tuple[int, CostReport]:
+    """``eccentricity_simple_eval``'s reference: ``SimpleEvalProgram`` on
+    the engine, with the same value and report."""
+    _require_size(g)
+    _check_candidate(u0, range(g.n))
+    outputs, report = run(
+        g, SimpleEvalProgram(g.n, u0, tree), max_rounds=_simple_round_limit(g.n)
+    )
+    return _simple_eval_result(tree, u0, outputs[tree.leader], report)
+
+
+def _simple_eval_result(
+    tree: BfsTreeState, u0: int, value: int, report: CostReport
+) -> tuple[int, CostReport]:
+    """Check the forward pass's bound of 2*ecc(u0) + ecc(leader) + 4 rounds,
+    then double rounds and words for the cleanup reversal."""
     if report.rounds > 2 * value + tree.ecc_leader + 4:
         raise EngineError(
             f"simple evaluation of {u0} took {report.rounds} forward rounds, "
@@ -837,36 +846,47 @@ class MultiSourceBfsProgram(NodeProgram):
         return {"dist": state["dist"], "src": state["src"]}
 
 
-def multi_source_bfs(
-    g: Graph, sources: Iterable[int], dist: np.ndarray | None = None
-) -> tuple[dict[int, tuple[int, int]], CostReport]:
-    """Distance and closest source for every node: {v: (dist, source)}.
-
-    With ``dist`` the result and report are derived in closed form: node v
-    is reached in round min over sources of dist(s, v), keeps the smallest
-    of the nearest sources, and sends one word per edge; the words of the
-    farthest nodes take one more round to deliver.
-    """
+def _checked_sources(g: Graph, sources: Iterable[int]) -> frozenset[int]:
     _require_size(g)
     srcs = frozenset(sources)
     if not srcs:
         raise EngineError("multi-source BFS needs at least one source")
-    if dist is not None and srcs <= frozenset(range(g.n)):
-        L = id_bits(g.n)
-        cols = np.array(sorted(srcs))
-        near = dist[:, cols]
-        hops = near.min(axis=1)
-        _check_register("multi-source BFS", int(max(cols[-1], hops.max())), L)
-        _check_word(int(cols[0]), 2 * L, g.n)
-        closest = dict(enumerate(zip(hops.tolist(), cols[near.argmin(axis=1)].tolist())))
-        report = CostReport(
-            int(hops.max()) + 1, 2 * g.m,
-            NodePeaks.uniform(g.n, 2 * L), NodePeaks.uniform(g.n, 0),
-        )
-        return closest, report
-    outputs, report = run(
-        g, MultiSourceBfsProgram(g.n, srcs), max_rounds=2 * g.n + 16
+    if not srcs <= frozenset(range(g.n)):
+        raise EngineError(f"multi-source BFS sources {sorted(srcs)} outside 0..{g.n - 1}")
+    return srcs
+
+
+def multi_source_bfs(
+    g: Graph, sources: Iterable[int], dist: np.ndarray
+) -> tuple[dict[int, tuple[int, int]], CostReport]:
+    """Distance and closest source for every node: {v: (dist, source)}.
+
+    The result and report are derived in closed form from ``dist``: node v
+    is reached in round min over sources of dist(s, v), keeps the smallest
+    of the nearest sources, and sends one word per edge; the words of the
+    farthest nodes take one more round to deliver.
+    """
+    L = id_bits(g.n)
+    cols = np.array(sorted(_checked_sources(g, sources)))
+    near = dist[:, cols]
+    hops = near.min(axis=1)
+    _check_register("multi-source BFS", int(max(cols[-1], hops.max())), L)
+    _check_word(int(cols[0]), 2 * L, g.n)
+    closest = dict(enumerate(zip(hops.tolist(), cols[near.argmin(axis=1)].tolist())))
+    report = CostReport(
+        int(hops.max()) + 1, 2 * g.m,
+        NodePeaks.uniform(g.n, 2 * L), NodePeaks.uniform(g.n, 0),
     )
+    return closest, report
+
+
+def multi_source_bfs_on_engine(
+    g: Graph, sources: Iterable[int]
+) -> tuple[dict[int, tuple[int, int]], CostReport]:
+    """``multi_source_bfs``'s reference: ``MultiSourceBfsProgram`` on the
+    engine."""
+    srcs = _checked_sources(g, sources)
+    outputs, report = run(g, MultiSourceBfsProgram(g.n, srcs), max_rounds=2 * g.n + 16)
     return {v: (o["dist"], o["src"]) for v, o in outputs.items()}, report
 
 
@@ -942,37 +962,30 @@ class ArgmaxConvergecastProgram(NodeProgram):
         return (state["out_val"], state["out_node"])
 
 
+def _value_width(g: Graph, value_bits: int | None) -> int:
+    _require_size(g)
+    vb = id_bits(g.n) if value_bits is None else value_bits
+    if vb <= 0:
+        raise EngineError("value_bits must be positive")
+    return vb
+
+
 def argmax_convergecast(
     g: Graph,
     tree: BfsTreeState,
     values: Mapping[int, int],
+    dist: np.ndarray,
     value_bits: int | None = None,
-    dist: np.ndarray | None = None,
 ) -> tuple[int, int, CostReport]:
     """(best_value, best_node) over per-node values, known to all nodes.
 
-    With ``dist`` the result and report are derived in closed form: the
+    The result and report are derived in closed form from ``dist``: the
     reports reach the root after the tree's height in rounds, and the result
     floods from it in ecc(root) more, every edge carrying one word either
     way.  The farthest nodes forward the result to their other neighbors in
     one more round, which a farthest node of degree 1 does not need.
     """
-    _require_size(g)
-    vb = id_bits(g.n) if value_bits is None else value_bits
-    if vb <= 0:
-        raise EngineError("value_bits must be positive")
-    if dist is None:
-        outputs, report = run(
-            g,
-            ArgmaxConvergecastProgram(g.n, tree, vb),
-            inputs=dict(values),
-            max_rounds=4 * g.n + 16,
-        )
-        results = set(outputs.values())
-        if len(results) != 1:
-            raise EngineError("all nodes must agree on the argmax")
-        val, node = results.pop()
-        return val, node, report
+    vb = _value_width(g, value_bits)
     L = id_bits(g.n)
     inputs = [values.get(v) for v in range(g.n)]
     if not all(isinstance(x, int) and 0 <= x < 1 << vb for x in inputs):
@@ -987,3 +1000,19 @@ def argmax_convergecast(
         rounds, 2 * g.m, NodePeaks.uniform(g.n, 3 * L + 2 * vb + 1), NodePeaks.uniform(g.n, 0)
     )
     return inputs[node], node, report
+
+
+def argmax_on_engine(
+    g: Graph, tree: BfsTreeState, values: Mapping[int, int], value_bits: int | None = None
+) -> tuple[int, int, CostReport]:
+    """``argmax_convergecast``'s reference: ``ArgmaxConvergecastProgram`` on
+    the engine."""
+    vb = _value_width(g, value_bits)
+    outputs, report = run(
+        g, ArgmaxConvergecastProgram(g.n, tree, vb), inputs=dict(values), max_rounds=4 * g.n + 16
+    )
+    results = set(outputs.values())
+    if len(results) != 1:
+        raise EngineError("all nodes must agree on the argmax")
+    val, node = results.pop()
+    return val, node, report

@@ -156,7 +156,6 @@ class QOptConfig:
     epsilon: float
     delta: float
     seed: int = 0
-    max_phases: int = 10_000
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon <= 1.0):
@@ -300,7 +299,7 @@ def quantum_maximize(
     best = min(np.flatnonzero(support), key=lambda i: xs[i])  # fixed start
     cost.eval_calls += 1
     budget = maximize_call_budget(config.epsilon, config.delta)
-    for _ in range(config.max_phases):
+    while True:
         found, sub = amplitude_amplify_decide(
             state0, support & (vals > vals[best]), config.epsilon, config.delta, rng
         )

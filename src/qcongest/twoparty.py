@@ -85,10 +85,6 @@ class TwoPartySchedule:
     bw_qubits: int = 1
     mem_qubits: int = 1
 
-    @property
-    def n_phases(self) -> int:
-        return max((c.phase for c in self.cells.values()), default=0)
-
     def to_json(self) -> dict:
         return {
             "r": self.r,
@@ -225,9 +221,6 @@ class ValidationReport:
     message_count: int
     cells_checked: int
     max_phase_qubits: int
-
-    def __bool__(self) -> bool:  # pragma: no cover
-        return self.ok
 
 
 def validate_schedule(

@@ -1,11 +1,11 @@
 """Invariant suite behind the ``verify`` CLI command.
 
 Each check returns (ok, detail).  The suite covers the oracle cross-checks,
-the closed forms of the classical procedures against their engine programs
-(the election and BFS tree checks run on the engine, the oracle), the
-window and wave invariants, backend equivalence, amplitude exactness, the
-gadget gap, and the two-party schedule grid, at sizes small enough to run
-in a few seconds.
+the engine programs of the election and BFS tree against the BFS oracle,
+every closed form against its engine reference (the classical procedures,
+the simple evaluation's table and the windowed evaluation), the window and
+wave invariants, amplitude exactness, the gadget gap, and the two-party
+schedule grid, at sizes small enough to run in about a second.
 """
 
 from __future__ import annotations
@@ -18,16 +18,24 @@ from typing import Callable
 import numpy as np
 
 from . import graphs
-from .evaluation import make_eval_context, evaluation_procedure
+from .evaluation import evaluate_on_engine, evaluation_procedure, make_eval_context
 from .gadgets import DisjInput, build_reduction_instance
 from .procedures import (
+    BfsTreeState,
     all_sources_distances,
     argmax_convergecast,
+    argmax_on_engine,
+    bfs_tree_on_engine,
     build_bfs_tree,
     dfs_numbering,
+    eccentricity_simple_eval,
     elect_leader_and_ecc,
+    elect_on_engine,
     multi_source_bfs,
+    multi_source_bfs_on_engine,
     set_S,
+    simple_eval_on_engine,
+    simple_eval_table,
 )
 from .qsearch import _try_distribution, grover_iterate, setup_uniform
 from .twoparty import (
@@ -92,9 +100,16 @@ def check_ecc_relations() -> tuple[bool, str]:
     return True, "all-sources oracle equals per-node BFS; ecc(v) <= D <= 2*ecc(v) on the corpus"
 
 
+def _leader_tree(g: graphs.Graph) -> tuple[np.ndarray, BfsTreeState]:
+    """The run's distance matrix and the leader's BFS tree, in closed form."""
+    dist = all_sources_distances(g)
+    leader, _, _ = elect_leader_and_ecc(g, dist)
+    return dist, build_bfs_tree(g, leader, dist)[0]
+
+
 def check_election() -> tuple[bool, str]:
     for g in _corpus():
-        leader, ecc, rep = elect_leader_and_ecc(g)
+        leader, ecc, rep = elect_on_engine(g)
         true_ecc = graphs.eccentricity(g, 0)
         if leader != 0 or ecc != true_ecc:
             return False, f"election wrong: leader={leader} ecc={ecc}"
@@ -105,8 +120,8 @@ def check_election() -> tuple[bool, str]:
 
 def check_bfs_tree() -> tuple[bool, str]:
     for g in _corpus():
-        leader, ecc, _ = elect_leader_and_ecc(g)
-        tree, rep = build_bfs_tree(g, leader, ecc)
+        leader, ecc, _ = elect_on_engine(g)
+        tree, rep = bfs_tree_on_engine(g, leader, ecc)
         oracle = graphs.bfs_distances(g, leader)
         if any(tree.dist[v] != oracle[v] for v in range(g.n)):
             return False, "tree distances differ from the BFS oracle"
@@ -118,28 +133,35 @@ def check_bfs_tree() -> tuple[bool, str]:
 def check_closed_forms() -> tuple[bool, str]:
     for g in _corpus():
         dist = all_sources_distances(g)
-        elected = elect_leader_and_ecc(g)
-        if elect_leader_and_ecc(g, dist=dist) != elected:
+        elected = elect_on_engine(g)
+        if elect_leader_and_ecc(g, dist) != elected:
             return False, f"closed-form election differs from the engine at n={g.n}"
         leader, ecc, _ = elected
-        built = build_bfs_tree(g, leader, ecc)
-        if build_bfs_tree(g, leader, ecc, dist) != built:
+        built = bfs_tree_on_engine(g, leader, ecc)
+        if build_bfs_tree(g, leader, dist) != built:
             return False, f"closed-form BFS tree differs from the engine at n={g.n}"
         sources = range(0, g.n, 3)
-        closest = multi_source_bfs(g, sources)
+        closest = multi_source_bfs_on_engine(g, sources)
         if multi_source_bfs(g, sources, dist) != closest:
             return False, f"closed-form multi-source BFS differs from the engine at n={g.n}"
         values = {v: hops for v, (hops, _) in closest[0].items()}
         tree = built[0]
-        if argmax_convergecast(g, tree, values, dist=dist) != argmax_convergecast(g, tree, values):
+        if argmax_convergecast(g, tree, values, dist) != argmax_on_engine(g, tree, values):
             return False, f"closed-form argmax differs from the engine at n={g.n}"
-    return True, "election, BFS tree, multi-source BFS and argmax closed forms equal the engine"
+        table = simple_eval_table(g, tree, dist)
+        for u0 in range(g.n):
+            if eccentricity_simple_eval(g, tree, u0, table) != simple_eval_on_engine(g, tree, u0):
+                return False, f"simple evaluation table differs from the engine at u0={u0}, n={g.n}"
+    return True, (
+        "election, BFS tree, multi-source BFS, argmax and simple evaluation "
+        "closed forms equal the engine"
+    )
 
 
 def check_window_coverage() -> tuple[bool, str]:
     for g in _corpus():
-        leader, d, _ = elect_leader_and_ecc(g)
-        tree, _ = build_bfs_tree(g, leader, d)
+        _, tree = _leader_tree(g)
+        d = tree.ecc_leader
         num = dfs_numbering(tree)
         for v in range(g.n):
             count = sum(1 for u0 in range(g.n) if v in set_S(u0, d, num))
@@ -150,28 +172,28 @@ def check_window_coverage() -> tuple[bool, str]:
 
 def check_evaluation() -> tuple[bool, str]:
     for g in _corpus():
-        leader, d, _ = elect_leader_and_ecc(g)
-        tree, _ = build_bfs_tree(g, leader, d)
+        dist, tree = _leader_tree(g)
+        d = tree.ecc_leader
         num = dfs_numbering(tree)
         eccs = graphs.all_eccentricities(g)
-        ectx = make_eval_context(g, tree)
+        ectx = make_eval_context(g, tree, dist)
         for u0 in range(g.n):
             expected = max(eccs[v] for v in set_S(u0, d, num))
-            f_fast, rep_f = evaluation_procedure(g, tree, u0, ectx=ectx, backend="fast")
-            f_eng, rep_e = evaluation_procedure(g, tree, u0, ectx=ectx, backend="engine")
-            if f_fast != expected or f_eng != expected:
-                return False, f"evaluation({u0}) = {f_fast}/{f_eng}, oracle {expected}"
-            if (rep_f.rounds, rep_f.total_words) != (rep_e.rounds, rep_e.total_words):
-                return False, f"backend accounting differs at u0={u0}"
-            if rep_f.rounds > 18 * d + 8:
-                return False, f"evaluation rounds {rep_f.rounds} > 18d+8"
-    return True, "both backends equal the window-max oracle with identical accounting"
+            f_table, rep_t = evaluation_procedure(ectx, u0)
+            f_eng, rep_e = evaluate_on_engine(ectx, u0)
+            if f_table != expected or f_eng != expected:
+                return False, f"evaluation({u0}) = {f_table}/{f_eng}, oracle {expected}"
+            if rep_t != rep_e:
+                return False, f"table and engine reports differ at u0={u0}"
+            if rep_t.rounds > 18 * d + 8:
+                return False, f"evaluation rounds {rep_t.rounds} > 18d+8"
+    return True, "window table and engine equal the window-max oracle with identical reports"
 
 
 def check_window_distances() -> tuple[bool, str]:
     for g in _corpus():
-        leader, d, _ = elect_leader_and_ecc(g)
-        tree, _ = build_bfs_tree(g, leader, d)
+        _, tree = _leader_tree(g)
+        d = tree.ecc_leader
         num = dfs_numbering(tree)
         for u0 in range(0, g.n, 2):
             s = sorted(set_S(u0, d, num), key=lambda v: (num.tau[v] - num.tau[u0]) % num.index_space)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qcongest import diameter, graphs
+from qcongest import diameter, evaluation, graphs
 from qcongest.diameter import (
     LEADER_QUBIT_C2,
     AlgorithmError,
@@ -37,20 +37,27 @@ def test_exact_matches_bruteforce_random(seed):
     assert exact_diameter_simple(g, seed=seed).d_out == d_true
 
 
-def test_exact_engine_backend_agrees():
+def on_engine(algorithm, g, seed, monkeypatch):
+    """A run whose every evaluation branch runs on the word-level engine."""
+    with monkeypatch.context() as patch:
+        patch.setattr(diameter, "evaluation_procedure", evaluation.evaluate_on_engine)
+        return algorithm(g, seed=seed)
+
+
+def test_exact_engine_backend_agrees(monkeypatch):
     g = generate("lollipop", 11, seed=3)
     d_true = graphs.diameter_bruteforce(g)
-    res_fast = exact_diameter(g, seed=5, backend="fast")
-    res_engine = exact_diameter(g, seed=5, backend="engine")
+    res_fast = exact_diameter(g, seed=5)
+    res_engine = on_engine(exact_diameter, g, 5, monkeypatch)
     assert res_fast.d_out == res_engine.d_out == d_true
     assert res_fast.report.rounds == res_engine.report.rounds
 
 
-def test_exact_engine_backend_agrees_at_n4():
+def test_exact_engine_backend_agrees_at_n4(monkeypatch):
     # at n=4 a wave word is 2 + 2*3 bits, exactly the 8-bit bandwidth
     g = generate("path", 4, seed=0)
-    fast = exact_diameter(g, seed=1, backend="fast")
-    engine = exact_diameter(g, seed=1, backend="engine")
+    fast = exact_diameter(g, seed=1)
+    engine = on_engine(exact_diameter, g, 1, monkeypatch)
     assert (engine.d_out, engine.report, engine.search, engine.t_eval) == (
         fast.d_out,
         fast.report,
@@ -126,11 +133,11 @@ def test_determinism_same_seed():
     )
 
 
-def test_approx_engine_backend_agrees_when_the_walk_wraps():
+def test_approx_engine_backend_agrees_when_the_walk_wraps(monkeypatch):
     # |R| <= d here: the engine's token walk revisits nodes of the tour
     g = generate("path", 12, seed=0)
-    fast = approx_diameter(g, seed=1, backend="fast")
-    engine = approx_diameter(g, seed=1, backend="engine")
+    fast = approx_diameter(g, seed=1)
+    engine = on_engine(approx_diameter, g, 1, monkeypatch)
     assert fast.details["r_size"] <= fast.d
     assert (engine.d_out, engine.report, engine.search, engine.t_eval) == (
         fast.d_out,

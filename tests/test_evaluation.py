@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from qcongest import evaluation, graphs
 from qcongest.diameter import approx_diameter
+from qcongest.engine import EngineError
 from qcongest.evaluation import (
     EvaluationInvariantError,
-    _evaluate_engine,
+    evaluate_on_engine,
     evaluation_procedure,
     make_eval_context,
 )
@@ -18,7 +19,6 @@ from qcongest.procedures import (
     all_sources_distances,
     build_bfs_tree,
     dfs_numbering,
-    elect_leader_and_ecc,
     set_S,
 )
 
@@ -33,12 +33,18 @@ CORPUS = [
 ]
 
 
+def tree_at(g, root):
+    return build_bfs_tree(g, root, all_sources_distances(g))[0]
+
+
+def context(g, tree, restrict=None):
+    return make_eval_context(g, tree, all_sources_distances(g), restrict)
+
+
 def prepared(spec):
     fam, n, seed, p = spec
     g = generate(fam, n, seed=seed, p=p)
-    leader, ecc, _ = elect_leader_and_ecc(g)
-    tree, _ = build_bfs_tree(g, leader, ecc)
-    return g, tree
+    return g, tree_at(g, 0)  # the elected leader is node 0
 
 
 def window_max_oracle(g, tree, u0, d, restrict=None):
@@ -49,8 +55,8 @@ def window_max_oracle(g, tree, u0, d, restrict=None):
 def test_path_hand_example():
     # 0-1-2 with the root at node 0 and u0 = 2: window {2, 0}, both ecc 2
     g = graphs.path_graph(3)
-    tree, _ = build_bfs_tree(g, 0, 2)
-    f, _ = evaluation_procedure(g, tree, 2)
+    tree = tree_at(g, 0)
+    f, _ = evaluation_procedure(context(g, tree), 2)
     assert f == 2
     assert f == window_max_oracle(g, tree, 2, 2)
 
@@ -58,10 +64,10 @@ def test_path_hand_example():
 def test_f_equals_diameter_when_window_covers_all():
     # ecc(leader) >= n/2 on a cycle makes 2d >= 2n - 2: the window is V
     g = graphs.cycle_graph(8)
-    tree, _ = build_bfs_tree(g, 0, 4)
+    ectx = context(g, tree_at(g, 0))
     d_true = graphs.diameter_bruteforce(g)
     for u0 in range(g.n):
-        f, _ = evaluation_procedure(g, tree, u0)
+        f, _ = evaluation_procedure(ectx, u0)
         assert f == d_true
 
 
@@ -69,25 +75,24 @@ def test_f_equals_diameter_when_window_covers_all():
 def test_matches_oracle_both_backends(spec):
     g, tree = prepared(spec)
     d = tree.ecc_leader
-    ectx = make_eval_context(g, tree)
+    ectx = context(g, tree)
     for u0 in range(g.n):
         expected = window_max_oracle(g, tree, u0, d)
-        f_fast, rep_fast = evaluation_procedure(g, tree, u0, backend="fast", ectx=ectx)
-        f_eng, rep_eng = evaluation_procedure(g, tree, u0, backend="engine", ectx=ectx)
-        assert f_fast == expected
+        f_table, rep_table = evaluation_procedure(ectx, u0)
+        f_eng, rep_eng = evaluate_on_engine(ectx, u0)
+        assert f_table == expected
         assert f_eng == expected
-        assert rep_fast.rounds == rep_eng.rounds
-        assert rep_fast.total_words == rep_eng.total_words
+        assert rep_table == rep_eng
 
 
 @pytest.mark.parametrize("spec", CORPUS[:4], ids=[f"{s[0]}-{s[1]}" for s in CORPUS[:4]])
 def test_round_cost_is_branch_uniform_and_bounded(spec):
     g, tree = prepared(spec)
     d = tree.ecc_leader
-    ectx = make_eval_context(g, tree)
+    ectx = context(g, tree)
     rounds = set()
     for u0 in range(g.n):
-        _, rep = evaluation_procedure(g, tree, u0, ectx=ectx)
+        _, rep = evaluation_procedure(ectx, u0)
         rounds.add(rep.rounds)
     assert len(rounds) == 1
     assert rounds.pop() <= 18 * d + 8
@@ -110,32 +115,40 @@ def test_restricted_window_evaluation():
     # rebuild the tree from an arbitrary non-leader root, as the
     # approximation algorithm does
     w = max(range(g.n), key=lambda v: (graphs.eccentricity(g, v), -v))
-    tree, _ = build_bfs_tree(g, w)
+    tree = tree_at(g, w)
     order = sorted(range(g.n), key=lambda v: (tree.dist[v], v))
     for size in (1, 3, 7):
         restrict = frozenset(order[:size])
-        ectx = make_eval_context(g, tree, restrict)
+        ectx = context(g, tree, restrict)
         for u0 in sorted(restrict):
             expected = window_max_oracle(g, tree, u0, tree.ecc_leader, restrict)
-            f, _ = evaluation_procedure(
-                g, tree, u0, restrict=restrict, ectx=ectx
-            )
+            f, _ = evaluation_procedure(ectx, u0)
             assert f == expected
 
 
 def test_quantum_register_footprint_is_logarithmic():
     g, tree = prepared(("random", 20, 7, 0.15))
-    ectx = make_eval_context(g, tree)
+    ectx = context(g, tree)
     L = (g.n - 1).bit_length()
     assert max(ectx.quantum_bits) <= 8 * L + 16
 
 
 def test_eval_context_rejects_outside_candidates():
     g, tree = prepared(("path", 6, 1, None))
-    restrict = frozenset({tree.leader})
-    with pytest.raises(Exception):
-        bad = next(v for v in range(g.n) if v not in restrict)
-        evaluation_procedure(g, tree, bad, restrict=restrict)
+    ectx = context(g, tree, frozenset({tree.leader}))
+    bad = next(v for v in range(g.n) if v != tree.leader)
+    for evaluate in (evaluation_procedure, evaluate_on_engine):
+        with pytest.raises(EngineError, match=f"u0={bad} is not a candidate"):
+            evaluate(ectx, bad)
+
+
+@pytest.mark.parametrize("u0", [-1, 8])
+def test_evaluation_rejects_a_node_outside_the_graph(u0):
+    g = graphs.path_graph(8)
+    ectx = context(g, tree_at(g, 0))
+    for evaluate in (evaluation_procedure, evaluate_on_engine):
+        with pytest.raises(EngineError, match=rf"u0={u0} is not a candidate"):
+            evaluate(ectx, u0)
 
 
 def _contexts(spec):
@@ -145,25 +158,27 @@ def _contexts(spec):
     those the window is wider than the tour, and the token walk revisits
     nodes."""
     g, tree = prepared(spec)
-    contexts = [make_eval_context(g, tree)]
+    contexts = [context(g, tree)]
     w = max(range(g.n), key=lambda v: (graphs.eccentricity(g, v), -v))
     for root in (tree.leader, w):
-        tree_r, _ = build_bfs_tree(g, root)
+        tree_r = tree_at(g, root)
         order = sorted(range(g.n), key=lambda v: (tree_r.dist[v], v))
         d = tree_r.ecc_leader
         for size in sorted({1, (d + 1) // 2, d, d + 1, g.n - 1}):
             if 0 < size < g.n:
-                contexts.append(make_eval_context(g, tree_r, frozenset(order[:size])))
+                contexts.append(context(g, tree_r, frozenset(order[:size])))
     return contexts
 
 
 def assert_table_matches_engine(ectx):
-    candidates = sorted(ectx.restrict or range(ectx.g.n))
+    # both check their window against set_S, so equal reports (words) and
+    # values mean equal branches
+    candidates = sorted(ectx.numbering.tau)
     assert sorted(ectx.branches) == candidates
     for u0 in candidates:
-        f, rounds, words, taup = _evaluate_engine(ectx, u0)
-        assert ectx.branches[u0] == (f, words, frozenset(taup))
-        assert rounds == ectx.total_rounds
+        engine = evaluate_on_engine(ectx, u0)
+        assert evaluation_procedure(ectx, u0) == engine
+        assert engine[1].rounds == 2 * ectx.total_rounds
 
 
 @pytest.mark.parametrize("spec", CORPUS, ids=[f"{s[0]}-{s[1]}" for s in CORPUS])
@@ -183,11 +198,11 @@ def test_closed_form_matches_engine_on_random_graphs(n, p, seed, root, size):
     # the full context, and the `size` nodes closest to the root capped at
     # d, so the window is wider than the restricted tour and the walk wraps
     g = generate("random", n, seed=seed, p=p)
-    tree, _ = build_bfs_tree(g, root % n)
-    assert_table_matches_engine(make_eval_context(g, tree))
+    tree = tree_at(g, root % n)
+    assert_table_matches_engine(context(g, tree))
     order = sorted(range(n), key=lambda v: (tree.dist[v], v))
     restrict = frozenset(order[: min(size, tree.ecc_leader)])
-    assert_table_matches_engine(make_eval_context(g, tree, restrict))
+    assert_table_matches_engine(context(g, tree, restrict))
 
 
 def _replayed(ectx, u0):
@@ -196,16 +211,11 @@ def _replayed(ectx, u0):
     return evaluation._replay(ectx, u0, *evaluation._walk_positions(ectx, u0))
 
 
-def _leader_context(g):
-    dist = all_sources_distances(g)
-    leader, ecc, _ = elect_leader_and_ecc(g, dist=dist)
-    tree, _ = build_bfs_tree(g, leader, ecc, dist=dist)
-    return make_eval_context(g, tree, dist=dist)
-
-
 @pytest.mark.parametrize("family, n", [("path", 300), ("lollipop", 200)])
 def test_table_matches_the_replay_beyond_engine_sizes(family, n):
-    ectx = _leader_context(generate(family, n, seed=1))
+    g = generate(family, n, seed=1)
+    dist = all_sources_distances(g)
+    ectx = make_eval_context(g, build_bfs_tree(g, 0, dist)[0], dist)
     assert sorted(ectx.branches) == list(range(n))
     for u0 in range(n):
         assert ectx.branches[u0] == _replayed(ectx, u0)
@@ -214,11 +224,11 @@ def test_table_matches_the_replay_beyond_engine_sizes(family, n):
 def test_table_matches_the_replay_on_the_approximations_r_set():
     g = generate("grid", 256, seed=1)
     details = approx_diameter(g, seed=1).details
-    tree, _ = build_bfs_tree(g, details["w"])
+    tree = tree_at(g, details["w"])
     order = sorted(range(g.n), key=lambda v: (tree.dist[v], v))
     restrict = frozenset(order[: details["s"]])
     assert 1 < len(restrict) < g.n
-    ectx = make_eval_context(g, tree, restrict)
+    ectx = context(g, tree, restrict)
     assert sorted(ectx.branches) == sorted(restrict)
     for u0 in sorted(restrict):
         assert ectx.branches[u0] == _replayed(ectx, u0)
@@ -241,7 +251,7 @@ CORRUPTIONS = [
 @pytest.mark.parametrize("u0, v, shift, message", CORRUPTIONS)
 def test_batch_rejects_a_corrupted_branch(u0, v, shift, message, monkeypatch):
     g = graphs.path_graph(6)
-    tree, _ = build_bfs_tree(g, 0, 5)
+    tree = tree_at(g, 0)
     # the table's rows and columns follow first-visit order: row `row` is
     # the walk from u0, and v is the `col`-th wave of that walk
     order = dfs_numbering(tree).first_visits
@@ -256,7 +266,7 @@ def test_batch_rejects_a_corrupted_branch(u0, v, shift, message, monkeypatch):
 
     monkeypatch.setattr(evaluation, "_walk_offsets", shifted)
     with pytest.raises(EvaluationInvariantError, match=message):
-        make_eval_context(g, tree).branches
+        context(g, tree).branches
 
 
 def test_batch_rejects_a_wave_still_in_flight():
@@ -264,9 +274,9 @@ def test_batch_rejects_a_wave_still_in_flight():
     # its wave starts at offset 5 and reaches node 0 in round
     # 2d + 2*5 + 21 = 41 > 8d, while every pair of waves stays in order
     g = graphs.path_graph(6)
-    tree, _ = build_bfs_tree(g, 0, 5)
+    tree = tree_at(g, 0)
     dist = all_sources_distances(g)
     dist[5] += 16
     message = "wave still in flight at node 0 on branch u0=0 after the 6d-round window"
     with pytest.raises(EvaluationInvariantError, match=message):
-        make_eval_context(g, tree, dist=dist).branches
+        make_eval_context(g, tree, dist).branches

@@ -166,15 +166,14 @@ def test_edge_list_rejects_disconnected(tmp_path):
 
 
 def test_bipartite_delta_definition():
-    from qcongest.gadgets import DisjInput, gadget_build, gadget_apply_inputs
-    from qcongest.graphs import BipartiteGadget, bipartite_delta
+    from qcongest.gadgets import DisjInput, build_reduction_instance, gadget_build, gadget_apply_inputs
+    from qcongest.graphs import bipartite_delta
 
     gad = gadget_build(10)
     inp = DisjInput(4, "1111", "1111")
     g = gadget_apply_inputs(gad, inp)
-    delta = bipartite_delta(
-        BipartiteGadget(g, gad.left, gad.right, gad.cut_edges, gad.roles)
-    )
+    delta = bipartite_delta(g, gad.left, gad.right)
+    assert delta == build_reduction_instance(10, inp).delta
     dist = floyd_warshall(g)
     assert delta == max(dist[u][v] for u in gad.left for v in gad.right)
     assert delta == 3  # some x_ij = y_ij = 1 forces a cross distance of 3

@@ -161,3 +161,9 @@ def test_cli_trace_dump(tmp_path):
     assert files, "expected an election trace per task"
     first = json.loads(files[0].read_text().splitlines()[0])
     assert set(first) == {"round", "edge", "hex", "bits"}
+
+
+def test_cli_verify_passes_every_check(capsys):
+    assert cli_main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11 and all(line.startswith("PASS") for line in lines)

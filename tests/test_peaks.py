@@ -7,7 +7,7 @@ import pytest
 
 from qcongest import diameter, graphs, procedures
 from qcongest.engine import CostReport, EngineError, EngineTimeout, NodePeaks, run
-from qcongest.evaluation import evaluation_procedure, make_eval_context
+from qcongest.evaluation import evaluate_on_engine, evaluation_procedure, make_eval_context
 from qcongest.procedures import (
     ElectionProgram,
     all_sources_distances,
@@ -46,8 +46,8 @@ def assert_compact(report: CostReport, n: int) -> None:
 def prepared():
     g = graphs.generate("lollipop", 11, seed=5)
     dist = all_sources_distances(g)
-    leader, ecc, _ = elect_leader_and_ecc(g, dist=dist)
-    tree, _ = build_bfs_tree(g, leader, ecc, dist=dist)
+    leader, _, _ = elect_leader_and_ecc(g, dist)
+    tree, _ = build_bfs_tree(g, leader, dist)
     return g, dist, tree
 
 
@@ -63,17 +63,17 @@ def test_engine_runs_report_compact_peaks(prepared):
 def test_closed_forms_report_compact_peaks(prepared, monkeypatch):
     g, dist, tree = prepared
     L = id_bits(g.n)
-    _, _, election = elect_leader_and_ecc(g, dist=dist)
+    _, _, election = elect_leader_and_ecc(g, dist)
     assert_compact(election, g.n)
     assert election.per_node_peak_bits == {v: 9 * L + 1 if v else 8 * L + 1 for v in range(g.n)}
-    assert_compact(build_bfs_tree(g, tree.leader, tree.ecc_leader, dist=dist)[1], g.n)
+    assert_compact(build_bfs_tree(g, tree.leader, dist)[1], g.n)
     assert_compact(multi_source_bfs(g, [1, 4], dist)[1], g.n)
-    assert_compact(argmax_convergecast(g, tree, dict.fromkeys(range(g.n), 1), dist=dist)[2], g.n)
+    assert_compact(argmax_convergecast(g, tree, dict.fromkeys(range(g.n), 1), dist)[2], g.n)
     table = simple_eval_table(g, tree, dist)
     assert_compact(eccentricity_simple_eval(g, tree, 3, table)[1], g.n)
-    ectx = make_eval_context(g, tree, dist=dist)
-    for backend in ("fast", "engine"):
-        assert_compact(evaluation_procedure(g, tree, 3, backend=backend, ectx=ectx)[1], g.n)
+    ectx = make_eval_context(g, tree, dist)
+    for evaluate in (evaluation_procedure, evaluate_on_engine):
+        assert_compact(evaluate(ectx, 3)[1], g.n)
     monkeypatch.setattr(procedures, "_simple_round_limit", lambda n: 3)
     with pytest.raises(EngineTimeout) as timeout:
         simple_eval_table(g, tree, dist)
@@ -82,9 +82,9 @@ def test_closed_forms_report_compact_peaks(prepared, monkeypatch):
 
 def test_reports_sharing_values_stay_independent(prepared):
     g, dist, tree = prepared
-    ectx = make_eval_context(g, tree, dist=dist)
-    _, first = evaluation_procedure(g, tree, 1, ectx=ectx)
-    _, second = evaluation_procedure(g, tree, 2, ectx=ectx)
+    ectx = make_eval_context(g, tree, dist)
+    _, first = evaluation_procedure(ectx, 1)
+    _, second = evaluation_procedure(ectx, 2)
     first.per_node_peak_qubits[0] = 10**6
     assert second.per_node_peak_qubits[0] == ectx.quantum_bits[0]
     assert first.per_node_peak_bits[0] == ectx.quantum_bits[0]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import inspect
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcongest import evaluation, graphs, procedures
+from qcongest import diameter, evaluation, graphs, procedures
 from qcongest.diameter import (
     approx_diameter,
     approx_guarantee_holds,
@@ -23,13 +25,18 @@ from qcongest.graphs import generate
 from qcongest.procedures import (
     BfsTreeState,
     all_sources_distances,
+    argmax_convergecast,
+    argmax_on_engine,
+    bfs_tree_on_engine,
     build_bfs_tree,
     dfs_numbering,
     eccentricity_simple_eval,
     elect_leader_and_ecc,
+    elect_on_engine,
     multi_source_bfs,
-    argmax_convergecast,
+    multi_source_bfs_on_engine,
     set_S,
+    simple_eval_on_engine,
     simple_eval_table,
 )
 
@@ -48,28 +55,40 @@ def corpus():
     return [generate(f, n, seed=s, p=p) for f, n, s, p in CORPUS]
 
 
+def tree_at(g, root) -> BfsTreeState:
+    return build_bfs_tree(g, root, all_sources_distances(g))[0]
+
+
 def make_tree(g) -> BfsTreeState:
-    leader, ecc, _ = elect_leader_and_ecc(g)
-    tree, _ = build_bfs_tree(g, leader, ecc)
-    return tree
+    return tree_at(g, 0)  # the elected leader is node 0
+
+
+def elect(g):
+    return elect_leader_and_ecc(g, all_sources_distances(g))
+
+
+def simple_table(g, tree):
+    return simple_eval_table(g, tree, all_sources_distances(g))
 
 
 # -- leader election ---------------------------------------------------------
 
 
 def test_election_on_cycle_c4():
-    leader, ecc, _ = elect_leader_and_ecc(graphs.cycle_graph(4))
-    assert (leader, ecc) == (0, 2)
+    for election in (elect, elect_on_engine):
+        leader, ecc, _ = election(graphs.cycle_graph(4))
+        assert (leader, ecc) == (0, 2)
 
 
 def test_election_on_k3():
-    leader, ecc, _ = elect_leader_and_ecc(graphs.complete_graph(3))
-    assert (leader, ecc) == (0, 1)
+    for election in (elect, elect_on_engine):
+        leader, ecc, _ = election(graphs.complete_graph(3))
+        assert (leader, ecc) == (0, 1)
 
 
 def test_election_matches_oracle_and_round_bound():
     for g in corpus():
-        leader, ecc, report = elect_leader_and_ecc(g)
+        leader, ecc, report = elect(g)
         assert leader == 0
         assert ecc == graphs.eccentricity(g, 0)
         assert report.rounds <= 3 * ecc + 4
@@ -77,7 +96,7 @@ def test_election_matches_oracle_and_round_bound():
 
 def test_election_single_node():
     g = graphs.Graph.from_edges(1, [])
-    leader, ecc, report = elect_leader_and_ecc(g)
+    leader, ecc, report = elect_leader_and_ecc(g, np.zeros((1, 1), dtype=np.int32))
     assert (leader, ecc, report.rounds) == (0, 0, 0)
 
 
@@ -86,17 +105,17 @@ def test_election_single_node():
 
 def test_bfs_tree_hand_simulation_on_path():
     g = graphs.path_graph(3)
-    tree, report = build_bfs_tree(g, 0, 2)
-    assert tree.parent == (0, 0, 1)
-    assert tree.dist == (0, 1, 2)
-    assert report.rounds == 2  # path of length L with the root at one end
+    for tree, report in (build_bfs_tree(g, 0, all_sources_distances(g)), bfs_tree_on_engine(g, 0, 2)):
+        assert tree.parent == (0, 0, 1)
+        assert tree.dist == (0, 1, 2)
+        assert report.rounds == 2  # path of length L with the root at one end
 
 
 def test_bfs_tree_star_one_round():
     g = graphs.star_graph(6)
-    tree, report = build_bfs_tree(g, 0, 1)
-    assert all(p == 0 for p in tree.parent)
-    assert report.rounds == 1
+    for tree, report in (build_bfs_tree(g, 0, all_sources_distances(g)), bfs_tree_on_engine(g, 0, 1)):
+        assert all(p == 0 for p in tree.parent)
+        assert report.rounds == 1
 
 
 def test_bfs_tree_matches_oracle():
@@ -109,8 +128,8 @@ def test_bfs_tree_matches_oracle():
 def test_bfs_tree_parent_is_min_id_sender():
     # C4: node 2 is reached simultaneously from 1 and 3; parent must be 1
     g = graphs.cycle_graph(4)
-    tree, _ = build_bfs_tree(g, 0, 2)
-    assert tree.parent[2] == 1
+    assert make_tree(g).parent[2] == 1
+    assert bfs_tree_on_engine(g, 0, 2)[0].parent[2] == 1
 
 
 def test_bfs_tree_state_validates():
@@ -122,16 +141,14 @@ def test_bfs_tree_state_validates():
 
 
 def test_dfs_numbering_path():
-    tree, _ = build_bfs_tree(graphs.path_graph(3), 0, 2)
-    num = dfs_numbering(tree)
+    num = dfs_numbering(make_tree(graphs.path_graph(3)))
     assert num.tau == {0: 0, 1: 1, 2: 2}
     assert num.index_space == 6
 
 
 def test_dfs_numbering_star_leaf_positions():
     # center 0, leaves 1..3 visited in id order: tau(leaf k) = 2k - 1
-    tree, _ = build_bfs_tree(graphs.star_graph(4), 0, 1)
-    num = dfs_numbering(tree)
+    num = dfs_numbering(make_tree(graphs.star_graph(4)))
     for k in (1, 2, 3):
         assert num.tau[k] == 2 * k - 1
 
@@ -161,8 +178,7 @@ def test_set_s_covers_everything_for_large_d():
 
 
 def test_set_s_on_path():
-    tree, _ = build_bfs_tree(graphs.path_graph(3), 0, 2)
-    num = dfs_numbering(tree)
+    num = dfs_numbering(make_tree(graphs.path_graph(3)))
     assert set_S(0, 2, num) == frozenset({0, 1, 2})
 
 
@@ -203,7 +219,7 @@ def test_set_s_matches_its_definition(n, p, seed, root, size, d):
     # restricted to the `size` nodes closest to the root; d up to 60 makes
     # windows wider than the tour (2d >= 2k - 1)
     g = generate("random", n, seed=seed, p=p)
-    tree, _ = build_bfs_tree(g, root % n)
+    tree = tree_at(g, root % n)
     order = sorted(range(n), key=lambda v: (tree.dist[v], v))
     for restrict in (None, frozenset(order[: min(size, n)])):
         num = dfs_numbering(tree, restrict)
@@ -227,27 +243,44 @@ def test_restricted_numbering():
 # -- simple evaluation ---------------------------------------------------------
 
 
+def simple_evals(g, tree):
+    """The production read of the table, and the engine reference."""
+    table = simple_table(g, tree)
+    return (lambda u0: eccentricity_simple_eval(g, tree, u0, table),
+            lambda u0: simple_eval_on_engine(g, tree, u0))
+
+
 def test_simple_eval_path():
     g = graphs.path_graph(4)
-    tree, _ = build_bfs_tree(g, 0, 3)
-    for u0 in range(4):
-        val, _ = eccentricity_simple_eval(g, tree, u0)
-        assert val == graphs.eccentricity(g, u0)
+    for simple_eval in simple_evals(g, make_tree(g)):
+        for u0 in range(4):
+            val, _ = simple_eval(u0)
+            assert val == graphs.eccentricity(g, u0)
 
 
 def test_simple_eval_star():
     g = graphs.star_graph(5)
-    tree, _ = build_bfs_tree(g, 0, 1)
-    assert eccentricity_simple_eval(g, tree, 0)[0] == 1
-    assert eccentricity_simple_eval(g, tree, 3)[0] == 2
+    for simple_eval in simple_evals(g, make_tree(g)):
+        assert simple_eval(0)[0] == 1
+        assert simple_eval(3)[0] == 2
+
+
+@pytest.mark.parametrize("u0", [-1, 8])
+def test_simple_eval_rejects_a_node_outside_the_graph(u0):
+    # -1 would read node 7's row through a negative index, 8 past the end
+    g = graphs.path_graph(8)
+    for simple_eval in simple_evals(g, make_tree(g)):
+        with pytest.raises(EngineError, match=rf"u0={u0} is not a candidate"):
+            simple_eval(u0)
 
 
 def test_simple_eval_matches_oracle_with_round_bound():
     for g in corpus():
         tree = make_tree(g)
         d = tree.ecc_leader
+        table = simple_table(g, tree)
         for u0 in range(g.n):
-            val, report = eccentricity_simple_eval(g, tree, u0)
+            val, report = eccentricity_simple_eval(g, tree, u0, table)
             ecc = graphs.eccentricity(g, u0)
             assert val == ecc
             assert report.rounds <= 2 * (2 * ecc + d + 4)  # doubled for reversal
@@ -275,9 +308,9 @@ def test_all_sources_distances_match_bfs_on_random_graphs(n, p, seed):
 
 
 def assert_table_matches_engine(g, tree):
-    table = simple_eval_table(g, tree)
+    table = simple_table(g, tree)
     for u0 in range(g.n):
-        assert eccentricity_simple_eval(g, tree, u0, table) == eccentricity_simple_eval(
+        assert eccentricity_simple_eval(g, tree, u0, table) == simple_eval_on_engine(
             g, tree, u0
         ), u0
 
@@ -297,8 +330,7 @@ def test_simple_eval_table_matches_engine():
 )
 def test_simple_eval_table_matches_engine_on_random_graphs(n, p, seed, root):
     g = generate("random", n, seed=seed, p=p)
-    tree, _ = build_bfs_tree(g, root % n)
-    assert_table_matches_engine(g, tree)
+    assert_table_matches_engine(g, tree_at(g, root % n))
 
 
 @pytest.mark.parametrize("limit", [1, 3, 6, 9])
@@ -307,10 +339,10 @@ def test_simple_eval_table_times_out_like_the_engine(monkeypatch, limit):
     g = generate("lollipop", 11, seed=5)
     tree = make_tree(g)
     with pytest.raises(EngineTimeout) as batched:
-        simple_eval_table(g, tree)
+        simple_table(g, tree)
     for u0 in range(g.n):
         try:
-            eccentricity_simple_eval(g, tree, u0)
+            simple_eval_on_engine(g, tree, u0)
         except EngineTimeout as engine:
             assert batched.value.report == engine.report
             assert len(engine.report.per_node_peak_qubits) == g.n
@@ -321,16 +353,16 @@ def test_simple_eval_table_times_out_like_the_engine(monkeypatch, limit):
 
 def test_simple_eval_table_checks_register_width(monkeypatch):
     g = graphs.path_graph(5)
-    tree, _ = build_bfs_tree(g, 0, 4)
+    tree = make_tree(g)
     monkeypatch.setattr(procedures, "id_bits", lambda n: 2)  # distance 4 needs 3
     with pytest.raises(SchemaViolationError):
-        simple_eval_table(g, tree)
+        simple_table(g, tree)
 
 
 def test_simple_eval_checks_the_declared_round_bound():
     g = graphs.path_graph(4)
-    tree, _ = build_bfs_tree(g, 0, 3)
-    table = list(simple_eval_table(g, tree))
+    tree = make_tree(g)
+    table = list(simple_table(g, tree))
     ecc, _, words = table[0]
     table[0] = (ecc, 2 * ecc + tree.ecc_leader + 5, words)
     with pytest.raises(EngineError, match="forward rounds"):
@@ -343,7 +375,7 @@ def test_simple_eval_checks_the_declared_round_bound():
 def test_multi_source_bfs_matches_oracle():
     for g in corpus():
         sources = {0, g.n // 2}
-        result, _ = multi_source_bfs(g, sources)
+        result, _ = multi_source_bfs(g, sources, all_sources_distances(g))
         for v in range(g.n):
             best = min(
                 (graphs.bfs_distances(g, s)[v], s) for s in sources
@@ -355,7 +387,7 @@ def test_argmax_convergecast_with_ties():
     for g in corpus():
         tree = make_tree(g)
         values = {v: (v * 7) % 5 for v in range(g.n)}
-        best_val, best_node, _ = argmax_convergecast(g, tree, values)
+        best_val, best_node, _ = argmax_convergecast(g, tree, values, all_sources_distances(g))
         expect = max(values.values())
         assert best_val == expect
         assert best_node == min(v for v in values if values[v] == expect)
@@ -365,30 +397,25 @@ def test_argmax_convergecast_with_ties():
 
 
 def outcome(call):
-    """A call's result, or the type of the engine error it raises plus the
-    partial report of a timeout."""
+    """A call's result, or the type of the engine error it raises."""
     try:
         return call()
-    except EngineTimeout as exc:
-        return EngineTimeout, exc.report
     except EngineError as exc:
         return type(exc)
 
 
 def assert_closed_forms_match_engine(g, root, seed):
     dist = all_sources_distances(g)
-    assert elect_leader_and_ecc(g, dist=dist) == elect_leader_and_ecc(g)
-    assert build_bfs_tree(g, root, dist=dist) == build_bfs_tree(g, root)
-    tree, _ = build_bfs_tree(g, root)
+    assert elect_leader_and_ecc(g, dist) == elect_on_engine(g)
+    assert build_bfs_tree(g, root, dist) == bfs_tree_on_engine(g, root, int(dist[root].max()))
+    tree, _ = build_bfs_tree(g, root, dist)
     rng = random.Random(seed)
     sources = rng.sample(range(g.n), rng.randint(1, g.n))
-    assert multi_source_bfs(g, sources, dist) == multi_source_bfs(g, sources)
+    assert multi_source_bfs(g, sources, dist) == multi_source_bfs_on_engine(g, sources)
     # a narrow range of values makes ties, broken to the smallest id
     top = rng.choice([2, 1 << procedures.id_bits(g.n)])
     values = {v: rng.randrange(top) for v in range(g.n)}
-    assert argmax_convergecast(g, tree, values, dist=dist) == argmax_convergecast(
-        g, tree, values
-    )
+    assert argmax_convergecast(g, tree, values, dist) == argmax_on_engine(g, tree, values)
 
 
 def test_closed_forms_match_engine_on_corpus():
@@ -408,50 +435,59 @@ def test_closed_forms_match_engine_on_random_graphs(n, p, seed, root):
 
 
 @pytest.mark.parametrize("family", ["path", "lollipop", "grid", "random"])
-def test_closed_form_election_times_out_like_the_engine(family, monkeypatch):
+def test_engine_election_times_out_before_its_last_round(family):
     g = generate(family, 20, seed=4, p=0.2)
     dist = all_sources_distances(g)
-    rounds = elect_leader_and_ecc(g, dist=dist)[2].rounds
+    rounds = elect_leader_and_ecc(g, dist)[2].rounds
     for limit in (1, rounds // 2, rounds - 2):
-        closed = outcome(lambda: elect_leader_and_ecc(g, max_rounds=limit, dist=dist))
-        assert closed[0] is EngineTimeout
-        assert closed == outcome(lambda: elect_leader_and_ecc(g, max_rounds=limit))
+        with pytest.raises(EngineTimeout) as timeout:
+            elect_on_engine(g, max_rounds=limit)
+        assert timeout.value.report.rounds == limit
     # the last round only delivers DONE words and does not count, so this
-    # limit holds, and the closed form answers without the engine
-    engine = elect_leader_and_ecc(g, max_rounds=rounds - 1)
-    monkeypatch.setattr(procedures, "run", None)
-    assert elect_leader_and_ecc(g, max_rounds=rounds - 1, dist=dist) == engine
+    # limit holds
+    assert elect_on_engine(g, max_rounds=rounds - 1) == elect_leader_and_ecc(g, dist)
 
 
-@pytest.mark.parametrize("closed", [False, True], ids=["engine", "closed-form"])
+# only the engine reference takes a round limit
+@pytest.mark.parametrize("election", [elect_on_engine], ids=["engine"])
 @pytest.mark.parametrize("limit", [0, -3])
-def test_election_rejects_an_explicit_non_positive_round_limit(closed, limit):
+def test_election_rejects_an_explicit_non_positive_round_limit(election, limit):
     # an explicit limit of 0 is an error as in engine.run, not the default
     g = generate("path", 10, seed=1)
-    dist = all_sources_distances(g) if closed else None
     with pytest.raises(EngineError, match="max_rounds must be positive"):
-        elect_leader_and_ecc(g, max_rounds=limit, dist=dist)
+        election(g, max_rounds=limit)
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["engine", "closed-form"])
 @pytest.mark.parametrize("value_bits", [0, -1])
 def test_argmax_rejects_an_explicit_non_positive_value_width(closed, value_bits):
     g = generate("path", 10, seed=1)
-    dist = all_sources_distances(g) if closed else None
+    dist = all_sources_distances(g)
+    tree = make_tree(g)
     values = dict.fromkeys(range(g.n), 0)
     with pytest.raises(EngineError, match="value_bits must be positive"):
-        argmax_convergecast(g, make_tree(g), values, value_bits, dist)
+        if closed:
+            argmax_convergecast(g, tree, values, dist, value_bits)
+        else:
+            argmax_on_engine(g, tree, values, value_bits)
 
 
-def test_closed_form_bfs_tree_fails_like_the_engine_off_budget():
+def test_engine_bfs_tree_fails_off_budget():
     g = generate("lollipop", 15, seed=2)
     dist = all_sources_distances(g)
     ecc = graphs.eccentricity(g, 4)
-    below = outcome(lambda: build_bfs_tree(g, 4, ecc - 1, dist))
-    assert below[0] is EngineTimeout
-    assert below == outcome(lambda: build_bfs_tree(g, 4, ecc - 1))
-    assert outcome(lambda: build_bfs_tree(g, 4, ecc + 1, dist)) is EngineError
-    assert outcome(lambda: build_bfs_tree(g, 4, ecc + 1)) is EngineError
+    assert bfs_tree_on_engine(g, 4, ecc) == build_bfs_tree(g, 4, dist)
+    assert outcome(lambda: bfs_tree_on_engine(g, 4, ecc - 1)) is EngineTimeout
+    assert outcome(lambda: bfs_tree_on_engine(g, 4, ecc + 1)) is EngineError
+
+
+@pytest.mark.parametrize("sources", [[0, 16], [-1], [3, 100]])
+def test_multi_source_bfs_rejects_sources_outside_the_graph(sources):
+    g = generate("random", 16, seed=1, p=0.2)
+    for bfs in (lambda: multi_source_bfs(g, sources, all_sources_distances(g)),
+                lambda: multi_source_bfs_on_engine(g, sources)):
+        with pytest.raises(EngineError, match="outside 0..15"):
+            bfs()
 
 
 def test_closed_form_argmax_checks_inputs_and_bandwidth_like_the_engine():
@@ -460,13 +496,36 @@ def test_closed_form_argmax_checks_inputs_and_bandwidth_like_the_engine():
     tree = make_tree(g)
     wide = {v: v % 3 for v in range(g.n)}
     wide[5] = 1 << 3  # does not fit value_bits=3
-    assert outcome(lambda: argmax_convergecast(g, tree, wide, 3, dist)) is SchemaViolationError
-    assert outcome(lambda: argmax_convergecast(g, tree, wide, 3)) is SchemaViolationError
+    assert outcome(lambda: argmax_convergecast(g, tree, wide, dist, 3)) is SchemaViolationError
+    assert outcome(lambda: argmax_on_engine(g, tree, wide, 3)) is SchemaViolationError
     # 2 + value_bits + id_bits exceeds the 4*id_bits bandwidth
     values = {v: 0 for v in range(g.n)}
     vb = 3 * procedures.id_bits(g.n)
-    assert outcome(lambda: argmax_convergecast(g, tree, values, vb, dist)) is OversizedWordError
-    assert outcome(lambda: argmax_convergecast(g, tree, values, vb)) is OversizedWordError
+    assert outcome(lambda: argmax_convergecast(g, tree, values, dist, vb)) is OversizedWordError
+    assert outcome(lambda: argmax_on_engine(g, tree, values, vb)) is OversizedWordError
+
+
+ENTRY_POINTS = {
+    procedures.elect_leader_and_ecc: (),
+    procedures.build_bfs_tree: (),
+    procedures.multi_source_bfs: (),
+    procedures.argmax_convergecast: ("value_bits",),
+    procedures.simple_eval_table: (),
+    procedures.eccentricity_simple_eval: (),
+    evaluation.make_eval_context: ("restrict",),
+    evaluation.evaluation_procedure: (),
+    diameter.exact_diameter: ("seed", "delta"),
+    diameter.exact_diameter_simple: ("seed", "delta"),
+    diameter.approx_diameter: ("seed", "delta"),
+}
+
+
+def test_entry_points_have_one_path():
+    # no optional parameter selects the engine or makes the run's distance
+    # matrix optional
+    for fn, optional in ENTRY_POINTS.items():
+        params = inspect.signature(fn).parameters.values()
+        assert tuple(p.name for p in params if p.default is not p.empty) == optional, fn
 
 
 def test_production_path_makes_no_engine_call(monkeypatch):

@@ -4,9 +4,9 @@ classical procedure on three fixed graphs.
 Every delivered word is one trace line (round, edge, hex, bit count), so
 equal hashes mean equal words on equal edges in equal rounds.  A change to
 the engine's representation of words or to its step loop must leave every
-hash below unchanged.  The election writes its trace through its public
-entry point; the other procedures run their programs through ``engine.run``
-with the same arguments as their entry points.
+hash below unchanged.  The election writes its trace through its engine
+reference ``elect_on_engine``; the other procedures run their programs
+through ``engine.run`` with the same arguments as their engine references.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from qcongest.procedures import (
     ArgmaxConvergecastProgram,
     BfsTreeProgram,
     MultiSourceBfsProgram,
-    build_bfs_tree,
-    elect_leader_and_ecc,
+    bfs_tree_on_engine,
+    elect_on_engine,
     id_bits,
-    multi_source_bfs,
+    multi_source_bfs_on_engine,
 )
 
 GRAPHS = {
@@ -94,7 +94,7 @@ PINNED = {
 def _traces(g: graphs.Graph, tmp_path) -> dict[str, str]:
     """sha256 of each procedure's trace on ``g``."""
     paths = {name: tmp_path / f"{name}.jsonl" for name in PINNED["path-33"]}
-    leader, ecc, _ = elect_leader_and_ecc(g, trace_path=str(paths["elect"]))
+    leader, ecc, _ = elect_on_engine(g, trace_path=str(paths["elect"]))
     run(
         g,
         BfsTreeProgram(g.n, leader, ecc),
@@ -108,8 +108,8 @@ def _traces(g: graphs.Graph, tmp_path) -> dict[str, str]:
         max_rounds=2 * g.n + 16,
         trace_path=paths["multi_source_bfs"],
     )
-    tree, _ = build_bfs_tree(g, leader, ecc)
-    closest, _ = multi_source_bfs(g, sources)
+    tree, _ = bfs_tree_on_engine(g, leader, ecc)
+    closest, _ = multi_source_bfs_on_engine(g, sources)
     run(
         g,
         ArgmaxConvergecastProgram(g.n, tree, id_bits(g.n)),
