@@ -23,26 +23,17 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.config:
-        base = ExperimentConfig.from_json(args.config)
-        config = ExperimentConfig(
-            families=base.families, sizes=base.sizes, seeds=base.seeds,
-            algos=base.algos, delta=base.delta,
-            master_seed=base.master_seed, jobs=args.jobs or base.jobs,
-            out=args.out or base.out, trace_dir=args.trace or base.trace_dir,
-        )
-    else:
-        config = ExperimentConfig(
-            families=tuple(args.families.split(",")),
-            sizes=_int_list(args.sizes),
-            seeds=tuple(range(args.num_seeds)),
-            algos=tuple(a for a in args.algos.split(",") if a),
-            delta=args.delta,
-            master_seed=args.seed,
-            jobs=args.jobs or 1,
-            out=args.out or "results.csv",
-            trace_dir=args.trace,
-        )
+    config = ExperimentConfig(
+        families=tuple(args.families.split(",")),
+        sizes=_int_list(args.sizes),
+        seeds=tuple(range(args.num_seeds)),
+        algos=tuple(a for a in args.algos.split(",") if a),
+        delta=args.delta,
+        master_seed=args.seed,
+        jobs=args.jobs,
+        out=args.out,
+        trace_dir=args.trace,
+    )
     rows = run_grid(config)
     write_csv(rows, config.out)
     failures = sum(1 for r in rows if not r["ok"])
@@ -65,7 +56,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    return 0 if verify_mod.run_all(verbose=True) else 1
+    return 0 if verify_mod.run_all() else 1
 
 
 def cmd_gadget(args: argparse.Namespace) -> int:
@@ -98,15 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment grid and write a CSV")
-    p_run.add_argument("--config", type=Path, help="JSON config file")
     p_run.add_argument("--families", default="path,cycle", help="comma-separated, e.g. path,random:0.2")
     p_run.add_argument("--sizes", default="16,32", help="comma-separated node counts")
     p_run.add_argument("--num-seeds", type=int, default=3)
     p_run.add_argument("--algos", default="exact", help="comma-separated: exact,simple,approx")
     p_run.add_argument("--delta", type=float, default=None, help="failure probability; default 1/n^2")
     p_run.add_argument("--seed", type=int, default=0, help="master seed")
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--jobs", type=int, default=None)
+    p_run.add_argument("--out", default="results.csv")
+    p_run.add_argument("--jobs", type=int, default=1)
     p_run.add_argument("--trace", default=None, help="directory for engine word traces")
     p_run.set_defaults(fn=cmd_run)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .graphs import Graph
 
@@ -172,96 +172,35 @@ class NodeProgram:
         return frozenset()
 
 
-class NodePeaks:
-    """Per-node peak register sizes of nodes 0..n-1, stored densely.
+class NodePeaks(list):
+    """Per-node peak register sizes, entry v for node v of 0..n-1.
 
-    Reads like a ``dict[int, int]`` keyed by node: ``[v]``, ``get``,
-    assignment to an existing node, ``len``, iteration over the nodes,
-    ``values``, ``items``, and ``==`` against such a dict.  The
-    values sit in one tuple that reports may share: assigning an entry gives
-    this object a new tuple and leaves every other holder untouched.
+    Each report holds its own list, so assigning an entry changes that
+    report only.
     """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Iterable[int] = ()) -> None:
-        self._values = tuple(values)  # a tuple passes through uncopied
 
     @classmethod
     def uniform(cls, n: int, value: int) -> "NodePeaks":
-        return cls((value,) * n)
-
-    @classmethod
-    def of(cls, peaks: Mapping[int, int]) -> "NodePeaks":
-        """The dense form of a mapping whose keys are exactly 0..n-1."""
-        if set(peaks) != set(range(len(peaks))):
-            raise EngineError(f"per-node peaks must cover nodes 0..n-1, got {sorted(peaks)}")
-        return cls(peaks[v] for v in range(len(peaks)))
-
-    def __getitem__(self, v: int) -> int:
-        if 0 <= v < len(self._values):
-            return self._values[v]
-        raise KeyError(v)
+        return cls([value] * n)
 
     def get(self, v: int, default: int | None = None) -> int | None:
-        return self._values[v] if 0 <= v < len(self._values) else default
-
-    def __setitem__(self, v: int, value: int) -> None:
-        if not 0 <= v < len(self._values):
-            raise KeyError(v)
-        self._values = self._values[:v] + (value,) + self._values[v + 1 :]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self._values)))
-
-    def values(self) -> tuple[int, ...]:
-        return self._values
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return enumerate(self._values)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NodePeaks):
-            return self._values == other._values
-        if isinstance(other, Mapping):
-            return dict(enumerate(self._values)) == dict(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"NodePeaks({list(self._values)})"
-
-    def copy(self) -> "NodePeaks":
-        return NodePeaks(self._values)
+        return self[v] if 0 <= v < len(self) else default
 
     def merge(self, other: "NodePeaks") -> "NodePeaks":
         """The elementwise maximum; a node only one side covers keeps its value."""
-        a, b = self._values, other._values
-        if len(a) < len(b):
-            a, b = b, a
-        return NodePeaks(tuple(map(max, a, b)) + a[len(b) :])
+        a, b = (self, other) if len(self) >= len(other) else (other, self)
+        return NodePeaks([*map(max, a, b), *a[len(b) :]])
 
 
 @dataclass
 class CostReport:
-    """Per-execution accounting of rounds, words, and per-node peak memory.
-
-    Peaks given as a dict over nodes 0..n-1 are stored as ``NodePeaks``.
-    """
+    """Per-execution accounting of rounds, words, and per-node peak memory."""
 
     rounds: int = 0
     total_words: int = 0
     per_node_peak_bits: NodePeaks = field(default_factory=NodePeaks)
     per_node_peak_qubits: NodePeaks = field(default_factory=NodePeaks)
     leader: int | None = None
-
-    def __post_init__(self) -> None:
-        if type(self.per_node_peak_bits) is not NodePeaks:
-            self.per_node_peak_bits = NodePeaks.of(self.per_node_peak_bits)
-        if type(self.per_node_peak_qubits) is not NodePeaks:
-            self.per_node_peak_qubits = NodePeaks.of(self.per_node_peak_qubits)
 
     def merge(self, other: "CostReport") -> "CostReport":
         """Sequential composition: rounds and words add, peaks take the max."""
@@ -274,10 +213,10 @@ class CostReport:
         )
 
 
-def default_bandwidth(n: int, c: int = 4) -> int:
-    """Bandwidth c * ceil(log2 n) bits; c = 4 fits a 2-bit tag plus two
-    counters below 2n, the widest message shape used by the procedures."""
-    return c * max(1, (max(n, 2) - 1).bit_length())
+def default_bandwidth(n: int) -> int:
+    """Bandwidth 4 * ceil(log2 n) bits: a 2-bit tag plus two counters below
+    2n, the widest message shape used by the procedures."""
+    return 4 * max(1, (max(n, 2) - 1).bit_length())
 
 
 def _check_state(

@@ -9,7 +9,6 @@ change any output byte.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -77,21 +76,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {a!r}")
         for f in self.families:
             parse_family(f)
-
-    @staticmethod
-    def from_json(path: str | Path) -> "ExperimentConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return ExperimentConfig(
-            families=tuple(raw["families"]),
-            sizes=tuple(raw["sizes"]),
-            seeds=tuple(raw["seeds"]),
-            algos=tuple(raw.get("algos", ["exact"])),
-            delta=raw.get("delta"),
-            master_seed=int(raw.get("master_seed", 0)),
-            jobs=int(raw.get("jobs", 1)),
-            out=raw.get("out", "results.csv"),
-            trace_dir=raw.get("trace_dir"),
-        )
 
     def tasks(self) -> list[tuple[str, int, int, str]]:
         return [

@@ -13,6 +13,11 @@ times on it, keeping the engine's register-width and bandwidth checks:
 ``argmax_convergecast``, and ``simple_eval_table`` (every branch u0 of the
 simple evaluation at once), which ``eccentricity_simple_eval`` reads.
 
+Every procedure, closed form and engine reference alike, requires n >= 3
+(``MIN_PROCEDURE_N``) and raises ``EngineError`` below it: the message
+layouts need ceil(log2 n) >= 2 bits per field.  The diameter algorithms
+answer n <= 2 without running any procedure.
+
 Next to each program sits its reference, which runs it on the word-level
 engine and is what the closed form is tested against: ``elect_on_engine``
 (which also writes word traces), ``bfs_tree_on_engine``,
@@ -38,7 +43,6 @@ import numpy as np
 from .engine import (
     CostReport,
     EngineError,
-    EngineTimeout,
     NodeContext,
     NodePeaks,
     NodeProgram,
@@ -162,9 +166,6 @@ class ElectionProgram(NodeProgram):
         L = self.L
         out: dict[int, Word] = {}
         if round_no == 0:
-            if not ctx.neighbors:  # single-node network
-                state["leader"], state["ecc"] = ctx.node, 0
-                return state, out, True
             return state, dict.fromkeys(ctx.neighbors, self._wave(ctx.node, 0, 0)), False
 
         waves: list[tuple[int, int, int, int]] = []  # (b, dist, pflag, sender)
@@ -255,8 +256,6 @@ def elect_leader_and_ecc(g: Graph, dist: np.ndarray) -> tuple[int, int, CostRepo
     Runs in at most 3*ecc(leader) + O(1) rounds; the result and report are
     derived in closed form from ``dist`` (``_election_report``).
     """
-    if g.n == 1:
-        return 0, 0, CostReport(leader=0)
     _require_size(g)
     return 0, int(dist[0].max()), _election_report(g, dist)
 
@@ -432,8 +431,6 @@ def build_bfs_tree(
     ``dist``: the parent is the smallest neighbor one level up, and every
     node closer than the budget sends one word per edge.
     """
-    if g.n == 1:
-        return BfsTreeState(leader, 0, (leader,), (0,)), CostReport(leader=leader)
     _require_size(g)
     row = dist[leader]
     ecc_leader = int(row.max())
@@ -657,15 +654,9 @@ def simple_eval_register_bits(n: int) -> int:
     return 4 * id_bits(n)
 
 
-def _simple_round_limit(n: int) -> int:
-    """Forward rounds after which the simple evaluation is declared hung."""
-    return 4 * n + 16
-
-
 def all_sources_distances(g: Graph) -> np.ndarray:
     """``dist[v, s]`` for every node v and source s (symmetric) of a
-    connected graph with n >= 2: a BFS from every source at once, one level
-    per step.
+    connected graph: a BFS from every source at once, one level per step.
 
     Row v of the frontier is a bit set of sources packed into 64-bit words;
     a level ORs the rows of v's neighbors with one ``reduceat`` over the
@@ -678,6 +669,8 @@ def all_sources_distances(g: Graph) -> np.ndarray:
     seen = np.zeros((n, (n + 63) // 64), dtype="<u8")
     seen[nodes, nodes // 64] = np.left_shift(1, nodes % 64, dtype="<u8")
     dist = np.zeros((n, n), dtype=np.int32)
+    if not g.m:  # a single node: reduceat rejects an empty neighbor array
+        return dist
     frontier, level = seen, 0
     while True:
         level += 1
@@ -710,6 +703,10 @@ def simple_eval_table(
     activation round sends its flood and its report to the parent as one
     ``_SF_BOTH`` word.  ``simple_eval_on_engine`` is the reference these
     rows are tested against.
+
+    No round limit applies: the leader halts by round
+    ecc(u0) + ecc(leader) + 1, and every read of a row checks the stricter
+    bound of ``_simple_eval_result``.
     """
     _require_size(g)
     n, leader = g.n, tree.leader
@@ -724,32 +721,10 @@ def simple_eval_table(
     merged = ready == dist
     merged[leader] = False
     halt = ready[leader]
-    limit = _simple_round_limit(n)
-    if (halt > limit).any():
-        u0 = int(np.argmax(halt > limit))  # the first branch to time out
-        raise EngineTimeout(
-            limit,
-            _simple_partial_report(g, leader, dist[:, u0], ready[:, u0], merged[:, u0], limit),
-        )
     rounds = halt + (halt == dist[leader])
     words = 2 * g.m + (n - 1) - merged.sum(axis=0)
     ecc = dist.max(axis=0)
     return tuple(zip(ecc.tolist(), rounds.tolist(), words.tolist()))
-
-
-def _simple_partial_report(
-    g: Graph, leader: int, dist: np.ndarray, ready: np.ndarray, merged: np.ndarray, limit: int
-) -> CostReport:
-    """What the engine has charged one branch when round ``limit`` ends: the
-    words delivered so far, and every register set at the nodes the flood
-    has reached (all but ``dist`` elsewhere)."""
-    reports = ~merged
-    reports[leader] = False
-    words = sum(g.degree(v) for v in range(g.n) if dist[v] < limit)
-    words += int((reports & (ready < limit)).sum())
-    full = simple_eval_register_bits(g.n)
-    peaks = NodePeaks(full if dist[v] <= limit else full - id_bits(g.n) for v in range(g.n))
-    return CostReport(limit, words, peaks, peaks.copy())
 
 
 def _check_candidate(u0: int, candidates: Container[int]) -> None:
@@ -774,7 +749,7 @@ def eccentricity_simple_eval(
     _check_candidate(u0, range(g.n))
     value, rounds, words = table[u0]
     peaks = NodePeaks.uniform(g.n, simple_eval_register_bits(g.n))
-    return _simple_eval_result(tree, u0, value, CostReport(rounds, words, peaks, peaks.copy()))
+    return _simple_eval_result(tree, u0, value, CostReport(rounds, words, peaks, NodePeaks(peaks)))
 
 
 def simple_eval_on_engine(g: Graph, tree: BfsTreeState, u0: int) -> tuple[int, CostReport]:
@@ -782,9 +757,8 @@ def simple_eval_on_engine(g: Graph, tree: BfsTreeState, u0: int) -> tuple[int, C
     the engine, with the same value and report."""
     _require_size(g)
     _check_candidate(u0, range(g.n))
-    outputs, report = run(
-        g, SimpleEvalProgram(g.n, u0, tree), max_rounds=_simple_round_limit(g.n)
-    )
+    # the leader halts by forward round ecc(u0) + ecc(leader) + 1 <= 2n - 1
+    outputs, report = run(g, SimpleEvalProgram(g.n, u0, tree), max_rounds=4 * g.n + 16)
     return _simple_eval_result(tree, u0, outputs[tree.leader], report)
 
 
@@ -962,22 +936,14 @@ class ArgmaxConvergecastProgram(NodeProgram):
         return (state["out_val"], state["out_node"])
 
 
-def _value_width(g: Graph, value_bits: int | None) -> int:
-    _require_size(g)
-    vb = id_bits(g.n) if value_bits is None else value_bits
-    if vb <= 0:
-        raise EngineError("value_bits must be positive")
-    return vb
-
-
 def argmax_convergecast(
     g: Graph,
     tree: BfsTreeState,
     values: Mapping[int, int],
     dist: np.ndarray,
-    value_bits: int | None = None,
 ) -> tuple[int, int, CostReport]:
     """(best_value, best_node) over per-node values, known to all nodes.
+    The values are hop counts below n, so each takes ``id_bits(n)`` bits.
 
     The result and report are derived in closed form from ``dist``: the
     reports reach the root after the tree's height in rounds, and the result
@@ -985,32 +951,31 @@ def argmax_convergecast(
     way.  The farthest nodes forward the result to their other neighbors in
     one more round, which a farthest node of degree 1 does not need.
     """
-    vb = _value_width(g, value_bits)
+    _require_size(g)
     L = id_bits(g.n)
     inputs = [values.get(v) for v in range(g.n)]
-    if not all(isinstance(x, int) and 0 <= x < 1 << vb for x in inputs):
-        raise SchemaViolationError(f"argmax input does not fit {vb} bits")
+    if not all(isinstance(x, int) and 0 <= x < 1 << L for x in inputs):
+        raise SchemaViolationError(f"argmax input does not fit {L} bits")
     _check_register("argmax", g.n - 1, L)
-    _check_word(min(v for v in range(g.n) if not tree.children[v]), 2 + vb + L, g.n)
+    _check_word(min(v for v in range(g.n) if not tree.children[v]), 2 + 2 * L, g.n)
     node = max(range(g.n), key=lambda v: (inputs[v], -v))
     row = dist[tree.leader]
     farthest = np.flatnonzero(row == row.max()).tolist()
     rounds = max(tree.dist) + int(row.max()) + int(any(g.degree(v) > 1 for v in farthest))
     report = CostReport(
-        rounds, 2 * g.m, NodePeaks.uniform(g.n, 3 * L + 2 * vb + 1), NodePeaks.uniform(g.n, 0)
+        rounds, 2 * g.m, NodePeaks.uniform(g.n, 5 * L + 1), NodePeaks.uniform(g.n, 0)
     )
     return inputs[node], node, report
 
 
 def argmax_on_engine(
-    g: Graph, tree: BfsTreeState, values: Mapping[int, int], value_bits: int | None = None
+    g: Graph, tree: BfsTreeState, values: Mapping[int, int]
 ) -> tuple[int, int, CostReport]:
     """``argmax_convergecast``'s reference: ``ArgmaxConvergecastProgram`` on
     the engine."""
-    vb = _value_width(g, value_bits)
-    outputs, report = run(
-        g, ArgmaxConvergecastProgram(g.n, tree, vb), inputs=dict(values), max_rounds=4 * g.n + 16
-    )
+    _require_size(g)
+    program = ArgmaxConvergecastProgram(g.n, tree, id_bits(g.n))
+    outputs, report = run(g, program, inputs=dict(values), max_rounds=4 * g.n + 16)
     results = set(outputs.values())
     if len(results) != 1:
         raise EngineError("all nodes must agree on the argmax")

@@ -336,12 +336,12 @@ def distributed_cost(
     """
     log_eps = max(1, math.ceil(math.log2(1.0 / epsilon)))
     index_bits = max(1, (max(len(node_qubits), 2) - 1).bit_length())
-    qubits = list(node_qubits)
+    qubits = NodePeaks(node_qubits)
     qubits[leader] = (max(node_qubits) + index_bits) * log_eps
     return CostReport(
         rounds=t0 + calls.total_calls * max(t_setup, t_eval),
         total_words=prep.total_words + calls.total_calls * words_per_call,
-        per_node_peak_bits=prep.per_node_peak_bits.copy(),
-        per_node_peak_qubits=NodePeaks(qubits),
+        per_node_peak_bits=NodePeaks(prep.per_node_peak_bits),
+        per_node_peak_qubits=qubits,
         leader=leader,
     )

@@ -85,28 +85,6 @@ class TwoPartySchedule:
     bw_qubits: int = 1
     mem_qubits: int = 1
 
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "d": self.d,
-            "cells": [
-                {"i": c.i, "t": c.t, "owner": c.owner, "phase": c.phase}
-                for (_, _), c in sorted(self.cells.items())
-            ],
-            "messages": [
-                {
-                    "sender": m.sender,
-                    "phase": m.phase,
-                    "registers": [
-                        {"kind": ref.kind, "index": ref.index, "version": list(ref.version)}
-                        for ref in m.registers
-                    ],
-                    "qubits": m.qubits,
-                }
-                for m in self.messages
-            ],
-        }
-
 
 def cell_exists(i: int, t: int, d: int) -> bool:
     if t % 2 == 1:

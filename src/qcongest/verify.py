@@ -271,7 +271,7 @@ CHECKS: list[tuple[str, Check]] = [
 ]
 
 
-def run_all(verbose: bool = True) -> bool:
+def run_all() -> bool:
     all_ok = True
     for name, fn in CHECKS:
         try:
@@ -279,6 +279,5 @@ def run_all(verbose: bool = True) -> bool:
         except Exception as exc:  # surfaced as a failure, not a crash
             ok, detail = False, f"exception: {exc}"
         all_ok &= ok
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}  {name:22s} {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:22s} {detail}")
     return all_ok

@@ -107,8 +107,8 @@ def test_timeout_report_lists_every_node_peak():
     with pytest.raises(EngineTimeout) as exc:
         run(g, ElectionProgram(32), max_rounds=3)
     report = exc.value.report
-    assert set(report.per_node_peak_bits) == set(range(32))
-    assert set(report.per_node_peak_qubits) == set(range(32))
+    assert len(report.per_node_peak_bits) == 32
+    assert len(report.per_node_peak_qubits) == 32
 
 
 def test_oversized_word_names_node_and_round():
@@ -163,7 +163,6 @@ def test_default_bandwidth_formula():
     assert default_bandwidth(16) == 16  # 4 * ceil(log2 16)
     assert default_bandwidth(17) == 20
     assert default_bandwidth(2) == 4
-    assert default_bandwidth(5, c=2) == 6
 
 
 def test_pack_unpack_roundtrip():
@@ -298,4 +297,4 @@ def test_peak_bits_within_schema():
     g = graphs.cycle_graph(6)
     _, report = run(g, FloodMax(6))
     L = (5).bit_length()
-    assert all(v == L for v in report.per_node_peak_bits.values())
+    assert report.per_node_peak_bits == [L] * 6

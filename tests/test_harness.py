@@ -120,22 +120,6 @@ def test_cli_run_and_scaling(tmp_path, capsys):
     assert "slope" in printed
 
 
-def test_cli_config_file(tmp_path):
-    cfg = {
-        "families": ["cycle"],
-        "sizes": [9],
-        "seeds": [0],
-        "algos": ["exact"],
-        "master_seed": 3,
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "from_config.csv"
-    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-    rows = read_csv(out)
-    assert len(rows) == 1 and rows[0]["family"] == "cycle"
-
-
 def test_cli_gadget(capsys):
     assert cli_main(["gadget", "--n", "10", "--x", "0000", "--y", "0000"]) == 0
     printed = capsys.readouterr().out

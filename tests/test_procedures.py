@@ -4,11 +4,10 @@ import inspect
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcongest import diameter, evaluation, graphs, procedures
+from qcongest import diameter, engine, evaluation, graphs, procedures
 from qcongest.diameter import (
     approx_diameter,
     approx_guarantee_holds,
@@ -94,10 +93,21 @@ def test_election_matches_oracle_and_round_bound():
         assert report.rounds <= 3 * ecc + 4
 
 
-def test_election_single_node():
-    g = graphs.Graph.from_edges(1, [])
-    leader, ecc, report = elect_leader_and_ecc(g, np.zeros((1, 1), dtype=np.int32))
-    assert (leader, ecc, report.rounds) == (0, 0, 0)
+def test_closed_forms_reject_networks_below_three_nodes():
+    for n in (1, 2):
+        g = graphs.path_graph(n)
+        dist = all_sources_distances(g)
+        tree = BfsTreeState(0, n - 1, (0,) * n, tuple(range(n)))
+        closed_forms = [
+            lambda: elect_leader_and_ecc(g, dist),
+            lambda: build_bfs_tree(g, 0, dist),
+            lambda: multi_source_bfs(g, [0], dist),
+            lambda: argmax_convergecast(g, tree, dict.fromkeys(range(n), 0), dist),
+            lambda: simple_eval_table(g, tree, dist),
+        ]
+        for closed_form in closed_forms:
+            with pytest.raises(EngineError, match="require n >= 3"):
+                closed_form()
 
 
 # -- BFS tree construction ----------------------------------------------------
@@ -295,6 +305,13 @@ def assert_matrix_matches_bfs(g):
         assert dist[:, s].tolist() == dist[s].tolist(), s
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_all_sources_distances_of_the_smallest_paths(n):
+    dist = all_sources_distances(graphs.path_graph(n))
+    assert dist.shape == (n, n)
+    assert dist.max(axis=1).tolist() == graphs.all_eccentricities(graphs.path_graph(n))
+
+
 def test_all_sources_distances_match_bfs():
     # 65 and 130 nodes: the bit rows span more than one 64-bit word
     extra = [generate("path", 65, seed=1), generate("random", 130, seed=2, p=0.03)]
@@ -331,24 +348,6 @@ def test_simple_eval_table_matches_engine():
 def test_simple_eval_table_matches_engine_on_random_graphs(n, p, seed, root):
     g = generate("random", n, seed=seed, p=p)
     assert_table_matches_engine(g, tree_at(g, root % n))
-
-
-@pytest.mark.parametrize("limit", [1, 3, 6, 9])
-def test_simple_eval_table_times_out_like_the_engine(monkeypatch, limit):
-    monkeypatch.setattr(procedures, "_simple_round_limit", lambda n: limit)
-    g = generate("lollipop", 11, seed=5)
-    tree = make_tree(g)
-    with pytest.raises(EngineTimeout) as batched:
-        simple_table(g, tree)
-    for u0 in range(g.n):
-        try:
-            simple_eval_on_engine(g, tree, u0)
-        except EngineTimeout as engine:
-            assert batched.value.report == engine.report
-            assert len(engine.report.per_node_peak_qubits) == g.n
-            break
-    else:
-        pytest.fail("the engine did not time out")
 
 
 def test_simple_eval_table_checks_register_width(monkeypatch):
@@ -458,20 +457,6 @@ def test_election_rejects_an_explicit_non_positive_round_limit(election, limit):
         election(g, max_rounds=limit)
 
 
-@pytest.mark.parametrize("closed", [False, True], ids=["engine", "closed-form"])
-@pytest.mark.parametrize("value_bits", [0, -1])
-def test_argmax_rejects_an_explicit_non_positive_value_width(closed, value_bits):
-    g = generate("path", 10, seed=1)
-    dist = all_sources_distances(g)
-    tree = make_tree(g)
-    values = dict.fromkeys(range(g.n), 0)
-    with pytest.raises(EngineError, match="value_bits must be positive"):
-        if closed:
-            argmax_convergecast(g, tree, values, dist, value_bits)
-        else:
-            argmax_on_engine(g, tree, values, value_bits)
-
-
 def test_engine_bfs_tree_fails_off_budget():
     g = generate("lollipop", 15, seed=2)
     dist = all_sources_distances(g)
@@ -490,26 +475,31 @@ def test_multi_source_bfs_rejects_sources_outside_the_graph(sources):
             bfs()
 
 
-def test_closed_form_argmax_checks_inputs_and_bandwidth_like_the_engine():
+def test_closed_form_argmax_checks_inputs_and_bandwidth_like_the_engine(monkeypatch):
     g = generate("random", 16, seed=1, p=0.2)
     dist = all_sources_distances(g)
     tree = make_tree(g)
     wide = {v: v % 3 for v in range(g.n)}
-    wide[5] = 1 << 3  # does not fit value_bits=3
-    assert outcome(lambda: argmax_convergecast(g, tree, wide, dist, 3)) is SchemaViolationError
-    assert outcome(lambda: argmax_on_engine(g, tree, wide, 3)) is SchemaViolationError
-    # 2 + value_bits + id_bits exceeds the 4*id_bits bandwidth
+    wide[5] = 1 << 4  # does not fit id_bits(16) = 4
+    assert outcome(lambda: argmax_convergecast(g, tree, wide, dist)) is SchemaViolationError
+    assert outcome(lambda: argmax_on_engine(g, tree, wide)) is SchemaViolationError
+    # a report word, 2 + 2 * id_bits bits, exceeds a bandwidth of 2 * id_bits
+    def narrow(n):
+        return 2 * procedures.id_bits(n)
+
+    monkeypatch.setattr(procedures, "default_bandwidth", narrow)
+    monkeypatch.setattr(engine, "default_bandwidth", narrow)
     values = {v: 0 for v in range(g.n)}
-    vb = 3 * procedures.id_bits(g.n)
-    assert outcome(lambda: argmax_convergecast(g, tree, values, dist, vb)) is OversizedWordError
-    assert outcome(lambda: argmax_on_engine(g, tree, values, vb)) is OversizedWordError
+    assert outcome(lambda: argmax_convergecast(g, tree, values, dist)) is OversizedWordError
+    assert outcome(lambda: argmax_on_engine(g, tree, values)) is OversizedWordError
 
 
 ENTRY_POINTS = {
     procedures.elect_leader_and_ecc: (),
     procedures.build_bfs_tree: (),
     procedures.multi_source_bfs: (),
-    procedures.argmax_convergecast: ("value_bits",),
+    procedures.argmax_convergecast: (),
+    procedures.argmax_on_engine: (),
     procedures.simple_eval_table: (),
     procedures.eccentricity_simple_eval: (),
     evaluation.make_eval_context: ("restrict",),

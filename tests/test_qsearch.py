@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcongest import diameter, graphs, qsearch
-from qcongest.engine import CostReport
+from qcongest.engine import CostReport, NodePeaks
 from qcongest.qsearch import (
     AmplitudeState,
     QOptConfig,
@@ -207,7 +207,7 @@ def test_maximize_stops_after_one_decision_at_target_epsilon():
 
 
 def test_distributed_cost_formula():
-    prep = CostReport(rounds=10, total_words=100, per_node_peak_bits={0: 5, 1: 6})
+    prep = CostReport(rounds=10, total_words=100, per_node_peak_bits=NodePeaks([5, 6]))
     zero = distributed_cost(prep, 10, 3, 5, 9, _cost(0, 0, 0), [4, 4], 0.5, 0)
     assert (zero.rounds, zero.total_words) == (10, 100)
     twelve = distributed_cost(prep, 10, 7, 6, 9, _cost(4, 4, 4), [4, 4], 0.5, 0)
@@ -225,11 +225,8 @@ def test_distributed_cost_memory_charges():
     node_qubits = [20 - v % 3 for v in range(128)]
     report = distributed_cost(CostReport(), 0, 1, 1, 1, cost, node_qubits, 1 / 64, 3)
     # the leader: (max node qubits + 7 index bits) * log2(64)
-    assert report.per_node_peak_qubits[3] == 20 * 6 + 7 * 6
+    assert report.per_node_peak_qubits == node_qubits[:3] + [20 * 6 + 7 * 6] + node_qubits[4:]
     assert report.leader == 3
-    assert {v: q for v, q in report.per_node_peak_qubits.items() if v != 3} == {
-        v: q for v, q in enumerate(node_qubits) if v != 3
-    }
     assert cost == _cost(1, 1, 1)  # the call counts are not touched
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import replace
 
@@ -78,15 +77,6 @@ def test_payload_bound():
     report = validate_schedule(sched, 24, 4)
     assert report.ok
     assert report.max_phase_qubits <= 4 * (5 + 9) + 4 * 5
-
-
-def test_schedule_json_dump():
-    sched = build_two_party_schedule(6, 2)
-    blob = json.dumps(sched.to_json())
-    data = json.loads(blob)
-    assert data["r"] == 6 and data["d"] == 2
-    assert {c["owner"] for c in data["cells"]} == {ALICE, BOB}
-    assert len(data["messages"]) == len(sched.messages)
 
 
 def equality_test_program(k_bits: int, d: int) -> CellProgram:
