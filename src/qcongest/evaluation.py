@@ -81,6 +81,7 @@ from .procedures import (
     BfsTreeState,
     DfsNumbering,
     _check_candidate,
+    _require_size,
     dfs_numbering,
     id_bits,
     set_S,
@@ -144,7 +145,10 @@ def make_eval_context(
     restrict: frozenset[int] | None = None,
 ) -> EvalContext:
     """The branch-independent context over the candidates ``restrict`` (all
-    nodes when None); ``dist`` is the run's all-sources distance matrix."""
+    nodes when None); ``dist`` is the run's all-sources distance matrix.
+    Like every procedure, the evaluation requires n >= 3, so neither the
+    window table nor ``evaluate_on_engine`` runs on a smaller network."""
+    _require_size(g)
     numbering = dfs_numbering(tree, restrict)
     qbits = tuple(_eval_field_bits(g.n, g.degree(v)) for v in range(g.n))
     return EvalContext(

@@ -14,9 +14,11 @@ reflecting about the setup state both keep the state in the plane of the
 setup's marked and unmarked parts, where one iteration is a rotation by
 2*theta, sin^2(theta) being the marked setup mass (Boyer-Brassard-Hoyer-Tapp
 1998).  So each try samples its measurement from the exact law after its j
-iterations (``_try_distribution``) in O(|X|) work.  ``grover_iterate``, which
-applies the two reflections to the amplitude vector, is the reference that
-law is tested and verified against.
+iterations (``_try_distribution``).  A decision builds that law's CDF in
+O(|X|) work once per distinct j (at most ceil(1/sqrt(eps)) of them) and
+draws each try from it in O(log |X|).  ``grover_iterate``, which applies the
+two reflections to the amplitude vector, is the reference that law is tested
+and verified against.
 
 Cost accounting: one amplification iteration applies the evaluation (the
 marking oracle), its inverse, and the setup reflection (setup + inverse
@@ -38,6 +40,7 @@ exactly one failing decision, at the end.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -216,18 +219,18 @@ def _try_distribution(
     return after
 
 
-def _sample(p: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index with probability ``p``, checking that ``p`` sums to 1.
+def _cdf(p: np.ndarray) -> list[float]:
+    """The normalized CDF of ``p``, checking that ``p`` sums to 1.
 
-    The draw is the one ``rng.choice(len(p), p=p / p.sum())`` makes: one
-    ``rng.random()`` value located on the normalized CDF, without
-    ``choice``'s argument validation."""
+    ``bisect.bisect_right(cdf, rng.random())`` draws the index
+    ``rng.choice(len(p), p=p / p.sum())`` draws: one ``rng.random()`` value
+    located on the same CDF, without ``choice``'s argument validation."""
     mass = p.sum()
     if not abs(mass - 1.0) <= _NORM_TOL:
         raise SearchError(f"measurement law not normalized: total {mass}")
     cdf = np.cumsum(p / mass)
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return cdf.tolist()
 
 
 def amplitude_amplify_decide(
@@ -245,6 +248,8 @@ def amplitude_amplify_decide(
     |alpha_x|^2 / P_M) or None, plus the oracle-call counts.  Each try's
     measurement is sampled, by seeded inverse CDF, from the exact law of its
     final state (``_try_distribution``), which ``grover_iterate`` steps to.
+    A try draws j from at most ceil(1/sqrt(epsilon)) values, so the CDF of
+    each j's law is built once, at the first try that draws it.
     """
     mask = _per_candidate(state0, marked, "marked")
     if mask.dtype != bool:
@@ -254,6 +259,8 @@ def amplitude_amplify_decide(
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     law = _try_distribution(state0.setup_amps, mask)
+    marks = mask.tolist()
+    cdfs: dict[int, list[float]] = {}  # j -> CDF of the law after j iterations
     cost = SearchCost()
     m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
@@ -266,8 +273,11 @@ def amplitude_amplify_decide(
             cost.setup_calls += 1 + j
             cost.eval_calls += j + 1
             cost.inverse_calls += 2 * j
-            i = _sample(law(j), rng)
-            if mask[i]:
+            cdf = cdfs.get(j)
+            if cdf is None:
+                cdf = cdfs[j] = _cdf(law(j))
+            i = bisect.bisect_right(cdf, rng.random())
+            if marks[i]:
                 return state0.candidates[i], cost
             if m >= m_cap:
                 break

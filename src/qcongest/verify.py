@@ -10,6 +10,7 @@ schedule grid, at sizes small enough to run in about a second.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -37,7 +38,7 @@ from .procedures import (
     simple_eval_on_engine,
     simple_eval_table,
 )
-from .qsearch import _try_distribution, grover_iterate, setup_uniform
+from .qsearch import _cdf, _try_distribution, grover_iterate, setup_uniform
 from .twoparty import (
     build_two_party_schedule,
     execute_direct,
@@ -224,9 +225,22 @@ def check_grover() -> tuple[bool, str]:
                 return False, f"recurrence broken at k={k}, p={frac}/64"
             if np.max(np.abs(law(k) - np.abs(state.amps) ** 2)) > 1e-9:
                 return False, f"closed-form law off the steps at k={k}, p={frac}/64"
+    # the decision's draw, one rng.random() on the law's CDF, is the one
+    # Generator.choice makes: a NumPy change to choice shows up here
+    data = np.random.default_rng(7)
+    for seed in range(8):
+        n = int(data.integers(2, 65))
+        raw = data.normal(size=n) + 1j * data.normal(size=n)
+        law = _try_distribution(raw / np.linalg.norm(raw), data.random(n) < 0.3)
+        p = law(int(data.integers(0, 16)))
+        cdf = _cdf(p)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            if bisect.bisect_right(cdf, ours.random()) != ref.choice(n, p=p / p.sum()):
+                return False, f"decision's draw differs from Generator.choice at seed {seed}"
     return True, (
-        "single-marked exactness, sin((2k+1)theta) recurrence and the "
-        "decision's closed-form law hold"
+        "single-marked exactness, sin((2k+1)theta) recurrence, the "
+        "decision's closed-form law and its Generator.choice draw hold"
     )
 
 

@@ -16,6 +16,7 @@ from qcongest.evaluation import (
 )
 from qcongest.graphs import generate
 from qcongest.procedures import (
+    BfsTreeState,
     all_sources_distances,
     build_bfs_tree,
     dfs_numbering,
@@ -50,6 +51,16 @@ def prepared(spec):
 def window_max_oracle(g, tree, u0, d, restrict=None):
     num = dfs_numbering(tree, restrict)
     return max(graphs.eccentricity(g, v) for v in set_S(u0, d, num))
+
+
+def test_context_rejects_networks_below_three_nodes():
+    # the closed form alone would answer n = 2, which its engine reference
+    # cannot: both share the context, which refuses it
+    for n in (1, 2):
+        g = graphs.path_graph(n)
+        tree = BfsTreeState(0, n - 1, (0,) * n, tuple(range(n)))
+        with pytest.raises(EngineError, match=f"require n >= 3, got {n}"):
+            make_eval_context(g, tree, all_sources_distances(g))
 
 
 def test_path_hand_example():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -21,8 +22,8 @@ from qcongest.qsearch import (
     quantum_maximize,
     setup_subset,
     setup_uniform,
+    _cdf,
     _grover_step,
-    _sample,
     _try_distribution,
 )
 
@@ -355,7 +356,48 @@ def test_decide_matches_the_stepped_reference():
         assert ours.bit_generator.state == ref.bit_generator.state
 
 
-def test_sample_draws_what_generator_choice_draws():
+def _bench_size_cases():
+    """Uniform decisions at bench scale: n in {80, 128, 256}, epsilon = 1/n
+    and delta = 1/n^2, so a decision repeats each j many times; 0, 1 or a
+    few marked branches."""
+    rng = np.random.default_rng(14)
+    for n in (80, 128, 256):
+        state = setup_uniform(range(n))
+        for marked_count in (0, 1, 3, 7):
+            for _ in range(3):
+                mask = np.zeros(n, bool)
+                mask[rng.choice(n, size=marked_count, replace=False)] = True
+                yield state, mask, 1.0 / n, 1.0 / n**2, int(rng.integers(2**32))
+
+
+def test_decide_matches_the_stepped_reference_at_bench_size():
+    for state, mask, epsilon, delta, seed in _bench_size_cases():
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = amplitude_amplify_decide(state, mask, epsilon, delta, ours)
+        assert got == _stepped_decide(state, mask, epsilon, delta, ref), seed
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_decide_builds_each_law_once_per_distinct_j(monkeypatch):
+    evaluated: list[int] = []
+
+    def counting(setup_amps, mask):
+        law = _try_distribution(setup_amps, mask)
+
+        def after(j):
+            evaluated.append(j)
+            return law(j)
+
+        return after
+
+    monkeypatch.setattr(qsearch, "_try_distribution", counting)
+    state = setup_uniform(range(128))
+    _, cost = amplitude_amplify_decide(state, np.zeros(128, bool), 1 / 128, 1 / 128**2, 3)
+    tries = cost.setup_calls - cost.inverse_calls // 2
+    assert len(evaluated) == len(set(evaluated)) < tries
+
+
+def test_cdf_draws_what_generator_choice_draws():
     # if a numpy upgrade changes how choice(p=...) draws, this test fails
     data = np.random.default_rng(5)
     for seed in range(300):
@@ -364,17 +406,18 @@ def test_sample_draws_what_generator_choice_draws():
         if not p.any():
             p[int(data.integers(n))] = 1.0
         p /= p.sum()
+        cdf = _cdf(p)
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(20):
-            assert _sample(p, ours) == ref.choice(n, p=p / p.sum())
+            assert bisect.bisect_right(cdf, ours.random()) == ref.choice(n, p=p / p.sum())
         assert ours.random() == ref.random()
 
 
-def test_sample_rejects_a_law_that_does_not_sum_to_one():
+def test_cdf_rejects_a_law_that_does_not_sum_to_one():
     with pytest.raises(SearchError, match="not normalized"):
-        _sample(np.array([0.5, 0.6]), np.random.default_rng(0))
+        _cdf(np.array([0.5, 0.6]))
     with pytest.raises(SearchError, match="not normalized"):
-        _sample(np.array([np.nan, 0.5]), np.random.default_rng(0))
+        _cdf(np.array([np.nan, 0.5]))
 
 
 def test_decide_rejects_a_setup_that_is_no_longer_normalized():
@@ -410,3 +453,18 @@ def test_verify_checks_the_decision_law(monkeypatch):
     monkeypatch.setattr(verify, "_try_distribution", off_by_one)
     ok, detail = verify.check_grover()
     assert not ok and "closed-form law off the steps" in detail
+
+
+def test_verify_checks_the_decision_draw(monkeypatch):
+    from qcongest import verify
+
+    ok, detail = verify.check_grover()
+    assert ok and "Generator.choice draw" in detail
+
+    def shifted(p):
+        cdf = _cdf(p)
+        return [0.0] + cdf[:-1]
+
+    monkeypatch.setattr(verify, "_cdf", shifted)
+    ok, detail = verify.check_grover()
+    assert not ok and "differs from Generator.choice" in detail
