@@ -151,7 +151,7 @@ class NodeProgram:
 
     # Step every round even with an empty inbox (needed by clock-driven
     # programs).  Event-driven programs leave this False and are only stepped
-    # at round 0, on message arrival, or at rounds from wake_rounds().
+    # at round 0 and on message arrival.
     always_wake = False
 
     def schema(self, ctx: NodeContext) -> RegisterSchema:
@@ -167,9 +167,6 @@ class NodeProgram:
 
     def output(self, ctx: NodeContext, state: dict) -> object:
         return None
-
-    def wake_rounds(self, ctx: NodeContext) -> frozenset[int]:
-        return frozenset()
 
 
 class NodePeaks(list):
@@ -260,8 +257,8 @@ def run(
     """Execute ``program`` on every node of ``g`` until all nodes halt.
 
     Returns each node's declared output and the cost report.  ``full_step``
-    forces stepping every live node every round regardless of wake hints
-    (used to check that wake-filtered runs are transcript-identical).
+    forces stepping every live node every round, not only those with mail
+    (used to check that event-driven runs are transcript-identical).
     """
     if max_rounds <= 0:
         raise EngineError("max_rounds must be positive")
@@ -282,11 +279,6 @@ def run(
     peak_qubits = [0] * g.n
     for v in range(g.n):
         peak_bits[v], peak_qubits[v] = _check_state(v, 0, states[v], widths[v], quantum[v])
-    # nodes to step in a given round besides those with mail
-    wake_at: dict[int, list[int]] = {}
-    for v in range(g.n):
-        for r in program.wake_rounds(ctxs[v]):
-            wake_at.setdefault(r, []).append(v)
     every_round = full_step or program.always_wake
     live = g.n
 
@@ -358,7 +350,7 @@ def run(
             if every_round:
                 due = range(g.n)
             else:
-                due = sorted(inboxes.keys() | wake_at.get(round_no, ()))
+                due = sorted(inboxes)
             for v in due:
                 if not halted[v]:
                     step_node(v, inboxes.get(v, {}))

@@ -43,10 +43,10 @@ The lemma's consequences stay checked for every branch, as inequalities on
 the arrival times: at every node arrivals strictly increase in tau' order,
 arrival minus tau' never decreases, no offset exceeds 2d, and the last
 arrival is at most 8d.  Between consecutive waves the check depends only on
-the pair, so the table makes it once per consecutive pair of first-visit
-order and each branch reads the pairs of its window.  A failing branch is
-replayed from its full arrival matrix, and the violation names the earliest
-offending node and branch.
+the pair, so the table flags each consecutive pair of first-visit order
+once, and a branch fails it iff a prefix sum of the O(k) flags grows across
+its window.  A failing branch is replayed from its full arrival matrix, and
+the violation names the earliest offending node and branch.
 
 ``evaluate_on_engine`` runs one branch as the word-level ``EvaluationProgram``
 instead.  It takes the same arguments and gives the same value and report;
@@ -384,7 +384,7 @@ def evaluate_on_engine(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
 # ---------------------------------------------------------------------------
 
 
-_CHUNK = 1 << 16  # elements per temporary in the table's chunked passes
+_CHUNK = 1 << 16  # elements per temporary in `_pair_gaps`
 
 
 class Branch(NamedTuple):
@@ -423,23 +423,24 @@ class WindowTable(Mapping[int, Branch]):
 
 
 def _window_table(ectx: EvalContext) -> WindowTable:
-    """Every branch in closed form, checked once per consecutive wave pair.
+    """Every branch in closed form, from O(k) per-pair arrays.
 
-    Row i's walk starts at first-visit index i.  Its offsets come from the
-    tour positions (``_walk_offsets``), its window is the nodes whose offset
-    is at most 2d, and its token sends are the 2d steps less those that land
-    on the root's idle position 2k-1 or on the restart at position 0.
+    Index p runs over ``unrolled``, the first-visit tour positions listed
+    twice over.  Row i's walk starts at index i; its window is the waves
+    i..last whose offset tau' = unrolled[p] - unrolled[i] is at most 2d, and
+    its token sends are the 2d steps less those that land on the root's idle
+    position 2k-1 or on the restart at position 0.
 
     Wave u reaches node v in round 2d + 2*tau'(u) + dist(u, v), so the step
-    between consecutive waves a, b of a window, delta = tau'(b) - tau'(a)
-    apart, passes ``_check_arrivals`` iff 2*delta + gap(a, b) >= max(delta, 1)
-    with gap(a, b) = min over v of dist(b, v) - dist(a, v).  The gap depends
-    only on the pair, so it is computed once per pair of first-visit order,
-    and each branch reads the gaps of its pairs.  f is the largest
-    eccentricity in the window, and the last wave's last arrival is
-    2d + 2*tau'_last + ecc(last).  A branch failing a check is replayed from
-    its full arrival matrix, in candidate order, so the first failing branch
-    raises the error ``_check_arrivals`` names.
+    between consecutive waves a, b at p, p+1, delta = unrolled[p+1] -
+    unrolled[p] apart, passes ``_check_arrivals`` iff 2*delta + gap >=
+    max(delta, 1) with gap = min over v of dist(b, v) - dist(a, v).  Neither
+    depends on the branch, so each pair is checked once, and a row fails iff
+    the prefix sum of late pairs grows between i and last.  f is the largest
+    eccentricity over [i, last], and the last arrival is
+    2d + 2*tau'_last + ecc(last).  Failing rows are replayed from their full
+    arrival matrix, in candidate order, so the first failing branch raises
+    the error ``_check_arrivals`` names.
     """
     num, d, dist = ectx.numbering, ectx.d, ectx.dist
     nodes = np.asarray(num.first_visits)
@@ -447,48 +448,31 @@ def _window_table(ectx: EvalContext) -> WindowTable:
     pos = np.asarray(num.positions, dtype=np.int64)
     unrolled = np.concatenate((pos, pos + ectx.base))
     end = pos + 2 * d  # each walk's last tour position, unrolled
-    count = np.minimum(np.searchsorted(unrolled, end, side="right") - np.arange(k), k)
+    first = np.arange(k)
+    count = np.minimum(np.searchsorted(unrolled, end, side="right") - first, k)
+    last = first + count - 1
     sends = 2 * d - end // ectx.base - (end + 1) // ectx.base
     words = sends + count * 2 * ectx.g.m + ectx.g.n - 1
     ecc = dist.max(axis=1)[np.concatenate((nodes, nodes))]
-    gap = _pair_gaps(dist, nodes)
 
-    width = int(count.max())
-    steps = np.arange(width)
-    f = np.empty(k, dtype=np.int64)
-    bad = np.zeros(k, dtype=bool)
-    rows = max(1, min(_CHUNK, dist.size // 2) // width)  # int64, no larger than dist
-    for lo in range(0, k, rows):
-        first = np.arange(lo, min(k, lo + rows))
-        c = count[first]
-        taup = _walk_offsets(unrolled, lo, lo + len(first), width)
-        waves = first[:, None] + steps  # unrolled first-visit indices
-        f[first] = np.where(steps < c[:, None], ecc[waves], 0).max(axis=1)
-        delta = np.diff(taup, axis=1)
-        late = 2 * delta + gap[waves[:, :-1] % k] < np.maximum(delta, 1)
-        last = taup[np.arange(len(first)), c - 1]
-        bad[first] = (
-            (late & (steps[:-1] < c[:, None] - 1)).any(axis=1)
-            | (last > 2 * d)
-            | (2 * d + 2 * last + ecc[first + c - 1] > ectx.s2_last_send)
-        )
+    delta = np.diff(unrolled)
+    gap = np.tile(_pair_gaps(dist, nodes), 2)[:-1]
+    late = 2 * delta + gap < np.maximum(delta, 1)
+    late_before = np.concatenate(([0], np.cumsum(late)))  # late pairs before index p
+    f = np.maximum.reduceat(ecc, np.column_stack((first, last + 1)).ravel())[::2]
+    taup_last = unrolled[last] - pos
+    bad = (
+        (late_before[last] > late_before[first])
+        | (taup_last > 2 * d)
+        | (2 * d + 2 * taup_last + ecc[last] > ectx.s2_last_send)
+    )
 
     for i in sorted(np.flatnonzero(bad).tolist(), key=nodes.__getitem__):
-        c = int(count[i])
-        taup = _walk_offsets(unrolled, i, i + 1, width)[0, :c].tolist()
+        taup = (unrolled[i : last[i] + 1] - pos[i]).tolist()
         order = num.first_visits[i:] + num.first_visits[:i]
         # raises, unless the row's offsets are out of tour order and still pass
-        _replay(ectx, order[0], dict(zip(order[:c], taup)), int(sends[i]))
+        _replay(ectx, order[0], dict(zip(order, taup)), int(sends[i]))
     return WindowTable(num.first_visits, f.tolist(), words.tolist(), count.tolist())
-
-
-def _walk_offsets(positions: np.ndarray, lo: int, hi: int, width: int) -> np.ndarray:
-    """Offsets tau' along the walks from first-visit indices lo..hi-1, with
-    ``positions`` the first-visit tour positions unrolled over two rounds of
-    the index space: row j, column r is the offset of first-visit index
-    lo + j + r (cyclically) on the walk from lo + j.  Columns from the
-    walk's window count on lie past its 2d steps."""
-    return positions[np.arange(lo, hi)[:, None] + np.arange(width)] - positions[lo:hi, None]
 
 
 def _pair_gaps(dist: np.ndarray, nodes: np.ndarray) -> np.ndarray:

@@ -873,20 +873,19 @@ _AG_REPORT, _AG_RESULT = 0, 1
 
 
 class ArgmaxConvergecastProgram(NodeProgram):
-    def __init__(self, n: int, tree: BfsTreeState, value_bits: int):
-        self.L = id_bits(n)
-        self.VB = value_bits
+    def __init__(self, n: int, tree: BfsTreeState):
+        self.L = id_bits(n)  # node ids, and the values: hop counts below n
         self.tree = tree
 
     def schema(self, ctx: NodeContext) -> RegisterSchema:
-        L, VB = self.L, self.VB
+        L = self.L
         return RegisterSchema(
             (
                 RegisterField("reports", L),
-                RegisterField("best_val", VB),
+                RegisterField("best_val", L),
                 RegisterField("best_node", L),
                 RegisterField("sent", 1),
-                RegisterField("out_val", VB),
+                RegisterField("out_val", L),
                 RegisterField("out_node", L),
             )
         )
@@ -902,14 +901,14 @@ class ArgmaxConvergecastProgram(NodeProgram):
         }
 
     def _word(self, tag: int, val: int, node: int) -> Word:
-        return pack_bits([(tag, 2), (val, self.VB), (node, self.L)])
+        return pack_bits([(tag, 2), (val, self.L), (node, self.L)])
 
     def step(self, ctx, state, inbox, round_no):
         out: dict[int, Word] = {}
         tree = self.tree
         v = ctx.node
         for sender, word in inbox.items():
-            tag, val, node = unpack_bits(word, (2, self.VB, self.L))
+            tag, val, node = unpack_bits(word, (2, self.L, self.L))
             if tag == _AG_RESULT:
                 state["out_val"], state["out_node"] = val, node
                 out = dict.fromkeys(ctx.neighbors, word)
@@ -974,7 +973,7 @@ def argmax_on_engine(
     """``argmax_convergecast``'s reference: ``ArgmaxConvergecastProgram`` on
     the engine."""
     _require_size(g)
-    program = ArgmaxConvergecastProgram(g.n, tree, id_bits(g.n))
+    program = ArgmaxConvergecastProgram(g.n, tree)
     outputs, report = run(g, program, inputs=dict(values), max_rounds=4 * g.n + 16)
     results = set(outputs.values())
     if len(results) != 1:

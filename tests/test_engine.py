@@ -28,6 +28,8 @@ class FloodMax(NodeProgram):
     """Every node learns the maximum id: rebroadcast on improvement, halt
     after a round budget of n-1."""
 
+    always_wake = True  # the budget is clock-driven
+
     def __init__(self, n: int):
         self.L = max(1, (n - 1).bit_length())
         self.budget = n - 1
@@ -37,9 +39,6 @@ class FloodMax(NodeProgram):
 
     def init_state(self, ctx):
         return {"best": ctx.node}
-
-    def wake_rounds(self, ctx):
-        return frozenset({self.budget})
 
     def step(self, ctx, state, inbox, round_no):
         out = {}
@@ -286,8 +285,8 @@ def test_trace_ordering_by_round_then_edge(tmp_path):
 def test_wake_filtering_matches_full_stepping():
     for seed in range(4):
         g = graphs.generate("random", 11, seed=seed, p=0.3)
-        out_sparse, rep_sparse = run(g, FloodMax(g.n), full_step=False)
-        out_full, rep_full = run(g, FloodMax(g.n), full_step=True)
+        out_sparse, rep_sparse = run(g, ElectionProgram(g.n), full_step=False)
+        out_full, rep_full = run(g, ElectionProgram(g.n), full_step=True)
         assert out_sparse == out_full
         assert rep_sparse.total_words == rep_full.total_words
         assert rep_sparse.rounds == rep_full.rounds

@@ -260,24 +260,26 @@ CORRUPTIONS = [
 
 
 @pytest.mark.parametrize("u0, v, shift, message", CORRUPTIONS)
-def test_batch_rejects_a_corrupted_branch(u0, v, shift, message, monkeypatch):
+def test_batch_rejects_a_corrupted_branch(u0, v, shift, message):
+    g = graphs.path_graph(6)
+    ectx = context(g, tree_at(g, 0))
+    taup, sends = evaluation._walk_positions(ectx, u0)
+    taup[v] += shift
+    with pytest.raises(EvaluationInvariantError, match=message):
+        evaluation._replay(ectx, u0, taup, sends)
+
+
+def test_batch_replays_the_first_branch_with_a_late_pair():
+    # nodes 0 and 3 made adjacent in the distance matrix: waves 2 and 3,
+    # consecutive on the walks from 0, 1 and 2, reach node 0 in the same
+    # round, and only the pair check flags them; u0 = 0 fails first
     g = graphs.path_graph(6)
     tree = tree_at(g, 0)
-    # the table's rows and columns follow first-visit order: row `row` is
-    # the walk from u0, and v is the `col`-th wave of that walk
-    order = dfs_numbering(tree).first_visits
-    row, col = order.index(u0), (order.index(v) - order.index(u0)) % len(order)
-    walk = evaluation._walk_offsets
-
-    def shifted(positions, lo, hi, width):
-        taup = walk(positions, lo, hi, width)
-        if lo <= row < hi:
-            taup[row - lo, col] += shift
-        return taup
-
-    monkeypatch.setattr(evaluation, "_walk_offsets", shifted)
+    dist = all_sources_distances(g)
+    dist[3, 0] = dist[0, 3] = 0
+    message = "non-identical surviving messages at node 0 on branch u0=0"
     with pytest.raises(EvaluationInvariantError, match=message):
-        context(g, tree).branches
+        make_eval_context(g, tree, dist).branches
 
 
 def test_batch_rejects_a_wave_still_in_flight():

@@ -23,7 +23,6 @@ from qcongest.procedures import (
     MultiSourceBfsProgram,
     bfs_tree_on_engine,
     elect_on_engine,
-    id_bits,
     multi_source_bfs_on_engine,
 )
 
@@ -112,7 +111,7 @@ def _traces(g: graphs.Graph, tmp_path) -> dict[str, str]:
     closest, _ = multi_source_bfs_on_engine(g, sources)
     run(
         g,
-        ArgmaxConvergecastProgram(g.n, tree, id_bits(g.n)),
+        ArgmaxConvergecastProgram(g.n, tree),
         inputs={v: closest[v][0] for v in range(g.n)},
         max_rounds=4 * g.n + 16,
         trace_path=paths["argmax"],
