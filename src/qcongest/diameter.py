@@ -9,11 +9,13 @@ fills all candidates together; ``distributed_cost`` charges each oracle
 call at the (branch-uniform) network cost of one such run and builds the
 run's report.
 
-Every phase reads one all-sources distance matrix, built once per run by
-``_init_phases``: the classical procedures (election, BFS trees, and the
-approximation's multi-source BFS and argmax) take their results and cost
-reports in closed form from it, the evaluation tables are filled from it,
-and the approximation reads the landmark eccentricities and ecc(w) off it.
+Every phase reads one all-sources distance matrix, built once per graph by
+``_init_phases`` and shared, with the election and the leader tree, by
+consecutive runs on that graph: the classical procedures (election, BFS
+trees, and the approximation's multi-source BFS and argmax) take their
+results and cost reports in closed form from it, the evaluation tables are
+filled from it, and the approximation reads the landmark eccentricities and
+ecc(w) off it.
 A run makes no word-level engine call: the engine programs behind those
 closed forms are the references they are tested against.
 """
@@ -76,12 +78,28 @@ def _poly_delta(n: int) -> float:
     return 1.0 / max(4, n * n)
 
 
+# One-slot memo of _init_phases: [graph, (leader, ecc, tree, election
+# report, tree report, dist)] for the last graph prepared, or empty.
+_prepared: list = []
+
+
 def _init_phases(g: Graph) -> tuple[int, int, BfsTreeState, CostReport, np.ndarray]:
-    """Election and leader tree, plus the run's one all-sources distance
-    matrix, which every later phase reads."""
-    dist = all_sources_distances(g)
-    leader, ecc_leader, rep_elect = elect_leader_and_ecc(g, dist)
-    tree, rep_bfs = build_bfs_tree(g, leader, dist)
+    """Election and leader tree, plus the graph's all-sources distance
+    matrix, which every later phase reads.
+
+    Consecutive runs on one graph share them through a one-slot memo.  A
+    miss drops the previous graph's entry before building the new one, so
+    at most one matrix is alive.  The matrix is read-only, and every call
+    merges its own copy of the preparation report.
+    """
+    if not _prepared or _prepared[0] != g:
+        _prepared.clear()
+        dist = all_sources_distances(g)
+        dist.flags.writeable = False
+        leader, ecc_leader, rep_elect = elect_leader_and_ecc(g, dist)
+        tree, rep_bfs = build_bfs_tree(g, leader, dist)
+        _prepared[:] = [g, (leader, ecc_leader, tree, rep_elect, rep_bfs, dist)]
+    leader, ecc_leader, tree, rep_elect, rep_bfs, dist = _prepared[1]
     return leader, ecc_leader, tree, rep_elect.merge(rep_bfs), dist
 
 

@@ -33,7 +33,7 @@ against the central window oracle on every run.
 
 ``evaluation_procedure`` reads one branch from a table that an EvalContext
 fills on first use, in closed form from the lemma, the tour positions and
-the run's all-sources distance matrix:
+the graph's all-sources distance matrix:
 
     S     = the first-visited nodes of the token walk,
     f     = max over u in S of ecc(u),
@@ -145,7 +145,7 @@ def make_eval_context(
     restrict: frozenset[int] | None = None,
 ) -> EvalContext:
     """The branch-independent context over the candidates ``restrict`` (all
-    nodes when None); ``dist`` is the run's all-sources distance matrix.
+    nodes when None); ``dist`` is the graph's all-sources distance matrix.
     Like every procedure, the evaluation requires n >= 3, so neither the
     window table nor ``evaluate_on_engine`` runs on a smaller network."""
     _require_size(g)

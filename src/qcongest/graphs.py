@@ -11,6 +11,7 @@ traversals deterministic.
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -217,35 +218,43 @@ def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
 
     Pure rejection-sampled G(n, p) is essentially never connected at the
     sparse densities used in the experiment grids, so connectivity is
-    guaranteed by construction instead.
+    guaranteed by construction instead.  ``generate`` builds the same edges
+    through ``_random_connected_edges`` and relabels them before the graph
+    is built.
     """
+    return Graph.from_edges(n, _random_connected_edges(n, p, rng))
+
+
+def _random_connected_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
+    """The edges of ``random_connected_graph``: the tree's, then each row's
+    overlay.  Pair (i, j), i < j, draws one number unless it is a tree edge,
+    in row-major order."""
     if not (0.0 <= p <= 1.0):
         raise GraphError(f"edge probability {p} outside [0, 1]")
-    edges = set()
+    above: list[set[int]] = [set() for _ in range(n)]  # row i: tree neighbours j > i
     if n == 2:
-        edges.add((0, 1))
+        above[0].add(1)
     elif n > 2:
         pruefer = [rng.randrange(n) for _ in range(n - 2)]
         degree = [1] * n
         for x in pruefer:
             degree[x] += 1
-        import heapq
-
         leaves = [v for v in range(n) if degree[v] == 1]
         heapq.heapify(leaves)
         for x in pruefer:
             leaf = heapq.heappop(leaves)
-            edges.add((min(leaf, x), max(leaf, x)))
+            above[min(leaf, x)].add(max(leaf, x))
             degree[x] -= 1
             if degree[x] == 1:
                 heapq.heappush(leaves, x)
         u, v = sorted(leaves[:2])
-        edges.add((u, v))
+        above[u].add(v)
+    edges = [(i, j) for i in range(n) for j in above[i]]
+    draw = rng.random
     for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in edges and rng.random() < p:
-                edges.add((i, j))
-    return Graph.from_edges(n, edges)
+        tree_i = above[i]
+        edges += [(i, j) for j in range(i + 1, n) if j not in tree_i and draw() < p]
+    return edges
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -276,7 +285,11 @@ def generate(family: str, n: int, seed: int = 0, p: float | None = None) -> Grap
     elif family == "random":
         if p is None:
             raise GraphError("random family requires an edge probability p")
-        g = random_connected_graph(n, p, rng)
+        edges = _random_connected_edges(n, p, rng)
+        # one build, on the relabelled edges
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
     else:
         raise GraphError(f"unknown family {family!r} (choose from {FAMILIES})")
     perm = list(range(n))

@@ -89,8 +89,10 @@ class ExperimentConfig:
 
 @functools.lru_cache(maxsize=1)
 def _instance(family_spec: str, n: int, seed: int) -> tuple[graphs.Graph, int]:
-    """The graph and its brute-force diameter; consecutive rows of a grid
-    share a graph, so one entry saves every repeated oracle run."""
+    """The graph and its brute-force diameter.  Consecutive rows of a grid
+    share a graph, so one entry saves every repeated generation and oracle
+    run, and hands the algorithms one graph object, whose preparation they
+    then share (``diameter._init_phases``)."""
     family, p = parse_family(family_spec)
     g = graphs.generate(family, n, seed=seed, p=p)
     return g, graphs.diameter_bruteforce(g)
@@ -145,8 +147,10 @@ def run_grid(config: ExperimentConfig) -> list[dict]:
     tasks = [(config, i, task) for i, task in enumerate(config.tasks())]
     if config.jobs <= 1:
         return [_run_task(task) for task in tasks]
+    # tasks run algorithm-innermost: a chunk of len(algos) tasks is one
+    # graph, so a worker generates and prepares each graph once
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(_run_task, tasks))
+        return list(pool.map(_run_task, tasks, chunksize=max(1, len(config.algos))))
 
 
 def format_value(value) -> str:

@@ -5,7 +5,7 @@ construction, the DFS numbering of the tree with its cyclic window sets,
 plus the flood/convergecast building blocks used by the diameter
 algorithms.
 
-Each procedure has one production entry point, which requires the run's
+Each procedure has one production entry point, which requires the graph's
 all-sources distance matrix (``all_sources_distances``) and derives its
 outputs and exact ``CostReport`` in closed form from the program's event
 times on it, keeping the engine's register-width and bandwidth checks:

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import pytest
 
-from qcongest import diameter, evaluation, graphs
+from qcongest import diameter, evaluation, graphs, procedures
 from qcongest.diameter import (
     LEADER_QUBIT_C2,
     AlgorithmError,
@@ -152,3 +153,42 @@ def test_leader_memory_bound_is_checked(algo, monkeypatch):
     monkeypatch.setattr(diameter, "LEADER_QUBIT_C2", 1)
     with pytest.raises(AlgorithmError, match="leader peak"):
         algo(generate("random", 16, seed=3, p=0.3), seed=3)
+
+
+def test_consecutive_runs_on_one_graph_share_one_preparation(monkeypatch):
+    built, alive_at_build, last = [], [], []
+
+    def counting(g):
+        alive_at_build.append(bool(last) and last[0]() is not None)
+        dist = procedures.all_sources_distances(g)
+        built.append(g)
+        last[:] = [weakref.ref(dist)]
+        return dist
+
+    monkeypatch.setattr(diameter, "all_sources_distances", counting)
+    g = generate("random", 24, seed=1, p=0.2)
+    for algo in (exact_diameter, approx_diameter, exact_diameter_simple):
+        algo(g, seed=1)
+    exact_diameter(generate("random", 24, seed=1, p=0.2), seed=2)  # an equal graph
+    assert built == [g]
+    exact_diameter(generate("random", 24, seed=2, p=0.2), seed=1)
+    assert len(built) == 2 and built[1] != g
+    # the previous graph's matrix was freed before the next one was built
+    assert alive_at_build == [False, False]
+
+
+@pytest.mark.parametrize("algo", [exact_diameter, exact_diameter_simple, approx_diameter])
+def test_a_run_cannot_change_the_shared_preparation(algo):
+    g = generate("random", 24, seed=4, p=0.2)
+    first = algo(g, seed=2)
+    _, _, _, prep, dist = diameter._init_phases(g)
+    with pytest.raises(ValueError, match="read-only"):
+        dist[0, 1] = 0
+    prep.rounds += 100
+    prep.per_node_peak_bits[0] += 100
+    leader = first.report.leader
+    first.report.rounds += 100
+    first.report.per_node_peak_qubits[leader] += 100
+    warm = algo(g, seed=2)
+    diameter._prepared.clear()
+    assert warm == algo(g, seed=2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import random
 from pathlib import Path
 
@@ -265,6 +266,39 @@ def test_relabel_equals_rebuilding_from_the_edges(family):
         random.Random(n).shuffle(perm)
         rebuilt = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert relabel(g, perm) == rebuilt
+
+
+# sha256 of repr(sorted(edges)), first 16 hex digits, of generate("random",
+# n, seed, p) for seeds 0, 1, 2.  A generator that skipped a draw, even one
+# that p = 0 always rejects, would shift the label shuffle that follows.
+RANDOM_GRAPH_DIGESTS = {
+    (3, 0): ("d38dbf4bcc2b286c", "d38dbf4bcc2b286c", "71ffd244a7b9a07a"),
+    (3, 0.05): ("d38dbf4bcc2b286c", "d38dbf4bcc2b286c", "71ffd244a7b9a07a"),
+    (3, 0.2): ("d38dbf4bcc2b286c", "d38dbf4bcc2b286c", "71ffd244a7b9a07a"),
+    (3, 1): ("5b88a470c3dc1111", "5b88a470c3dc1111", "5b88a470c3dc1111"),
+    (10, 0): ("3701ac36d32a258a", "756f998a39d7e15c", "efa01f4dcb05363d"),
+    (10, 0.05): ("bc999edfdf7062ed", "747d309dd44667b6", "2f900962b09223f8"),
+    (10, 0.2): ("eb458e10dc471854", "ebd8cbc8a34951eb", "d1ffd9c15fe3c6a1"),
+    (10, 1): ("2a881430eadb7ed6", "2a881430eadb7ed6", "2a881430eadb7ed6"),
+    (80, 0): ("9da3d76a8e8ccfe1", "ea844f808a1bc269", "1c61322e588977be"),
+    (80, 0.05): ("e44f4dcf2b21a2f6", "2bfa3aa7981dd8e5", "fc5f52d1b0449779"),
+    (80, 0.2): ("ad27660228994c50", "6875801196e26e61", "a48250afa0a0c316"),
+    (80, 1): ("003015c252003994", "003015c252003994", "003015c252003994"),
+    (256, 0): ("4dbb609d25d3a8be", "dbdcfe41ab1d2a7e", "ef9997a60c4b09fb"),
+    (256, 0.05): ("f459eb0c67fbcba8", "8d927003efcad534", "cb71f27b170e8f88"),
+    (256, 0.2): ("d043a470cf3b3b03", "86e7e3a2df24c2fc", "be773fc10226672a"),
+    (256, 1): ("d180284abfed3454", "d180284abfed3454", "d180284abfed3454"),
+}
+
+
+@pytest.mark.parametrize(("n", "p"), sorted(RANDOM_GRAPH_DIGESTS))
+def test_random_graphs_are_pinned(n, p):
+    digests = tuple(
+        hashlib.sha256(repr(sorted(generate("random", n, seed, p).edges())).encode())
+        .hexdigest()[:16]
+        for seed in range(3)
+    )
+    assert digests == RANDOM_GRAPH_DIGESTS[n, p]
 
 
 @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
