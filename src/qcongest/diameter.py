@@ -83,6 +83,12 @@ def _poly_delta(n: int) -> float:
 _prepared: list = []
 
 
+def release_preparation() -> None:
+    """Drop the memo's entry, freeing its matrix before another graph is
+    built."""
+    _prepared.clear()
+
+
 def _init_phases(g: Graph) -> tuple[int, int, BfsTreeState, CostReport, np.ndarray]:
     """Election and leader tree, plus the graph's all-sources distance
     matrix, which every later phase reads.

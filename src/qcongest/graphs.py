@@ -213,22 +213,15 @@ def lollipop_graph(n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
-    """Uniform random spanning tree (Pruefer) plus G(n, p) overlay edges.
+def _random_connected_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
+    """Edges of a uniform random spanning tree (Pruefer) plus a G(n, p)
+    overlay: the tree's, then each row's overlay.  Pair (i, j), i < j, draws
+    one number unless it is a tree edge, in row-major order.
 
     Pure rejection-sampled G(n, p) is essentially never connected at the
     sparse densities used in the experiment grids, so connectivity is
-    guaranteed by construction instead.  ``generate`` builds the same edges
-    through ``_random_connected_edges`` and relabels them before the graph
-    is built.
+    guaranteed by construction instead.
     """
-    return Graph.from_edges(n, _random_connected_edges(n, p, rng))
-
-
-def _random_connected_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
-    """The edges of ``random_connected_graph``: the tree's, then each row's
-    overlay.  Pair (i, j), i < j, draws one number unless it is a tree edge,
-    in row-major order."""
     if not (0.0 <= p <= 1.0):
         raise GraphError(f"edge probability {p} outside [0, 1]")
     above: list[set[int]] = [set() for _ in range(n)]  # row i: tree neighbours j > i

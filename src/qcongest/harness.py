@@ -21,6 +21,7 @@ from .diameter import (
     approx_guarantee_holds,
     exact_diameter,
     exact_diameter_simple,
+    release_preparation,
 )
 
 CSV_COLUMNS = (
@@ -92,7 +93,10 @@ def _instance(family_spec: str, n: int, seed: int) -> tuple[graphs.Graph, int]:
     """The graph and its brute-force diameter.  Consecutive rows of a grid
     share a graph, so one entry saves every repeated generation and oracle
     run, and hands the algorithms one graph object, whose preparation they
-    then share (``diameter._init_phases``)."""
+    then share (``diameter._init_phases``).  A miss first releases the
+    previous graph's preparation, so its matrix is not held while the next
+    graph and its oracle are built."""
+    release_preparation()
     family, p = parse_family(family_spec)
     g = graphs.generate(family, n, seed=seed, p=p)
     return g, graphs.diameter_bruteforce(g)

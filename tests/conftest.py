@@ -13,4 +13,4 @@ hypothesis.settings.load_profile("ci")
 def _cold_preparation():
     """Start every test without the previous test's graph preparation, so a
     test that patches a preparation phase sees it run."""
-    diameter._prepared.clear()
+    diameter.release_preparation()

@@ -190,5 +190,5 @@ def test_a_run_cannot_change_the_shared_preparation(algo):
     first.report.rounds += 100
     first.report.per_node_peak_qubits[leader] += 100
     warm = algo(g, seed=2)
-    diameter._prepared.clear()
+    diameter.release_preparation()
     assert warm == algo(g, seed=2)

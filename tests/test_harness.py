@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import pytest
 
+from qcongest import diameter, graphs, harness
 from qcongest.cli import main as cli_main
 from qcongest.harness import (
     CSV_COLUMNS,
@@ -70,6 +72,27 @@ def test_jobs_do_not_change_output():
     sequential = rows_to_csv(run_grid(config))
     parallel = rows_to_csv(run_grid(small_config(jobs=2)))
     assert sequential == parallel
+
+
+def test_next_graph_is_built_after_the_previous_matrix_is_freed(monkeypatch):
+    alive_at_generate, last = [], []
+    build, generate = diameter.all_sources_distances, graphs.generate
+
+    def building(g):
+        dist = build(g)
+        last[:] = [weakref.ref(dist)]
+        return dist
+
+    def generating(*args, **kwargs):
+        alive_at_generate.append(bool(last) and last[0]() is not None)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(diameter, "all_sources_distances", building)
+    monkeypatch.setattr(harness.graphs, "generate", generating)
+    harness._instance.cache_clear()
+    run_grid(small_config(families=("random:0.3",), sizes=(12,), algos=("exact", "approx")))
+    # two graphs; the first one's matrix was gone when the second was built
+    assert alive_at_generate == [False, False] and last[0]() is not None
 
 
 def test_csv_roundtrip(tmp_path):
