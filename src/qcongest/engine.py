@@ -134,8 +134,6 @@ class NodeContext:
 
     node: int
     neighbors: tuple[int, ...]
-    n: int
-    bw_bits: int
     input: object = None
 
 
@@ -252,19 +250,18 @@ def run(
     max_rounds: int = 10**6,
     bw_bits: int | None = None,
     trace_path: str | Path | None = None,
-    full_step: bool = False,
 ) -> tuple[dict[int, object], CostReport]:
     """Execute ``program`` on every node of ``g`` until all nodes halt.
 
-    Returns each node's declared output and the cost report.  ``full_step``
-    forces stepping every live node every round, not only those with mail
-    (used to check that event-driven runs are transcript-identical).
+    Returns each node's declared output and the cost report.  Every node
+    steps at round 0; after that a live node steps only in rounds that bring
+    it mail, unless the program sets ``always_wake``.
     """
     if max_rounds <= 0:
         raise EngineError("max_rounds must be positive")
     bw = default_bandwidth(g.n) if bw_bits is None else bw_bits
     ctxs = [
-        NodeContext(v, g.adj[v], g.n, bw, None if inputs is None else inputs.get(v))
+        NodeContext(v, g.adj[v], None if inputs is None else inputs.get(v))
         for v in range(g.n)
     ]
     neighbor_sets = [frozenset(a) for a in g.adj]
@@ -279,7 +276,6 @@ def run(
     peak_qubits = [0] * g.n
     for v in range(g.n):
         peak_bits[v], peak_qubits[v] = _check_state(v, 0, states[v], widths[v], quantum[v])
-    every_round = full_step or program.always_wake
     live = g.n
 
     trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
@@ -347,7 +343,7 @@ def run(
                 report.per_node_peak_qubits = NodePeaks(peak_qubits)
                 raise EngineTimeout(max_rounds, report)
             inboxes = deliver_and_trace()
-            if every_round:
+            if program.always_wake:
                 due = range(g.n)
             else:
                 due = sorted(inboxes)

@@ -28,12 +28,13 @@ dist(u, w) <= tau'(w) - tau'(u), so no wave overtakes or meets a later one,
 and wave u reaches node v in round 2d + 2*tau'(u) + dist(u, v).  Every node
 therefore keeps and forwards every wave of S exactly once, first arrivals
 come in increasing tau' order (the start of a node's own wave counting as
-an event), and surviving messages are identical.  The computed S is checked
-against the central window oracle on every run.
+an event), and surviving messages are identical.  Every computed S is
+checked against the central window oracle: the engine's walked window on
+every branch, and each row of the table once, when the table is built.
 
-``evaluation_procedure`` reads one branch from a table that an EvalContext
-fills on first use, in closed form from the lemma, the tour positions and
-the graph's all-sources distance matrix:
+``evaluation_procedure`` reads one branch with one lookup in a table that an
+EvalContext fills on first use, in closed form from the lemma, the tour
+positions and the graph's all-sources distance matrix:
 
     S     = the first-visited nodes of the token walk,
     f     = max over u in S of ecc(u),
@@ -41,12 +42,13 @@ the graph's all-sources distance matrix:
 
 The lemma's consequences stay checked for every branch, as inequalities on
 the arrival times: at every node arrivals strictly increase in tau' order,
-arrival minus tau' never decreases, no offset exceeds 2d, and the last
-arrival is at most 8d.  Between consecutive waves the check depends only on
-the pair, so the table flags each consecutive pair of first-visit order
-once, and a branch fails it iff a prefix sum of the O(k) flags grows across
-its window.  A failing branch is replayed from its full arrival matrix, and
-the violation names the earliest offending node and branch.
+arrival minus tau' never decreases, and the last arrival is at most 8d; the
+window check keeps every offset within 2d.  Between consecutive waves the
+check depends only on the pair, so the table flags each consecutive pair of
+first-visit order once, and a branch fails it iff a prefix sum of the O(k)
+flags grows across its window.  A failing branch is replayed from its full
+arrival matrix, and the violation names the earliest offending node and
+branch.
 
 ``evaluate_on_engine`` runs one branch as the word-level ``EvaluationProgram``
 instead.  It takes the same arguments and gives the same value and report;
@@ -57,7 +59,6 @@ runs it.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,9 +120,10 @@ class EvalContext:
         return 9 * self.d + 1
 
     @functools.cached_property
-    def branches(self) -> WindowTable:
-        """Every candidate's branch in closed form, filled on first use from
-        the tour and the distance matrix."""
+    def branches(self) -> dict[int, Branch]:
+        """Every candidate's branch by u0, in closed form, filled on first
+        use from the tour and the distance matrix; every row's window is
+        checked when the table is built, so a read is one lookup."""
         return _window_table(self)
 
     @functools.cached_property
@@ -374,9 +376,8 @@ def evaluate_on_engine(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
     ``EvaluationProgram`` on the engine, with the same value and report."""
     _check_candidate(u0, ectx.numbering.tau)
     outputs, report = run(ectx.g, EvaluationProgram(ectx, u0), max_rounds=ectx.total_rounds + 2)
-    window = frozenset(v for v, o in outputs.items() if o["taup"] is not None)
-    f = outputs[ectx.tree.leader]["f"]
-    return _window_result(ectx, u0, Branch(f, report.total_words, window), report.rounds)
+    _check_window(ectx, u0, frozenset(v for v, o in outputs.items() if o["taup"] is not None))
+    return _report(ectx, outputs[ectx.tree.leader]["f"], report.total_words, report.rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -388,48 +389,21 @@ _CHUNK = 1 << 16  # elements per temporary in `_pair_gaps`
 
 
 class Branch(NamedTuple):
-    """Outcome of one branch: f(u0), its forward-phase words, its window S."""
+    """Outcome of one branch: f(u0) and its forward-phase words."""
 
     f: int
     words: int
-    window: frozenset[int]
 
 
-class WindowTable(Mapping[int, Branch]):
-    """Every candidate's branch, keyed by u0 in ascending order.
-
-    Row i belongs to the i-th node of first-visit order; its window is the
-    ``count[i]`` first-visited nodes from there on, cyclically.  Reading a
-    branch builds its window, in O(|S|).
-    """
-
-    def __init__(
-        self, nodes: tuple[int, ...], f: list[int], words: list[int], count: list[int]
-    ) -> None:
-        self._unrolled = nodes + nodes
-        self._row = {v: i for i, v in enumerate(nodes)}
-        self._f, self._words, self._count = f, words, count
-
-    def __getitem__(self, u0: int) -> Branch:
-        i = self._row[u0]
-        window = frozenset(self._unrolled[i : i + self._count[i]])
-        return Branch(self._f[i], self._words[i], window)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self._row))
-
-    def __len__(self) -> int:
-        return len(self._row)
-
-
-def _window_table(ectx: EvalContext) -> WindowTable:
+def _window_table(ectx: EvalContext) -> dict[int, Branch]:
     """Every branch in closed form, from O(k) per-pair arrays.
 
     Index p runs over ``unrolled``, the first-visit tour positions listed
     twice over.  Row i's walk starts at index i; its window is the waves
-    i..last whose offset tau' = unrolled[p] - unrolled[i] is at most 2d, and
-    its token sends are the 2d steps less those that land on the root's idle
-    position 2k-1 or on the restart at position 0.
+    i..last whose offset tau' = unrolled[p] - unrolled[i] is at most 2d,
+    checked by ``_check_windows``, and its token sends are the 2d steps less
+    those that land on the root's idle position 2k-1 or on the restart at
+    position 0.
 
     Wave u reaches node v in round 2d + 2*tau'(u) + dist(u, v), so the step
     between consecutive waves a, b at p, p+1, delta = unrolled[p+1] -
@@ -450,6 +424,7 @@ def _window_table(ectx: EvalContext) -> WindowTable:
     end = pos + 2 * d  # each walk's last tour position, unrolled
     first = np.arange(k)
     count = np.minimum(np.searchsorted(unrolled, end, side="right") - first, k)
+    _check_windows(ectx, count)
     last = first + count - 1
     sends = 2 * d - end // ectx.base - (end + 1) // ectx.base
     words = sends + count * 2 * ectx.g.m + ectx.g.n - 1
@@ -461,10 +436,8 @@ def _window_table(ectx: EvalContext) -> WindowTable:
     late_before = np.concatenate(([0], np.cumsum(late)))  # late pairs before index p
     f = np.maximum.reduceat(ecc, np.column_stack((first, last + 1)).ravel())[::2]
     taup_last = unrolled[last] - pos
-    bad = (
-        (late_before[last] > late_before[first])
-        | (taup_last > 2 * d)
-        | (2 * d + 2 * taup_last + ecc[last] > ectx.s2_last_send)
+    bad = (late_before[last] > late_before[first]) | (
+        2 * d + 2 * taup_last + ecc[last] > ectx.s2_last_send
     )
 
     for i in sorted(np.flatnonzero(bad).tolist(), key=nodes.__getitem__):
@@ -472,7 +445,30 @@ def _window_table(ectx: EvalContext) -> WindowTable:
         order = num.first_visits[i:] + num.first_visits[:i]
         # raises, unless the row's offsets are out of tour order and still pass
         _replay(ectx, order[0], dict(zip(order, taup)), int(sends[i]))
-    return WindowTable(num.first_visits, f.tolist(), words.tolist(), count.tolist())
+    return dict(zip(num.first_visits, map(Branch, f.tolist(), words.tolist())))
+
+
+def _check_windows(ectx: EvalContext, count: np.ndarray) -> None:
+    """Check every row's window once: row i's ``count[i]`` first visits from
+    the i-th on, cyclically, must be all k of them or the longest run whose
+    offsets tau' are all at most 2d.  A failing row, in candidate order,
+    builds its own window and checks it against ``set_S``."""
+    num, d, k = ectx.numbering, ectx.d, len(count)
+    pos = np.asarray(num.positions, dtype=np.int64)
+    unrolled = np.concatenate((pos, pos + ectx.base))
+    size = np.clip(count, 1, k)
+    last = np.arange(k) + size - 1
+    fits = (
+        (count == size)
+        & (unrolled[last] - pos <= 2 * d)
+        & ((count == k) | (unrolled[last + 1] - pos > 2 * d))
+    )
+    for i in sorted(np.flatnonzero(~fits).tolist(), key=num.first_visits.__getitem__):
+        order = num.first_visits[i:] + num.first_visits[:i]
+        _check_window(ectx, order[0], frozenset(order[: count[i]]))
+        raise EvaluationInvariantError(
+            f"window of u0={order[0]} has {count[i]} first visits, not 1 to {len(order)}"
+        )
 
 
 def _pair_gaps(dist: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -499,7 +495,7 @@ def _replay(ectx: EvalContext, u0: int, taup: dict[int, int], sends: int) -> Bra
     _check_arrivals(ectx, u0, waves, tau, 2 * ectx.d + 2 * tau[:, None] + hops)
     # each wave crosses every edge once each way; every non-root reports once
     words = sends + len(waves) * 2 * ectx.g.m + ectx.g.n - 1
-    return Branch(int(hops.max()), words, frozenset(waves))
+    return Branch(int(hops.max()), words)
 
 
 def _check_arrivals(
@@ -564,25 +560,26 @@ def evaluation_procedure(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
     the cleanup reversal (phase costs doubled).
     """
     _check_candidate(u0, ectx.numbering.tau)
-    return _window_result(ectx, u0, ectx.branches[u0], ectx.total_rounds)
+    return _report(ectx, *ectx.branches[u0], ectx.total_rounds)
 
 
-def _window_result(
-    ectx: EvalContext, u0: int, branch: Branch, rounds: int
-) -> tuple[int, CostReport]:
-    """Check the branch's window against the central oracle ``set_S``, then
-    report its value with forward rounds and words doubled."""
+def _check_window(ectx: EvalContext, u0: int, window: frozenset[int]) -> None:
+    """Check a computed window against the central oracle ``set_S``."""
     expected = set_S(u0, ectx.d, ectx.numbering)
-    if branch.window != expected:
+    if window != expected:
         raise EvaluationInvariantError(
             f"computed S differs from the window oracle for u0={u0}: "
-            f"extra={sorted(branch.window - expected)} missing={sorted(expected - branch.window)}"
+            f"extra={sorted(window - expected)} missing={sorted(expected - window)}"
         )
+
+
+def _report(ectx: EvalContext, f: int, words: int, rounds: int) -> tuple[int, CostReport]:
+    """A branch's value, with its forward rounds and words doubled."""
     report = CostReport(
         rounds=2 * rounds,
-        total_words=2 * branch.words,
+        total_words=2 * words,
         per_node_peak_bits=NodePeaks(ectx.quantum_bits),
         per_node_peak_qubits=NodePeaks(ectx.quantum_bits),
         leader=ectx.tree.leader,
     )
-    return branch.f, report
+    return f, report

@@ -32,9 +32,7 @@ class Graph:
     adj: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def from_edges(
-        n: int, edges: Iterable[tuple[int, int]], *, require_connected: bool = True
-    ) -> "Graph":
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n <= 0:
             raise GraphError("graph must have at least one node")
         neigh: list[set[int]] = [set() for _ in range(n)]
@@ -46,8 +44,7 @@ class Graph:
             neigh[u].add(v)
             neigh[v].add(u)
         g = Graph(n, tuple(tuple(sorted(s)) for s in neigh))
-        if require_connected:
-            bfs_distances(g, 0)  # raises naming the unreachable node
+        bfs_distances(g, 0)  # raises naming the unreachable node
         return g
 
     @cached_property

@@ -157,16 +157,10 @@ def run_grid(config: ExperimentConfig) -> list[dict]:
         return list(pool.map(_run_task, tasks, chunksize=max(1, len(config.algos))))
 
 
-def format_value(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
 def rows_to_csv(rows: list[dict]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join(format_value(row[c]) for c in CSV_COLUMNS))
+        lines.append(",".join(str(row[c]) for c in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

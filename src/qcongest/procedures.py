@@ -478,7 +478,6 @@ class DfsNumbering:
     ``positions`` their ``tau``: the (tau, node) order, sorted once.
     """
 
-    root: int
     tau: dict[int, int]
     traversal: tuple[int, ...]
     index_space: int
@@ -533,7 +532,7 @@ def dfs_numbering(
         raise EngineError("DFS walk must visit every node and return to the root")
     by_tau = sorted((t, v) for v, t in tau.items())
     return DfsNumbering(
-        root, tau, tuple(walk), 2 * k,
+        tau, tuple(walk), 2 * k,
         tuple(t for t, _ in by_tau), tuple(v for _, v in by_tau),
     )
 

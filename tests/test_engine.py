@@ -285,8 +285,10 @@ def test_trace_ordering_by_round_then_edge(tmp_path):
 def test_wake_filtering_matches_full_stepping():
     for seed in range(4):
         g = graphs.generate("random", 11, seed=seed, p=0.3)
-        out_sparse, rep_sparse = run(g, ElectionProgram(g.n), full_step=False)
-        out_full, rep_full = run(g, ElectionProgram(g.n), full_step=True)
+        out_sparse, rep_sparse = run(g, ElectionProgram(g.n))
+        full = ElectionProgram(g.n)
+        full.always_wake = True  # step every live node every round
+        out_full, rep_full = run(g, full)
         assert out_sparse == out_full
         assert rep_sparse.total_words == rep_full.total_words
         assert rep_sparse.rounds == rep_full.rounds

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qcongest import evaluation, graphs
-from qcongest.diameter import approx_diameter
+from qcongest.diameter import approx_diameter, approx_guarantee_holds, exact_diameter
 from qcongest.engine import EngineError
 from qcongest.evaluation import (
     EvaluationInvariantError,
@@ -182,8 +184,9 @@ def _contexts(spec):
 
 
 def assert_table_matches_engine(ectx):
-    # both check their window against set_S, so equal reports (words) and
-    # values mean equal branches
+    # the engine checks each walked window against set_S and the table each
+    # row's window when it is built, so equal reports (words) and values
+    # mean equal branches
     candidates = sorted(ectx.numbering.tau)
     assert sorted(ectx.branches) == candidates
     for u0 in candidates:
@@ -218,8 +221,11 @@ def test_closed_form_matches_engine_on_random_graphs(n, p, seed, root, size):
 
 def _replayed(ectx, u0):
     """A branch through the per-branch replay: the token walk stepped as the
-    engine does, then the full arrival matrix of its waves."""
-    return evaluation._replay(ectx, u0, *evaluation._walk_positions(ectx, u0))
+    engine does, whose first visits must be the oracle's window, then the
+    full arrival matrix of its waves."""
+    taup, sends = evaluation._walk_positions(ectx, u0)
+    assert set(taup) == set_S(u0, ectx.d, ectx.numbering)
+    return evaluation._replay(ectx, u0, taup, sends)
 
 
 @pytest.mark.parametrize("family, n", [("path", 300), ("lollipop", 200)])
@@ -293,3 +299,48 @@ def test_batch_rejects_a_wave_still_in_flight():
     message = "wave still in flight at node 0 on branch u0=0 after the 6d-round window"
     with pytest.raises(EvaluationInvariantError, match=message):
         make_eval_context(g, tree, dist).branches
+
+
+def test_production_runs_build_no_window(monkeypatch):
+    # the table checks its windows by their offsets; only a failing row
+    # would build one and ask the oracle
+    def no_window(*args):
+        raise AssertionError("set_S called")
+
+    monkeypatch.setattr(evaluation, "set_S", no_window)
+    for fam, n, seed, p in CORPUS + [("path", 40, 1, None)]:
+        g = generate(fam, n, seed=seed, p=p)
+        d_true = graphs.diameter_bruteforce(g)
+        assert exact_diameter(g, seed=seed).d_out == d_true
+        assert approx_guarantee_holds(approx_diameter(g, seed=seed).d_out, d_true)
+
+
+def _window_sizes(ectx):
+    """Each row's window size, in first-visit order, from the oracle."""
+    num = ectx.numbering
+    return np.array([len(set_S(u0, ectx.d, num)) for u0 in num.first_visits])
+
+
+@pytest.mark.parametrize("spec", CORPUS, ids=[f"{s[0]}-{s[1]}" for s in CORPUS])
+def test_window_check_rejects_a_row_one_short_or_one_long(spec):
+    for ectx in _contexts(spec):
+        count = _window_sizes(ectx)
+        evaluation._check_windows(ectx, count)
+        nodes = ectx.numbering.first_visits
+        k = len(nodes)
+        for i in range(k):
+            order = nodes[i:] + nodes[:i]
+            u0, size = order[0], int(count[i])
+            oracle = f"computed S differs from the window oracle for u0={u0}: "
+            cases = []
+            if size > 1:
+                cases.append((-1, oracle + f"extra=[] missing=[{order[size - 1]}]"))
+            if size < k:
+                cases.append((1, oracle + f"extra=[{order[size]}] missing=[]"))
+            else:  # the window holds every first visit; one more repeats one
+                cases.append((1, f"window of u0={u0} has {k + 1} first visits, not 1 to {k}"))
+            for shift, message in cases:
+                corrupted = count.copy()
+                corrupted[i] += shift
+                with pytest.raises(EvaluationInvariantError, match=re.escape(message)):
+                    evaluation._check_windows(ectx, corrupted)
