@@ -653,37 +653,52 @@ def simple_eval_register_bits(n: int) -> int:
     return 4 * id_bits(n)
 
 
+_ROWS_ELEMENTS = 1 << 16  # matrix entries per block in `all_sources_distances`
+
+
 def all_sources_distances(g: Graph) -> np.ndarray:
     """``dist[v, s]`` for every node v and source s (symmetric) of a
     connected graph: a BFS from every source at once, one level per step.
 
     Row v of the frontier is a bit set of sources packed into 64-bit words;
     a level ORs the rows of v's neighbors with one ``reduceat`` over the
-    neighbor lists.  Only the nonzero words of a level's frontier are
-    unpacked into distances.
+    neighbor lists.  The distances stay packed as well: bit plane k, shaped
+    like the frontier, holds bit k of every distance, so a level ORs its
+    frontier into the planes of its level number's set bits.  Once no
+    frontier is left, the matrix is assembled from the planes by Horner's
+    rule, ``_ROWS_ELEMENTS`` entries at a time.
     """
     n = g.n
     _, starts, neighbors = _adjacency(g)
     nodes = np.arange(n, dtype="<u8")
-    seen = np.zeros((n, (n + 63) // 64), dtype="<u8")
-    seen[nodes, nodes // 64] = np.left_shift(1, nodes % 64, dtype="<u8")
-    dist = np.zeros((n, n), dtype=np.int32)
-    if not g.m:  # a single node: reduceat rejects an empty neighbor array
-        return dist
-    frontier, level = seen, 0
-    while True:
+    frontier = np.zeros((n, (n + 63) // 64), dtype="<u8")
+    frontier[nodes, nodes // 64] = np.left_shift(1, nodes % 64, dtype="<u8")
+    unseen = ~frontier
+    planes: list[np.ndarray] = []  # planes[k]: bit k of dist, packed like the frontier
+    level = 0
+    while g.m:  # a single node: reduceat rejects an empty neighbor array
         level += 1
         # row v: the sources whose frontier holds a neighbor of v
-        frontier = np.bitwise_or.reduceat(frontier[neighbors], starts, axis=0) & ~seen
-        rows, cols = np.nonzero(frontier)
-        if not rows.size:
-            return dist
-        seen |= frontier
-        bits = np.unpackbits(
-            frontier[rows, cols].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
-        )
-        hit, bit = np.nonzero(bits)
-        dist[rows[hit], cols[hit] * 64 + bit] = level
+        frontier = np.bitwise_or.reduceat(frontier[neighbors], starts, axis=0)
+        frontier &= unseen
+        if not frontier.any():
+            break
+        unseen ^= frontier
+        if level == 1 << len(planes):
+            planes.append(np.zeros_like(frontier))
+        for k, plane in enumerate(planes):
+            if level >> k & 1:
+                plane |= frontier
+    dist = np.zeros((n, n), dtype=np.int32)
+    rows = max(1, _ROWS_ELEMENTS // n)
+    for lo in range(0, n, rows):
+        block = dist[lo : lo + rows]
+        for plane in reversed(planes):
+            block <<= 1
+            block |= np.unpackbits(
+                plane[lo : lo + rows].view(np.uint8), axis=1, count=n, bitorder="little"
+            )
+    return dist
 
 
 def simple_eval_table(

@@ -82,7 +82,13 @@ def check_bfs_oracle() -> tuple[bool, str]:
             got = graphs.bfs_distances(g, u)
             if any(got[v] != dist[u, v] for v in range(g.n)):
                 return False, f"BFS mismatch vs matrix powers at node {u}"
-    return True, "BFS distances match boolean matrix-power reachability"
+        differ = np.argwhere(all_sources_distances(g) != dist)
+        if differ.size:
+            u, v = differ[0].tolist()
+            return False, (
+                f"all-sources matrix differs from matrix powers at (u, v) = ({u}, {v}), n={g.n}"
+            )
+    return True, "BFS distances and the all-sources matrix match boolean matrix-power reachability"
 
 
 def check_ecc_relations() -> tuple[bool, str]:

@@ -4,8 +4,9 @@ import inspect
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcongest import diameter, engine, evaluation, graphs, procedures
 from qcongest.diameter import (
@@ -299,6 +300,7 @@ def test_simple_eval_matches_oracle_with_round_bound():
 def assert_matrix_matches_bfs(g):
     dist = all_sources_distances(g)
     assert dist.shape == (g.n, g.n)
+    assert dist.dtype == np.int32 and dist.flags.c_contiguous
     for s in range(g.n):
         bfs = graphs.bfs_distances(g, s)
         assert dist[s].tolist() == [bfs[v] for v in range(g.n)], s
@@ -321,6 +323,35 @@ def test_all_sources_distances_match_bfs():
 
 @given(st.integers(2, 80), st.floats(0.0, 0.5), st.integers(0, 10**6))
 def test_all_sources_distances_match_bfs_on_random_graphs(n, p, seed):
+    assert_matrix_matches_bfs(generate("random", n, seed=seed, p=p))
+
+
+# D crosses every power of two up to 128, so the distances take 1 to 8 bit
+# planes, and rows span 1 to 3 words
+@pytest.mark.parametrize("n", [*range(2, 10), 16, 17, 32, 33, 64, 65, 128, 129])
+def test_all_sources_distances_on_paths_across_plane_counts(n):
+    assert_matrix_matches_bfs(graphs.path_graph(n))
+
+
+@pytest.mark.parametrize(
+    "family,n", [("cycle", 130), ("star", 70), ("grid", 144), ("lollipop", 100), ("cycle", 300)]
+)
+def test_all_sources_distances_on_multi_word_families(family, n):
+    # cycle-300: the matrix is assembled in two row blocks, the last partial
+    assert_matrix_matches_bfs(generate(family, n, seed=1))
+
+
+@pytest.mark.parametrize("elements", [1, 700])
+def test_all_sources_distances_assemble_across_row_blocks(monkeypatch, elements):
+    # one row per block, or 7 rows per block with a partial last block
+    monkeypatch.setattr(procedures, "_ROWS_ELEMENTS", elements)
+    for g in (graphs.path_graph(129), generate("lollipop", 100, seed=1)):
+        assert_matrix_matches_bfs(g)
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 150), st.floats(0.0, 0.5), st.integers(0, 10**6))
+def test_all_sources_distances_match_bfs_on_random_graphs_up_to_150(n, p, seed):
     assert_matrix_matches_bfs(generate("random", n, seed=seed, p=p))
 
 
@@ -529,6 +560,22 @@ def test_production_path_makes_no_engine_call(monkeypatch):
     assert exact_diameter(g, seed=1).d_out == d
     assert exact_diameter_simple(g, seed=1).d_out == d
     assert approx_guarantee_holds(approx_diameter(g, seed=1).d_out, d)
+
+
+def test_verify_compares_the_all_sources_matrix_entry_by_entry(monkeypatch):
+    from qcongest import verify
+
+    ok, detail = verify.check_bfs_oracle()
+    assert ok and "all-sources matrix" in detail
+
+    def off_at_2_5(g):
+        dist = all_sources_distances(g)
+        dist[2, 5] += 1
+        return dist
+
+    monkeypatch.setattr(verify, "all_sources_distances", off_at_2_5)
+    ok, detail = verify.check_bfs_oracle()
+    assert not ok and "(u, v) = (2, 5)" in detail
 
 
 def test_verify_checks_the_closed_forms():
