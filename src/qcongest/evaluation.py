@@ -152,7 +152,8 @@ def make_eval_context(
     window table nor ``evaluate_on_engine`` runs on a smaller network."""
     _require_size(g)
     numbering = dfs_numbering(tree, restrict)
-    qbits = tuple(_eval_field_bits(g.n, g.degree(v)) for v in range(g.n))
+    widths = {deg: _eval_field_bits(g.n, deg) for deg in set(map(len, g.adj))}
+    qbits = tuple(widths[len(nbrs)] for nbrs in g.adj)
     return EvalContext(
         g=g,
         tree=tree,

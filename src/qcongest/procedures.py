@@ -282,19 +282,55 @@ def elect_on_engine(
     return report.leader, eccs.pop(), report
 
 
+def _doubling_steps(up: np.ndarray, depth: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pointer doubling over the forest ``up`` (roots point to themselves;
+    ``depth`` counts the steps to the root): step j pairs every record that
+    has a 2^j-th ancestor with that ancestor, ceil(log2(depth.max() + 1))
+    steps in all."""
+    steps = []
+    anc = up
+    live = np.flatnonzero(depth > 0)
+    hop = 1
+    while live.size:
+        steps.append((live, anc[live]))
+        anc = anc[anc]
+        hop *= 2
+        live = live[depth[live] >= hop]
+    return steps
+
+
+def _subtree_fold(
+    ufunc: np.ufunc, values: np.ndarray, steps: list[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """``ufunc`` of ``values`` over each record's subtree, folded into
+    ``values`` in place along ``_doubling_steps``: after step j each record
+    holds its subtree's first 2^(j+1) levels, its own first 2^j and those of
+    its descendants 2^j levels down."""
+    for live, anc in steps:
+        ufunc.at(values, anc, values[live])
+    return values
+
+
 def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     """``ElectionProgram``'s report from its event times.
 
-    Node v adopts wave b in round dist(b, v) exactly when b is smaller than
-    every id closer to v (ties by id), and holds it until its next adoption.
-    Its parent for b is its smallest neighbor one level closer to b.  Its
-    echo for b is ready in round E, the latest arrival of a non-parent
-    neighbor's b-wave (dist(b, w) + 1) or of a child's echo (E_c + 1), and
-    is sent only if every non-parent neighbor adopts b, every child echoes
-    and E comes before v's next adoption.  An echo ready in the adoption
-    round rides on the claim word; a later one costs a word of its own.
-    Round 0 and each adoption send deg(v) words.  Node 0 completes in round
-    R0 = max over its children of E + 1, and DONE floods 2m words in
+    Node v adopts wave b in round k = dist(b, v) exactly when b is smaller
+    than every id closer to v (ties by id), and holds it until its next
+    adoption.  Its parent for b is its smallest neighbor one level closer to
+    b, which adopts b in round k - 1; these links make the adoption records
+    a forest whose roots are the round-0 records.  Two aggregates over each
+    record's subtree give the echoes:
+    - v's echo for b is ready in round E, the latest arrival of a non-parent
+      neighbor's b-wave (dist(b, w) + 1) or of a child's echo (E_c + 1), so
+      E + k is the largest E0 + k over the subtree, where E0 counts the
+      waves alone and is at least k;
+    - it is sent only if every non-parent neighbor adopts b, every child
+      echoes and E comes before v's next adoption, so the subtree's records
+      must all meet their own two conditions.
+    ``_subtree_fold`` folds both by pointer doubling.  An echo ready in the
+    adoption round rides on the claim word; a later one costs a word of its
+    own.  Round 0 and each adoption send deg(v) words.  Node 0 completes in
+    round R0 = max over its children of E + 1, and DONE floods 2m words in
     ecc(0) rounds plus one that only delivers.
     """
     n, L = g.n, id_bits(g.n)
@@ -327,17 +363,13 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     echoes = np.logical_and.reduceat(~nonparent | (record[w, b] >= 0), first)
     ready = np.maximum(rk, np.maximum.reduceat(np.where(nonparent, dw + 1, 0), first))
     adoption = rk > 0
-    up = np.zeros(size, dtype=np.int32)
+    up = np.arange(size, dtype=np.int32)  # round-0 records are the roots
     up[adoption] = record[parent[adoption], rb[adoption]]
 
-    # children before parents: each level's echoes feed the level above
-    order = np.argsort(rk, kind="stable")
-    bounds = np.searchsorted(rk[order], np.arange(int(rk.max()) + 2))
-    for k in range(int(rk.max()), 0, -1):
-        level = order[bounds[k] : bounds[k + 1]]
-        echoes[level] &= ready[level] < next_round[level]
-        np.maximum.at(ready, up[level], ready[level] + 1)
-        np.logical_and.at(echoes, up[level], echoes[level])
+    # the two subtree aggregates (a root's own echo is never read)
+    steps = _doubling_steps(up, rk)
+    ready = _subtree_fold(np.maximum, ready + rk, steps) - rk
+    echoes = _subtree_fold(np.logical_and, echoes & (ready < next_round), steps)
 
     words = int(count.sum()) + 2 * g.m + int((echoes & adoption & (ready > rk)).sum())
     rounds = int(ready[record[0, 0]]) + int(dist[0].max()) + 1

@@ -267,7 +267,8 @@ def amplitude_amplify_decide(
     for _ in range(reps):
         m = 1.0
         while True:
-            j = int(rng.integers(0, max(1, int(m))))
+            # integers(0, 1) is 0 and leaves the generator's state alone
+            j = int(rng.integers(0, int(m))) if m >= 2 else 0
             # one setup, j iterations of eval + setup + two inverses, and the
             # classical check of the measured branch
             cost.setup_calls += 1 + j

@@ -159,9 +159,14 @@ def check_closed_forms() -> tuple[bool, str]:
         for u0 in range(g.n):
             if eccentricity_simple_eval(g, tree, u0, table) != simple_eval_on_engine(g, tree, u0):
                 return False, f"simple evaluation table differs from the engine at u0={u0}, n={g.n}"
+    # the corpus is shallow; the election's fold takes more doubling steps here
+    for family, n in (("path", 33), ("lollipop", 40)):
+        g = graphs.generate(family, n, seed=1)
+        if elect_leader_and_ecc(g, all_sources_distances(g)) != elect_on_engine(g):
+            return False, f"closed-form election differs from the engine on {family}-{n}"
     return True, (
-        "election, BFS tree, multi-source BFS, argmax and simple evaluation "
-        "closed forms equal the engine"
+        "election (also on path-33 and lollipop-40), BFS tree, multi-source BFS, "
+        "argmax and simple evaluation closed forms equal the engine"
     )
 
 

@@ -146,6 +146,14 @@ def test_quantum_register_footprint_is_logarithmic():
     assert max(ectx.quantum_bits) <= 8 * L + 16
 
 
+@pytest.mark.parametrize("spec", CORPUS + [("star", 40, 1, None), ("random", 60, 2, 0.3)])
+def test_quantum_bits_are_each_nodes_field_widths(spec):
+    # the context computes one width per distinct degree and shares it
+    g, tree = prepared(spec)
+    expected = tuple(evaluation._eval_field_bits(g.n, g.degree(v)) for v in range(g.n))
+    assert context(g, tree).quantum_bits == expected
+
+
 def test_eval_context_rejects_outside_candidates():
     g, tree = prepared(("path", 6, 1, None))
     ectx = context(g, tree, frozenset({tree.leader}))

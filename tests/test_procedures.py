@@ -464,6 +464,29 @@ def test_closed_forms_match_engine_on_random_graphs(n, p, seed, root):
     assert_closed_forms_match_engine(generate("random", n, seed=seed, p=p), root % n, seed)
 
 
+# depths on both sides of 4, 8, 16, 32 and 64, where the closed form's
+# pointer doubling takes one step more
+DEEP = [("path", n) for n in (*range(3, 10), 16, 17, 18, 33, 34, 65, 66)] + [
+    ("cycle", 33),
+    ("cycle", 66),
+    ("lollipop", 64),
+    ("lollipop", 65),
+]
+
+
+@pytest.mark.parametrize("family,n", DEEP)
+def test_election_matches_engine_across_doubling_steps(family, n):
+    g = generate(family, n, seed=n)
+    assert elect_leader_and_ecc(g, all_sources_distances(g)) == elect_on_engine(g)
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(["path", "lollipop"]), st.integers(3, 80), st.integers(0, 10**6))
+def test_election_matches_engine_on_deep_graphs(family, n, seed):
+    g = generate(family, n, seed=seed)
+    assert elect_leader_and_ecc(g, all_sources_distances(g)) == elect_on_engine(g)
+
+
 @pytest.mark.parametrize("family", ["path", "lollipop", "grid", "random"])
 def test_engine_election_times_out_before_its_last_round(family):
     g = generate(family, 20, seed=4, p=0.2)
@@ -583,3 +606,18 @@ def test_verify_checks_the_closed_forms():
 
     ok, detail = check_closed_forms()
     assert ok, detail
+
+
+@pytest.mark.parametrize("family,n", [("path", 33), ("lollipop", 40)])
+def test_verify_names_the_deep_graph_whose_election_differs(monkeypatch, family, n):
+    from qcongest import verify
+
+    def off_on(g, dist):
+        leader, ecc, report = elect_leader_and_ecc(g, dist)
+        if g.n == n:
+            report.rounds += 1
+        return leader, ecc, report
+
+    monkeypatch.setattr(verify, "elect_leader_and_ecc", off_on)
+    ok, detail = verify.check_closed_forms()
+    assert not ok and f"on {family}-{n}" in detail

@@ -413,6 +413,17 @@ def test_cdf_draws_what_generator_choice_draws():
         assert ours.random() == ref.random()
 
 
+def test_one_value_draw_leaves_the_generator_alone():
+    # a decision sets j = 0 without drawing integers(0, 1); if a numpy
+    # upgrade makes that draw consume state, this test fails
+    for seed in range(50):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert rng.integers(0, 1) == 0
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.random() == ref.random()
+
+
 def test_cdf_rejects_a_law_that_does_not_sum_to_one():
     with pytest.raises(SearchError, match="not normalized"):
         _cdf(np.array([0.5, 0.6]))
