@@ -369,7 +369,10 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     # the two subtree aggregates (a root's own echo is never read)
     steps = _doubling_steps(up, rk)
     ready = _subtree_fold(np.maximum, ready + rk, steps) - rk
-    echoes = _subtree_fold(np.logical_and, echoes & (ready < next_round), steps)
+    # the AND of 0/1 bytes is their minimum, which ufunc.at folds on its fast
+    # path (logical_and.at on bool does not)
+    echoes = (echoes & (ready < next_round)).view(np.uint8)
+    echoes = _subtree_fold(np.minimum, echoes, steps).view(bool)
 
     words = int(count.sum()) + 2 * g.m + int((echoes & adoption & (ready > rk)).sum())
     rounds = int(ready[record[0, 0]]) + int(dist[0].max()) + 1

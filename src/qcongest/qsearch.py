@@ -18,7 +18,18 @@ iterations (``_try_distribution``).  A decision builds that law's CDF in
 O(|X|) work once per distinct j (at most ceil(1/sqrt(eps)) of them) and
 draws each try from it in O(log |X|).  ``grover_iterate``, which applies the
 two reflections to the amplitude vector, is the reference that law is tested
-and verified against.
+and verified against.  A decision with nothing marked cannot succeed, so it
+builds no law: its tries only draw their j and their measurement value.
+
+A try's draws are ``Generator.integers(0, m)`` for j and
+``Generator.random()`` for the measurement, but ``_RawDraws`` reads them
+from blocks of the PCG64 generator's raw 64-bit output instead of calling
+NumPy per draw: a bounded integer is Lemire's multiply-shift of a 32-bit
+value (the low half of a fresh word, or the high half NumPy buffers from the
+previous one), a double is a fresh word's top 53 bits, and the generator is
+left in the state the native calls leave it in.  Outputs therefore depend on
+NumPy's PCG64 stream and its bounded-integer algorithm; the tests against
+the stepped reference decision and ``qcongest verify`` pin both.
 
 Cost accounting: one amplification iteration applies the evaluation (the
 marking oracle), its inverse, and the setup reflection (setup + inverse
@@ -62,6 +73,11 @@ CALL_BUDGET_C1 = 128.0
 MAX_BRANCHES = 1 << 20
 _NORM_TOL = 1e-9
 
+_RAW_BLOCK = 128  # raw words a decision reads from its generator at a time
+_LOW32 = 0xFFFFFFFF
+_TWO32 = 1 << 32
+_UNIT = 2.0**-53
+
 
 class SearchError(ValueError):
     pass
@@ -82,7 +98,7 @@ class AmplitudeState:
             raise SearchError(f"more than {MAX_BRANCHES} branches")
         for arr in (self.amps, self.setup_amps):
             norm = float(np.sum(np.abs(arr) ** 2))
-            if abs(norm - 1.0) > _NORM_TOL:
+            if not abs(norm - 1.0) <= _NORM_TOL:
                 raise SearchError(f"state not normalized: |psi|^2 = {norm}")
 
 
@@ -202,7 +218,7 @@ def _try_distribution(
     marked_mass = float(w[mask].sum())
     unmarked_mass = float(w[~mask].sum())
     total = marked_mass + unmarked_mass
-    if abs(total - 1.0) > _NORM_TOL:
+    if not abs(total - 1.0) <= _NORM_TOL:
         raise SearchError(f"state not normalized: |psi|^2 = {total}")
     theta = math.atan2(math.sqrt(marked_mass), math.sqrt(unmarked_mass))
     on_marked = np.where(mask, w, 0.0)
@@ -233,6 +249,76 @@ def _cdf(p: np.ndarray) -> list[float]:
     return cdf.tolist()
 
 
+class _RawDraws:
+    """``Generator.integers(0, m)`` and ``Generator.random()`` of a
+    PCG64-backed generator, read from blocks of its raw 64-bit output.
+
+    NumPy draws an integer below m (2 <= m <= 2^32) from a 32-bit value x:
+    the low half of a fresh word, whose high half it buffers in the state's
+    ``has_uint32``/``uinteger``, or else that buffered half.  It returns
+    (x*m) >> 32 and redraws x while the low 32 bits of x*m fall below
+    (2^32 - m) % m (Lemire's multiply-shift).  ``random()`` is
+    (word >> 11) * 2^-53 of a fresh word and leaves the buffer alone.
+    ``close`` restores the generator's saved state, advances it by the words
+    read and writes the buffer back, so the generator ends where those
+    native calls leave it.
+    """
+
+    __slots__ = ("_bits", "_saved", "_has", "_buf", "_words", "_pos", "_read")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bits = getattr(rng, "bit_generator", None)
+        if not isinstance(bits, np.random.PCG64):
+            raise SearchError(
+                "a decision needs a PCG64-backed generator (default_rng), "
+                f"got one over {type(bits).__name__}"
+            )
+        self._bits = bits
+        self._saved = bits.state
+        self._has = self._saved["has_uint32"]
+        self._buf = self._saved["uinteger"]
+        self._words: list[int] = []
+        self._pos = 0
+        self._read = 0  # words of the blocks before the current one
+
+    def _word(self) -> int:
+        pos = self._pos
+        if pos == len(self._words):
+            self._read += pos
+            self._words = self._bits.random_raw(_RAW_BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._words[pos]
+
+    def _uint32(self) -> int:
+        if self._has:
+            self._has = 0
+            return self._buf
+        word = self._word()
+        self._has = 1
+        self._buf = word >> 32
+        return word & _LOW32
+
+    def integers(self, m: int) -> int:
+        product = self._uint32() * m
+        if product & _LOW32 < m:
+            threshold = (_TWO32 - m) % m
+            while product & _LOW32 < threshold:
+                product = self._uint32() * m
+        return product >> 32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * _UNIT
+
+    def close(self) -> None:
+        self._bits.state = self._saved
+        self._bits.advance(self._read + self._pos)
+        state = self._bits.state
+        state["has_uint32"] = self._has
+        state["uinteger"] = self._buf
+        self._bits.state = state
+
+
 def amplitude_amplify_decide(
     state0: AmplitudeState,
     marked: np.ndarray,
@@ -249,41 +335,63 @@ def amplitude_amplify_decide(
     measurement is sampled, by seeded inverse CDF, from the exact law of its
     final state (``_try_distribution``), which ``grover_iterate`` steps to.
     A try draws j from at most ceil(1/sqrt(epsilon)) values, so the CDF of
-    each j's law is built once, at the first try that draws it.
+    each j's law is built once, at the first try that draws it.  With
+    nothing marked no try can succeed: every try still draws its j and its
+    measurement value, but no law is built.  ``rng`` must be PCG64-backed;
+    its draws are read by ``_RawDraws`` and leave it as ``integers(0, m)``
+    and ``random()`` would.
     """
     mask = _per_candidate(state0, marked, "marked")
     if mask.dtype != bool:
         raise SearchError(f"marked must be a bool array, got {mask.dtype}")
     if not (0.0 < epsilon <= 1.0) or not (0.0 < delta < 1.0):
         raise SearchError("invalid epsilon or delta")
+    m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
+    if m_cap > _TWO32:
+        raise SearchError(f"epsilon {epsilon} needs more than 2^32 iterations")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     law = _try_distribution(state0.setup_amps, mask)
-    marks = mask.tolist()
+    marks = mask.tolist() if mask.any() else None
     cdfs: dict[int, list[float]] = {}  # j -> CDF of the law after j iterations
-    cost = SearchCost()
-    m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
+    # one repetition's iteration bounds: m grows by 6/5 up to m_cap
+    bounds = [1]
+    m = 1.0
+    while m < m_cap:
+        m = min(m * 6.0 / 5.0, m_cap)
+        bounds.append(int(m))
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
-    for _ in range(reps):
-        m = 1.0
-        while True:
-            # integers(0, 1) is 0 and leaves the generator's state alone
-            j = int(rng.integers(0, int(m))) if m >= 2 else 0
-            # one setup, j iterations of eval + setup + two inverses, and the
-            # classical check of the measured branch
-            cost.setup_calls += 1 + j
-            cost.eval_calls += j + 1
-            cost.inverse_calls += 2 * j
-            cdf = cdfs.get(j)
-            if cdf is None:
-                cdf = cdfs[j] = _cdf(law(j))
-            i = bisect.bisect_right(cdf, rng.random())
-            if marks[i]:
-                return state0.candidates[i], cost
-            if m >= m_cap:
-                break
-            m = min(m * 6.0 / 5.0, m_cap)
-    return None, cost
+    tries = iterations = 0
+    draws = _RawDraws(rng)
+    try:
+        for _ in range(reps):
+            for bound in bounds:
+                # integers(0, 1) is 0 and leaves the generator's state alone
+                j = draws.integers(bound) if bound >= 2 else 0
+                u = draws.random()
+                tries += 1
+                iterations += j
+                if marks is None:
+                    continue
+                cdf = cdfs.get(j)
+                if cdf is None:
+                    cdf = cdfs[j] = _cdf(law(j))
+                i = bisect.bisect_right(cdf, u)
+                if marks[i]:
+                    return state0.candidates[i], _decision_cost(tries, iterations)
+    finally:
+        draws.close()
+    return None, _decision_cost(tries, iterations)
+
+
+def _decision_cost(tries: int, iterations: int) -> SearchCost:
+    """Each try makes one setup, its j iterations of eval + setup + two
+    inverses, and the classical check of the measured branch."""
+    return SearchCost(
+        setup_calls=tries + iterations,
+        eval_calls=tries + iterations,
+        inverse_calls=2 * iterations,
+    )
 
 
 def quantum_maximize(

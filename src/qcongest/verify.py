@@ -38,7 +38,7 @@ from .procedures import (
     simple_eval_on_engine,
     simple_eval_table,
 )
-from .qsearch import _cdf, _try_distribution, grover_iterate, setup_uniform
+from .qsearch import _cdf, _RawDraws, _try_distribution, grover_iterate, setup_uniform
 from .twoparty import (
     build_two_party_schedule,
     execute_direct,
@@ -249,9 +249,25 @@ def check_grover() -> tuple[bool, str]:
         for _ in range(20):
             if bisect.bisect_right(cdf, ours.random()) != ref.choice(n, p=p / p.sum()):
                 return False, f"decision's draw differs from Generator.choice at seed {seed}"
+    # the decision reads its integers(0, m) and random() draws from PCG64's
+    # raw output: a NumPy change to bounded integers or to PCG64's buffered
+    # half shows up here (m just above 2^31 rejects about half its draws)
+    for seed in range(4):
+        differ = f"decision's draws differ from Generator.integers/random at seed {seed}"
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = _RawDraws(ours)
+        for m in (2, 3, 16, 2**31 + 1, 2**32 - 3, 5, 2**31 + 7, 2**32 - 1):
+            for _ in range(8):
+                got = (draws.integers(m), draws.integers(m), draws.random())
+                if got != (ref.integers(0, m), ref.integers(0, m), ref.random()):
+                    return False, differ
+        draws.close()
+        if ours.bit_generator.state != ref.bit_generator.state:
+            return False, differ
     return True, (
         "single-marked exactness, sin((2k+1)theta) recurrence, the "
-        "decision's closed-form law and its Generator.choice draw hold"
+        "decision's closed-form law, its Generator.choice draw and its "
+        "Generator.integers/random draws hold"
     )
 
 

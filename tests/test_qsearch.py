@@ -24,6 +24,7 @@ from qcongest.qsearch import (
     setup_uniform,
     _cdf,
     _grover_step,
+    _RawDraws,
     _try_distribution,
 )
 
@@ -395,6 +396,103 @@ def test_decide_builds_each_law_once_per_distinct_j(monkeypatch):
     _, cost = amplitude_amplify_decide(state, np.zeros(128, bool), 1 / 128, 1 / 128**2, 3)
     tries = cost.setup_calls - cost.inverse_calls // 2
     assert len(evaluated) == len(set(evaluated)) < tries
+    # marks outside the setup support: every try builds or reuses a law and
+    # none can succeed
+    state = setup_subset(range(128), range(64))
+    found, cost = amplitude_amplify_decide(
+        state, np.arange(128) >= 64, 1 / 128, 1 / 128**2, 3
+    )
+    tries = cost.setup_calls - cost.inverse_calls // 2
+    assert found is None
+    assert 1 < len(evaluated) == len(set(evaluated)) < tries
+
+
+def test_decide_with_nothing_marked_builds_no_law(monkeypatch):
+    built: list[np.ndarray] = []
+
+    def counting(p):
+        built.append(p)
+        return _cdf(p)
+
+    monkeypatch.setattr(qsearch, "_cdf", counting)
+    for n, seed in [(16, 0), (80, 1), (256, 2)]:
+        state = setup_uniform(range(n))
+        mask = np.zeros(n, bool)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = amplitude_amplify_decide(state, mask, 1 / n, 1 / n**2, ours)
+        assert got == _stepped_decide(state, mask, 1 / n, 1 / n**2, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+    assert built == []
+
+
+def test_decide_with_nothing_marked_rejects_a_nan_setup():
+    state = setup_uniform(range(4))
+    state.setup_amps[1] = np.nan
+    with pytest.raises(SearchError, match="not normalized"):
+        amplitude_amplify_decide(state, np.zeros(4, bool), 0.25, 0.1, 0)
+
+
+@pytest.mark.parametrize("field", ["amps", "setup_amps"])
+def test_state_rejects_a_nan_amplitude(field):
+    arrays = {"amps": np.full(4, 0.5, complex), "setup_amps": np.full(4, 0.5, complex)}
+    arrays[field][2] = np.nan
+    with pytest.raises(SearchError, match="not normalized"):
+        AmplitudeState(tuple(range(4)), **arrays)
+
+
+def _interleaved_draws(data, draws, ref, count):
+    # integers(0, m) over m in [2, 2^32] (about half the draws reject just
+    # above 2^31) and random(), in random order
+    for _ in range(count):
+        kind = int(data.integers(5))
+        if kind == 0:
+            assert draws.random() == ref.random()
+            continue
+        if kind == 1:
+            m = int(data.integers(2, 64))
+        elif kind == 2:
+            m = 2**31 + int(data.integers(1, 2**16))
+        elif kind == 3:
+            m = int(data.choice([2, 3, 2**31 + 1, 2**32 - 1, 2**32]))
+        else:
+            m = int(data.integers(2, 2**32 + 1))
+        assert draws.integers(m) == ref.integers(0, m), m
+
+
+def test_raw_draws_match_the_generators_own_draws():
+    # the decision reads integers(0, m) and random() from PCG64's raw
+    # output; if a numpy upgrade changes its bounded integers or PCG64's
+    # buffered half, this test fails
+    data = np.random.default_rng(11)
+    for seed in range(120):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            # start both readers with and without a buffered half
+            for _ in range(int(data.integers(0, 3))):
+                assert ours.integers(0, 7) == ref.integers(0, 7)
+            draws = _RawDraws(ours)
+            _interleaved_draws(data, draws, ref, int(data.integers(0, 400)))
+            draws.close()
+            assert ours.bit_generator.state == ref.bit_generator.state, seed
+        assert ours.integers(0, 1000, size=5).tolist() == ref.integers(0, 1000, size=5).tolist()
+        assert ours.random() == ref.random()
+        assert ours.integers(0, 2**31 + 1) == ref.integers(0, 2**31 + 1)
+
+
+def test_decide_refuses_iteration_counts_beyond_32_bits():
+    # j is drawn from a 32-bit value, so m may not exceed 2^32
+    state = setup_uniform(range(4))
+    with pytest.raises(SearchError, match="2\\^32"):
+        amplitude_amplify_decide(state, np.zeros(4, bool), 2.0**-66, 0.5, 0)
+    found, _ = amplitude_amplify_decide(state, np.zeros(4, bool), 2.0**-64, 0.5, 0)
+    assert found is None
+
+
+def test_decide_refuses_a_generator_not_over_pcg64():
+    state = setup_uniform(range(4))
+    for rng in (np.random.Generator(np.random.MT19937(1)), np.random.RandomState(1)):
+        with pytest.raises(SearchError, match="PCG64"):
+            amplitude_amplify_decide(state, np.arange(4) < 1, 0.25, 0.1, rng)
 
 
 def test_cdf_draws_what_generator_choice_draws():
@@ -479,3 +577,21 @@ def test_verify_checks_the_decision_draw(monkeypatch):
     monkeypatch.setattr(verify, "_cdf", shifted)
     ok, detail = verify.check_grover()
     assert not ok and "differs from Generator.choice" in detail
+
+
+def test_verify_checks_the_decisions_generator_draws(monkeypatch):
+    from qcongest import verify
+
+    ok, detail = verify.check_grover()
+    assert ok and "Generator.integers/random draws" in detail
+
+    class Unbuffered(_RawDraws):
+        # a reader that drops the buffered high half of each word
+        __slots__ = ()
+
+        def _uint32(self):
+            return self._word() & 0xFFFFFFFF
+
+    monkeypatch.setattr(verify, "_RawDraws", Unbuffered)
+    ok, detail = verify.check_grover()
+    assert not ok and "differ from Generator.integers/random at seed 0" in detail
