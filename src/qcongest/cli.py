@@ -24,7 +24,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = ExperimentConfig(
-        families=tuple(args.families.split(",")),
+        families=tuple(f for f in args.families.split(",") if f),
         sizes=_int_list(args.sizes),
         seeds=tuple(range(args.num_seeds)),
         algos=tuple(a for a in args.algos.split(",") if a),

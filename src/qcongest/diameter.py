@@ -33,6 +33,7 @@ from .evaluation import evaluation_procedure, make_eval_context
 from .graphs import Graph
 from .procedures import (
     BfsTreeState,
+    _adjacency_memo,
     all_sources_distances,
     argmax_convergecast,
     build_bfs_tree,
@@ -84,9 +85,11 @@ _prepared: list = []
 
 
 def release_preparation() -> None:
-    """Drop the memo's entry, freeing its matrix before another graph is
+    """Drop the memo's entry and the graph's CSR arrays
+    (``procedures._adjacency``), freeing its matrix before another graph is
     built."""
     _prepared.clear()
+    _adjacency_memo.clear()
 
 
 def _init_phases(g: Graph) -> tuple[int, int, BfsTreeState, CostReport, np.ndarray]:

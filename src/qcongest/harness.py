@@ -68,10 +68,18 @@ class ExperimentConfig:
     trace_dir: str | None = None  # dumps election word traces per task
 
     def __post_init__(self) -> None:
+        if not self.families:
+            raise ValueError("need at least one family")
+        if not self.sizes:
+            raise ValueError("need at least one size")
         if any(n < 3 for n in self.sizes):
             raise ValueError("sizes must be >= 3")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not self.algos:
+            raise ValueError("need at least one algorithm")
+        if self.delta is not None and not (0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         for a in self.algos:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")

@@ -91,12 +91,30 @@ def _check_word(node: int, size: int, n: int) -> None:
         raise OversizedWordError(node, 0, size, default_bandwidth(n))
 
 
-def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Degrees, the start of each node's slice of the flat neighbor array,
     and that array (ascending ids per node): ``g.adj`` in CSR form."""
     deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=g.n)
     neighbors = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=int(deg.sum()))
     return deg, np.cumsum(deg) - deg, neighbors
+
+
+# One-slot memo of _adjacency: [graph, its read-only CSR arrays] for the
+# last graph read, or empty.  ``diameter.release_preparation`` clears it.
+_adjacency_memo: list = []
+
+
+def _adjacency(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_csr(g)``, built once per graph: every procedure on one graph
+    object (the matrix, the election and each BFS tree) reads the same
+    arrays from a one-slot memo keyed by that object's identity.  The
+    arrays are read-only, so no caller can change another's view."""
+    if not _adjacency_memo or _adjacency_memo[0] is not g:
+        arrays = _csr(g)
+        for arr in arrays:
+            arr.flags.writeable = False
+        _adjacency_memo[:] = [g, arrays]
+    return _adjacency_memo[1]
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +734,7 @@ def all_sources_distances(g: Graph) -> np.ndarray:
         # row v: the sources whose frontier holds a neighbor of v
         frontier = np.bitwise_or.reduceat(frontier[neighbors], starts, axis=0)
         frontier &= unseen
-        if not frontier.any():
+        if not np.count_nonzero(frontier):
             break
         unseen ^= frontier
         if level == 1 << len(planes):

@@ -27,9 +27,13 @@ from blocks of the PCG64 generator's raw 64-bit output instead of calling
 NumPy per draw: a bounded integer is Lemire's multiply-shift of a 32-bit
 value (the low half of a fresh word, or the high half NumPy buffers from the
 previous one), a double is a fresh word's top 53 bits, and the generator is
-left in the state the native calls leave it in.  Outputs therefore depend on
-NumPy's PCG64 stream and its bounded-integer algorithm; the tests against
-the stepped reference decision and ``qcongest verify`` pin both.
+left in the state the native calls leave it in.  A maximization's decisions
+share one generator, so ``quantum_maximize`` opens one reader on it, hands
+it to every decision and closes it once: the draws are those of a reader
+per decision, without saving and restoring the state around each one.
+Outputs therefore depend on NumPy's PCG64 stream and its bounded-integer
+algorithm; the tests against the stepped reference decision and
+``qcongest verify`` pin both.
 
 Cost accounting: one amplification iteration applies the evaluation (the
 marking oracle), its inverse, and the setup reflection (setup + inverse
@@ -324,7 +328,7 @@ def amplitude_amplify_decide(
     marked: np.ndarray,
     epsilon: float,
     delta: float,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator | int | _RawDraws,
 ) -> tuple[int | None, SearchCost]:
     """Decide whether any branch is marked, under the promise that the marked
     probability mass is 0 or at least ``epsilon``.
@@ -339,7 +343,11 @@ def amplitude_amplify_decide(
     nothing marked no try can succeed: every try still draws its j and its
     measurement value, but no law is built.  ``rng`` must be PCG64-backed;
     its draws are read by ``_RawDraws`` and leave it as ``integers(0, m)``
-    and ``random()`` would.
+    and ``random()`` would.  A ``Generator`` or an int seed gets a reader
+    of its own, closed before the decision returns; a reader handed in
+    (``quantum_maximize`` holds one across its decisions) is read from and
+    left open, and the generator reaches that state once its owner closes
+    it.
     """
     mask = _per_candidate(state0, marked, "marked")
     if mask.dtype != bool:
@@ -362,7 +370,8 @@ def amplitude_amplify_decide(
         bounds.append(int(m))
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
     tries = iterations = 0
-    draws = _RawDraws(rng)
+    own = not isinstance(rng, _RawDraws)
+    draws = _RawDraws(rng) if own else rng
     try:
         for _ in range(reps):
             for bound in bounds:
@@ -380,7 +389,8 @@ def amplitude_amplify_decide(
                 if marks[i]:
                     return state0.candidates[i], _decision_cost(tries, iterations)
     finally:
-        draws.close()
+        if own:
+            draws.close()
     return None, _decision_cost(tries, iterations)
 
 
@@ -408,10 +418,28 @@ def quantum_maximize(
     at the first failure.  While a is below the maximum every maximizer is
     marked, so the marked mass is at least epsilon and the decision's
     promise holds.  The computation aborts with the current threshold
-    element once the worst-case call budget is spent.
+    element once the worst-case call budget is spent.  The decisions share
+    one generator, seeded by ``config.seed``, and one ``_RawDraws`` reader
+    on it: each decision reads on where the previous one stopped, so the
+    draws are those of a reader per decision, without saving and
+    restoring the generator's state around each one.
     """
     vals = _per_candidate(state0, values, "values")
-    rng = np.random.default_rng(config.seed)
+    draws = _RawDraws(np.random.default_rng(config.seed))
+    try:
+        return _threshold_search(vals, state0, config, draws)
+    finally:
+        draws.close()
+
+
+def _threshold_search(
+    vals: np.ndarray,
+    state0: AmplitudeState,
+    config: QOptConfig,
+    rng: np.random.Generator | _RawDraws,
+) -> tuple[int, SearchCost]:
+    """``quantum_maximize``'s threshold loop, each decision drawing from
+    ``rng``."""
     cost = SearchCost()
     support = np.abs(state0.setup_amps) > 0.0
     xs = state0.candidates

@@ -38,7 +38,16 @@ from .procedures import (
     simple_eval_on_engine,
     simple_eval_table,
 )
-from .qsearch import _cdf, _RawDraws, _try_distribution, grover_iterate, setup_uniform
+from .qsearch import (
+    QOptConfig,
+    _cdf,
+    _RawDraws,
+    _threshold_search,
+    _try_distribution,
+    grover_iterate,
+    quantum_maximize,
+    setup_uniform,
+)
 from .twoparty import (
     build_two_party_schedule,
     execute_direct,
@@ -264,10 +273,28 @@ def check_grover() -> tuple[bool, str]:
         draws.close()
         if ours.bit_generator.state != ref.bit_generator.state:
             return False, differ
+    # a maximization holds one reader across its decisions: its argmax,
+    # calls and final generator state are those of a reader per decision
+    for seed in range(4):
+        n = int(data.integers(16, 65))
+        state = setup_uniform(range(n))
+        values = data.integers(0, n // 2, size=n)
+        config = QOptConfig(1.0 / n, 1.0 / n**2, seed)
+        shared, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = _RawDraws(shared)
+        got = _threshold_search(values, state, config, draws)
+        draws.close()
+        if (
+            got != _threshold_search(values, state, config, ref)
+            or shared.bit_generator.state != ref.bit_generator.state
+            or quantum_maximize(values, state, config) != got
+        ):
+            return False, f"a maximization's shared reader differs from a reader per decision at seed {seed}"
     return True, (
         "single-marked exactness, sin((2k+1)theta) recurrence, the "
-        "decision's closed-form law, its Generator.choice draw and its "
-        "Generator.integers/random draws hold"
+        "decision's closed-form law, its Generator.choice draw, its "
+        "Generator.integers/random draws and a maximization's shared "
+        "reader hold"
     )
 
 

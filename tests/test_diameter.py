@@ -177,6 +177,31 @@ def test_consecutive_runs_on_one_graph_share_one_preparation(monkeypatch):
     assert alive_at_build == [False, False]
 
 
+def test_runs_on_one_graph_build_its_adjacency_arrays_once(monkeypatch):
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return csr(g)
+
+    csr = procedures._csr
+    monkeypatch.setattr(procedures, "_csr", counting)
+    g = generate("random", 24, seed=3, p=0.2)
+    # the matrix, the election, the leader tree and approx's tree of w
+    for algo in (exact_diameter, exact_diameter_simple, approx_diameter):
+        algo(g, seed=1)
+    assert len(built) == 1 and built[0] is g
+    arrays = procedures._adjacency(g)
+    for got, expected in zip(arrays, csr(g)):
+        assert got.tolist() == expected.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0
+    diameter.release_preparation()
+    assert procedures._adjacency_memo == []
+    procedures._adjacency(g)
+    assert len(built) == 2
+
+
 @pytest.mark.parametrize("algo", [exact_diameter, exact_diameter_simple, approx_diameter])
 def test_a_run_cannot_change_the_shared_preparation(algo):
     g = generate("random", 24, seed=4, p=0.2)

@@ -53,11 +53,46 @@ def test_grid_rows_and_shape():
     assert all(r["ok"] == 1 for r in rows)
 
 
-def test_empty_algo_list_gives_header_only_csv(tmp_path):
-    rows = run_grid(small_config(algos=()))
-    path = tmp_path / "empty.csv"
-    write_csv(rows, path)
-    assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+def test_config_rejects_an_empty_algo_list(tmp_path):
+    with pytest.raises(ValueError, match="algorithm"):
+        small_config(algos=())
+    out = tmp_path / "empty.csv"
+    with pytest.raises(ValueError, match="algorithm"):
+        cli_main(["run", "--families", "path", "--sizes", "8", "--algos", "", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_config_rejects_an_empty_size_list(tmp_path):
+    with pytest.raises(ValueError, match="size"):
+        small_config(sizes=())
+    out = tmp_path / "empty.csv"
+    with pytest.raises(ValueError, match="size"):
+        cli_main(["run", "--families", "path", "--sizes", "", "--out", str(out)])
+    assert not out.exists()
+
+
+def test_config_rejects_an_empty_family_list(tmp_path):
+    with pytest.raises(ValueError, match="family"):
+        small_config(families=())
+    out = tmp_path / "empty.csv"
+    with pytest.raises(ValueError, match="family"):
+        cli_main(["run", "--families", "", "--sizes", "8", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_config_rejects_a_delta_outside_the_unit_interval(delta, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was built for an invalid config")
+
+    monkeypatch.setattr(graphs, "generate", refuse)
+    with pytest.raises(ValueError, match="delta"):
+        small_config(delta=delta)
+    with pytest.raises(ValueError, match="delta"):
+        cli_main(["run", "--families", "path", "--sizes", "8", "--delta", str(delta),
+                  "--out", str(tmp_path / "out.csv")])
+    assert not (tmp_path / "out.csv").exists()
+    assert small_config(delta=0.5).delta == 0.5
 
 
 def test_rerun_is_byte_identical(tmp_path):

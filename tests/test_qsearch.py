@@ -379,6 +379,77 @@ def test_decide_matches_the_stepped_reference_at_bench_size():
         assert ours.bit_generator.state == ref.bit_generator.state
 
 
+class _CountingDraws(_RawDraws):
+    """A reader that records how many readers are opened and closed."""
+
+    __slots__ = ()
+    opened = closed = 0
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        _CountingDraws.opened += 1
+
+    def close(self):
+        _CountingDraws.closed += 1
+        super().close()
+
+
+@pytest.fixture
+def counting_draws(monkeypatch):
+    monkeypatch.setattr(_CountingDraws, "opened", 0)
+    monkeypatch.setattr(_CountingDraws, "closed", 0)
+    monkeypatch.setattr(qsearch, "_RawDraws", _CountingDraws)
+    return _CountingDraws
+
+
+def test_decide_on_an_open_reader_matches_the_stepped_reference(counting_draws):
+    # the caller's reader is read from, left open, and the generator ends
+    # where the stepped reference leaves its own once the caller closes it;
+    # the reader enters the decision with no buffered half, with one from
+    # the generator, or with one from its own last integer draw
+    for state, mask, epsilon, delta, case in _decide_cases(300):
+        ours, ref = np.random.default_rng(case), np.random.default_rng(case)
+        entry = case % 3
+        if entry == 1:
+            assert ours.integers(0, 7) == ref.integers(0, 7)
+        draws = counting_draws(ours)
+        if entry == 2:
+            assert draws.integers(7) == ref.integers(0, 7)
+        assert draws._has == (entry > 0)
+        got = amplitude_amplify_decide(state, mask, epsilon, delta, draws)
+        assert got == _stepped_decide(state, mask, epsilon, delta, ref), case
+        assert counting_draws.opened == case + 1 and counting_draws.closed == case
+        assert draws.random() == ref.random()
+        draws.close()
+        assert ours.bit_generator.state == ref.bit_generator.state, case
+
+
+def test_maximize_holds_one_reader_for_all_its_decisions(counting_draws):
+    # random values with ties, uniform, subset and general setups, epsilons
+    # from 1 down to about 1/n, and deltas from 1/2 down to 1/n^2
+    data = np.random.default_rng(21)
+    for case in range(120):
+        n = int(data.integers(2, 97))
+        setup = _random_setup(data, n, ("uniform", "subset", "general")[case % 3])
+        state = AmplitudeState(tuple(range(n)), setup.copy(), setup.copy())
+        values = data.integers(0, max(2, n // int(data.integers(1, 5))), size=n)
+        config = QOptConfig(
+            float(data.uniform(0.8, 1.0) / int(data.integers(1, n + 1))),
+            float(data.choice([0.5, 0.05, 1.0 / n**2])),
+            seed=int(data.integers(2**32)),
+        )
+        before = counting_draws.opened
+        got = quantum_maximize(values, state, config)
+        assert counting_draws.opened - before == 1
+        assert counting_draws.closed == counting_draws.opened
+        # the same threshold loop, each decision opening a reader of its own
+        # on the shared generator
+        rng = np.random.default_rng(config.seed)
+        expected = qsearch._threshold_search(values, state, config, rng)
+        assert counting_draws.opened - before > 1
+        assert got == expected, case
+
+
 def test_decide_builds_each_law_once_per_distinct_j(monkeypatch):
     evaluated: list[int] = []
 
@@ -595,3 +666,23 @@ def test_verify_checks_the_decisions_generator_draws(monkeypatch):
     monkeypatch.setattr(verify, "_RawDraws", Unbuffered)
     ok, detail = verify.check_grover()
     assert not ok and "differ from Generator.integers/random at seed 0" in detail
+
+
+def test_verify_checks_a_maximizations_shared_reader(monkeypatch):
+    from qcongest import verify
+
+    ok, detail = verify.check_grover()
+    assert ok and "a maximization's shared reader" in detail
+
+    decide = qsearch.amplitude_amplify_decide
+
+    def skips_a_word(state0, marked, epsilon, delta, rng):
+        # a decision that reads a reader it is handed differently from one
+        # it opens itself
+        if isinstance(rng, _RawDraws):
+            rng.random()
+        return decide(state0, marked, epsilon, delta, rng)
+
+    monkeypatch.setattr(qsearch, "amplitude_amplify_decide", skips_a_word)
+    ok, detail = verify.check_grover()
+    assert not ok and "shared reader differs from a reader per decision at seed 0" in detail
