@@ -148,7 +148,7 @@ def exact_diameter_simple(
         words_eval = max(words_eval, rep.total_words)
     epsilon = 1.0 / g.n
     best, cost = quantum_maximize(
-        values, setup_uniform(range(g.n)), QOptConfig(epsilon, delta, seed)
+        values, setup_uniform(g.n), QOptConfig(epsilon, delta, seed)
     )
     qubits = [simple_eval_register_bits(g.n)] * g.n
     report = distributed_cost(
@@ -181,10 +181,7 @@ def _windowed_maximize(
         values[u0], rep = evaluation_procedure(ectx, u0)
         rounds.add(rep.rounds)
         words_eval = max(words_eval, rep.total_words)
-    if support is None:
-        state0 = setup_uniform(range(g.n))
-    else:
-        state0 = setup_subset(range(g.n), support)
+    state0 = setup_uniform(g.n) if support is None else setup_subset(g.n, support)
     best, cost = quantum_maximize(values, state0, QOptConfig(epsilon, delta, seed))
 
     if len(rounds) != 1:

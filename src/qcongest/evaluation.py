@@ -83,6 +83,7 @@ from .procedures import (
     DfsNumbering,
     _check_candidate,
     _require_size,
+    _with_cleanup,
     dfs_numbering,
     id_bits,
     set_S,
@@ -378,7 +379,7 @@ def evaluate_on_engine(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
     _check_candidate(u0, ectx.numbering.tau)
     outputs, report = run(ectx.g, EvaluationProgram(ectx, u0), max_rounds=ectx.total_rounds + 2)
     _check_window(ectx, u0, frozenset(v for v, o in outputs.items() if o["taup"] is not None))
-    return _report(ectx, outputs[ectx.tree.leader]["f"], report.total_words, report.rounds)
+    return outputs[ectx.tree.leader]["f"], _with_cleanup(report, ectx.tree.leader)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +562,10 @@ def evaluation_procedure(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
     the cleanup reversal (phase costs doubled).
     """
     _check_candidate(u0, ectx.numbering.tau)
-    return _report(ectx, *ectx.branches[u0], ectx.total_rounds)
+    f, words = ectx.branches[u0]
+    peaks = ectx.quantum_bits
+    forward = CostReport(ectx.total_rounds, words, NodePeaks(peaks), NodePeaks(peaks))
+    return f, _with_cleanup(forward, ectx.tree.leader)
 
 
 def _check_window(ectx: EvalContext, u0: int, window: frozenset[int]) -> None:
@@ -572,15 +576,3 @@ def _check_window(ectx: EvalContext, u0: int, window: frozenset[int]) -> None:
             f"computed S differs from the window oracle for u0={u0}: "
             f"extra={sorted(window - expected)} missing={sorted(expected - window)}"
         )
-
-
-def _report(ectx: EvalContext, f: int, words: int, rounds: int) -> tuple[int, CostReport]:
-    """A branch's value, with its forward rounds and words doubled."""
-    report = CostReport(
-        rounds=2 * rounds,
-        total_words=2 * words,
-        per_node_peak_bits=NodePeaks(ectx.quantum_bits),
-        per_node_peak_qubits=NodePeaks(ectx.quantum_bits),
-        leader=ectx.tree.leader,
-    )
-    return f, report

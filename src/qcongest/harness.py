@@ -48,11 +48,18 @@ def splitmix64(x: int) -> int:
 
 
 def parse_family(spec: str) -> tuple[str, float | None]:
-    """Family spec strings: "path", "cycle", ..., "random:0.05"."""
-    if ":" in spec:
-        fam, arg = spec.split(":", 1)
-        return fam, float(arg)
-    return spec, None
+    """Family spec strings: "path", "cycle", ..., "random:0.05".  The name
+    must be one of ``graphs.FAMILIES``; "random", and no other family,
+    takes an edge probability p in [0, 1]."""
+    fam, sep, arg = spec.partition(":")
+    p = float(arg) if sep else None
+    if fam not in graphs.FAMILIES:
+        raise ValueError(f"unknown family {fam!r} (choose from {graphs.FAMILIES})")
+    if fam != "random" and p is not None:
+        raise ValueError(f"family spec {spec!r}: only random takes an edge probability")
+    if fam == "random" and not (p is not None and 0.0 <= p <= 1.0):
+        raise ValueError(f"family spec {spec!r}: random needs an edge probability in [0, 1]")
+    return fam, p
 
 
 @dataclass(frozen=True)

@@ -833,16 +833,23 @@ def _simple_eval_result(
     tree: BfsTreeState, u0: int, value: int, report: CostReport
 ) -> tuple[int, CostReport]:
     """Check the forward pass's bound of 2*ecc(u0) + ecc(leader) + 4 rounds,
-    then double rounds and words for the cleanup reversal."""
+    then add the cleanup reversal."""
     if report.rounds > 2 * value + tree.ecc_leader + 4:
         raise EngineError(
             f"simple evaluation of {u0} took {report.rounds} forward rounds, "
             f"exceeding 2*{value}+{tree.ecc_leader}+4"
         )
-    report.leader = tree.leader
-    report.rounds = 2 * report.rounds
-    report.total_words = 2 * report.total_words
-    return value, report
+    return value, _with_cleanup(report, tree.leader)
+
+
+def _with_cleanup(forward: CostReport, leader: int) -> CostReport:
+    """Turn a branch's forward-pass report, in place, into the branch's
+    report: the cleanup reversal mirrors the forward pass, so rounds and
+    words double, and it reuses the forward registers, so the peaks stay."""
+    forward.rounds *= 2
+    forward.total_words *= 2
+    forward.leader = leader
+    return forward
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ function of the searched index x (the same deterministic procedure runs on
 every branch), so the joint state is always sum_x alpha_x |x>|data(x)> and
 a complex amplitude per branch is a lossless representation.  No
 inter-branch entanglement beyond the index register can arise, hence the
-whole quantum layer reduces to bookkeeping on an amplitude map.
+whole quantum layer reduces to bookkeeping on an amplitude vector, indexed
+by the branch x in 0..N-1 (a node id), as are the values and the marks.
 
-A decision does not step that map.  Flipping the marked branches and
+A decision does not step that vector.  Flipping the marked branches and
 reflecting about the setup state both keep the state in the plane of the
 setup's marked and unmarked parts, where one iteration is a rotation by
 2*theta, sin^2(theta) being the marked setup mass (Boyer-Brassard-Hoyer-Tapp
@@ -89,16 +90,13 @@ class SearchError(ValueError):
 
 @dataclass
 class AmplitudeState:
-    """Normalized complex amplitude per candidate plus the setup reference."""
+    """Normalized complex amplitude per branch 0..N-1 plus the setup reference."""
 
-    candidates: tuple[int, ...]
     amps: np.ndarray
     setup_amps: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.candidates) == 0:
-            raise SearchError("empty candidate set")
-        if len(self.candidates) > MAX_BRANCHES:
+        if len(self.setup_amps) > MAX_BRANCHES:
             raise SearchError(f"more than {MAX_BRANCHES} branches")
         for arr in (self.amps, self.setup_amps):
             norm = float(np.sum(np.abs(arr) ** 2))
@@ -106,48 +104,36 @@ class AmplitudeState:
                 raise SearchError(f"state not normalized: |psi|^2 = {norm}")
 
 
-def setup_uniform(candidates: Sequence[int]) -> AmplitudeState:
-    xs = tuple(candidates)
-    amps = np.full(len(xs), 1.0 / math.sqrt(len(xs)), dtype=complex)
-    return AmplitudeState(xs, amps.copy(), amps.copy())
+def setup_uniform(n: int) -> AmplitudeState:
+    """Uniform over the branches 0..n-1."""
+    return setup_subset(n, range(n))
 
 
-def setup_subset(candidates: Sequence[int], support: Iterable[int]) -> AmplitudeState:
-    """Uniform over ``support``, zero elsewhere."""
-    xs = tuple(candidates)
-    sup = frozenset(support)
-    if not sup:
+def setup_subset(n: int, support: Iterable[int]) -> AmplitudeState:
+    """Uniform over the branches in ``support``, zero on the rest of 0..n-1."""
+    sup = np.array(sorted(set(support)))
+    if sup.size == 0:
         raise SearchError("empty support")
-    if not sup <= set(xs):
-        raise SearchError("support not contained in the candidate set")
-    amps = np.zeros(len(xs), dtype=complex)
-    for i, x in enumerate(xs):
-        if x in sup:
-            amps[i] = 1.0 / math.sqrt(len(sup))
-    return AmplitudeState(xs, amps.copy(), amps.copy())
+    if sup.dtype.kind not in "iu" or sup[0] < 0 or sup[-1] >= n:
+        raise SearchError(f"support not within the branches 0..{n - 1}")
+    amps = np.zeros(n, dtype=complex)
+    amps[sup] = 1.0 / math.sqrt(sup.size)
+    return AmplitudeState(amps, amps.copy())
 
 
-def grover_iterate(
-    state: AmplitudeState, marked: Callable[[int], bool]
-) -> AmplitudeState:
-    """One amplification iteration: flip marked branches, reflect about setup.
+def grover_iterate(state: AmplitudeState, marked: np.ndarray) -> AmplitudeState:
+    """One amplification iteration: flip the marked branches, then reflect
+    about the setup state.
 
-    Branches outside the setup support carry zero amplitude forever, so the
-    predicate is never consulted there."""
-    support = np.abs(state.setup_amps) > 0.0
-    mask = np.array(
-        [bool(s) and bool(marked(x)) for x, s in zip(state.candidates, support)],
-        dtype=bool,
-    )
-    return _grover_step(state, mask)
-
-
-def _grover_step(state: AmplitudeState, mask: np.ndarray) -> AmplitudeState:
+    ``marked`` holds one bool per branch, as in ``amplitude_amplify_decide``;
+    on a state reached from the setup, a mark outside its support flips a
+    zero amplitude."""
+    mask = _marks(state, marked)
     amps = state.amps.copy()
     amps[mask] = -amps[mask]
     overlap = np.vdot(state.setup_amps, amps)
     amps = 2.0 * overlap * state.setup_amps - amps
-    return AmplitudeState(state.candidates, amps, state.setup_amps)
+    return AmplitudeState(amps, state.setup_amps)
 
 
 @dataclass
@@ -173,7 +159,7 @@ class QOptConfig:
     """Parameters of a maximization run.
 
     ``epsilon`` lower-bounds the setup probability mass on maximizing
-    candidates; ``delta`` is the admissible failure probability.
+    branches; ``delta`` is the admissible failure probability.
     """
 
     epsilon: float
@@ -197,14 +183,21 @@ def maximize_call_budget(epsilon: float, delta: float) -> int:
     )
 
 
-def _per_candidate(state: AmplitudeState, arr, what: str) -> np.ndarray:
+def _per_branch(state: AmplitudeState, arr, what: str) -> np.ndarray:
     out = np.asarray(arr)
-    if out.shape != (len(state.candidates),):
+    if out.shape != state.setup_amps.shape:
         raise SearchError(
-            f"{what} needs one entry per candidate ({len(state.candidates)}), "
+            f"{what} needs one entry per branch ({len(state.setup_amps)}), "
             f"got shape {out.shape}"
         )
     return out
+
+
+def _marks(state: AmplitudeState, marked) -> np.ndarray:
+    mask = _per_branch(state, marked, "marked")
+    if mask.dtype != bool:
+        raise SearchError(f"marked must be a bool array, got {mask.dtype}")
+    return mask
 
 
 def _try_distribution(
@@ -333,14 +326,14 @@ def amplitude_amplify_decide(
     """Decide whether any branch is marked, under the promise that the marked
     probability mass is 0 or at least ``epsilon``.
 
-    ``marked`` holds one bool per entry of ``state0.candidates``.  Returns a
-    sampled marked candidate (branch x with conditional probability
-    |alpha_x|^2 / P_M) or None, plus the oracle-call counts.  Each try's
-    measurement is sampled, by seeded inverse CDF, from the exact law of its
-    final state (``_try_distribution``), which ``grover_iterate`` steps to.
-    A try draws j from at most ceil(1/sqrt(epsilon)) values, so the CDF of
-    each j's law is built once, at the first try that draws it.  With
-    nothing marked no try can succeed: every try still draws its j and its
+    ``marked`` holds one bool per branch.  Returns the index of a sampled
+    marked branch (x with conditional probability |alpha_x|^2 / P_M) or
+    None, plus the oracle-call counts.  Each try's measurement is sampled,
+    by seeded inverse CDF, from the exact law of its final state
+    (``_try_distribution``), which ``grover_iterate`` steps to.  A try
+    draws j from at most ceil(1/sqrt(epsilon)) values, so the CDF of each
+    j's law is built once, at the first try that draws it.  With nothing
+    marked no try can succeed: every try still draws its j and its
     measurement value, but no law is built.  ``rng`` must be PCG64-backed;
     its draws are read by ``_RawDraws`` and leave it as ``integers(0, m)``
     and ``random()`` would.  A ``Generator`` or an int seed gets a reader
@@ -349,9 +342,7 @@ def amplitude_amplify_decide(
     left open, and the generator reaches that state once its owner closes
     it.
     """
-    mask = _per_candidate(state0, marked, "marked")
-    if mask.dtype != bool:
-        raise SearchError(f"marked must be a bool array, got {mask.dtype}")
+    mask = _marks(state0, marked)
     if not (0.0 < epsilon <= 1.0) or not (0.0 < delta < 1.0):
         raise SearchError("invalid epsilon or delta")
     m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
@@ -387,7 +378,7 @@ def amplitude_amplify_decide(
                     cdf = cdfs[j] = _cdf(law(j))
                 i = bisect.bisect_right(cdf, u)
                 if marks[i]:
-                    return state0.candidates[i], _decision_cost(tries, iterations)
+                    return i, _decision_cost(tries, iterations)
     finally:
         if own:
             draws.close()
@@ -411,9 +402,9 @@ def quantum_maximize(
 ) -> tuple[int, SearchCost]:
     """Return an argmax of f over the setup support, w.p. >= 1 - delta.
 
-    ``values`` holds f per entry of ``state0.candidates``; entries outside
-    the setup support are never read.  Runs the Durr-Hoyer threshold loop:
-    per threshold a, one decision at ``config.epsilon`` on the mark
+    ``values`` holds f per branch; entries outside the setup support are
+    never read.  Runs the Durr-Hoyer threshold loop from the first support
+    index: per threshold a, one decision at ``config.epsilon`` on the mark
     support & (values > a); raise a to the value found on success and stop
     at the first failure.  While a is below the maximum every maximizer is
     marked, so the marked mass is at least epsilon and the decision's
@@ -424,7 +415,7 @@ def quantum_maximize(
     draws are those of a reader per decision, without saving and
     restoring the generator's state around each one.
     """
-    vals = _per_candidate(state0, values, "values")
+    vals = _per_branch(state0, values, "values")
     draws = _RawDraws(np.random.default_rng(config.seed))
     try:
         return _threshold_search(vals, state0, config, draws)
@@ -442,8 +433,7 @@ def _threshold_search(
     ``rng``."""
     cost = SearchCost()
     support = np.abs(state0.setup_amps) > 0.0
-    xs = state0.candidates
-    best = min(np.flatnonzero(support), key=lambda i: xs[i])  # fixed start
+    best = int(np.flatnonzero(support)[0])  # fixed start: the first support index
     cost.eval_calls += 1
     budget = maximize_call_budget(config.epsilon, config.delta)
     while True:
@@ -453,10 +443,10 @@ def _threshold_search(
         cost.add(sub)
         if found is None:
             break
-        best = xs.index(found)
+        best = found
         if cost.total_calls > budget:
             break  # abort: too many resources used, output the current value
-    return xs[best], cost
+    return best, cost
 
 
 def distributed_cost(

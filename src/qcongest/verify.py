@@ -227,16 +227,16 @@ def check_window_distances() -> tuple[bool, str]:
 
 
 def check_grover() -> tuple[bool, str]:
-    state = setup_uniform(range(4))
-    state = grover_iterate(state, lambda x: x == 2)
+    state = setup_uniform(4)
+    state = grover_iterate(state, np.arange(4) == 2)
     p = abs(state.amps[2]) ** 2
     if abs(p - 1.0) > 1e-9:
         return False, f"one iteration on |X|=4 gave p={p}"
     for frac in (1, 2, 4, 8, 16, 32):
-        state = setup_uniform(range(64))
-        marked = lambda x: x < frac
+        state = setup_uniform(64)
+        marked = np.arange(64) < frac
         theta = math.asin(math.sqrt(frac / 64))
-        law = _try_distribution(state.setup_amps, np.arange(64) < frac)
+        law = _try_distribution(state.setup_amps, marked)
         for k in range(1, 21):
             state = grover_iterate(state, marked)
             expect = math.sin((2 * k + 1) * theta) ** 2
@@ -277,7 +277,7 @@ def check_grover() -> tuple[bool, str]:
     # calls and final generator state are those of a reader per decision
     for seed in range(4):
         n = int(data.integers(16, 65))
-        state = setup_uniform(range(n))
+        state = setup_uniform(n)
         values = data.integers(0, n // 2, size=n)
         config = QOptConfig(1.0 / n, 1.0 / n**2, seed)
         shared, ref = np.random.default_rng(seed), np.random.default_rng(seed)

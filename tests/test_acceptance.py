@@ -154,15 +154,15 @@ def test_criterion_04_window_coverage(grid):
 def test_criterion_05_grover_exactness():
     import numpy as np
 
-    state = grover_iterate(setup_uniform(range(4)), lambda x: x == 1)
+    state = grover_iterate(setup_uniform(4), np.arange(4) == 1)
     p_marked = abs(state.amps[1]) ** 2
     assert abs(p_marked - 1.0) <= 1e-9
     worst = 0.0
     for j in range(1, 33):
         theta = math.asin(math.sqrt(j / 64))
-        state = setup_uniform(range(64))
+        state = setup_uniform(64)
         for k in range(1, 51):
-            state = grover_iterate(state, lambda x: x < j)
+            state = grover_iterate(state, np.arange(64) < j)
             expected = math.sin((2 * k + 1) * theta) ** 2
             got = float(np.sum(np.abs(state.amps[:j]) ** 2))
             worst = max(worst, abs(got - expected))

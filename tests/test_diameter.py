@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 
@@ -153,6 +154,39 @@ def test_leader_memory_bound_is_checked(algo, monkeypatch):
     monkeypatch.setattr(diameter, "LEADER_QUBIT_C2", 1)
     with pytest.raises(AlgorithmError, match="leader peak"):
         algo(generate("random", 16, seed=3, p=0.3), seed=3)
+
+
+def _evaluation_with_rounds(monkeypatch, rounds_of):
+    """Patch the windowed search's reader so that its k-th call reports
+    ``rounds_of(ectx, k)`` rounds."""
+    calls = itertools.count()
+
+    def reader(ectx, u0):
+        f, report = evaluation.evaluation_procedure(ectx, u0)
+        report.rounds = rounds_of(ectx, next(calls))
+        return f, report
+
+    monkeypatch.setattr(diameter, "evaluation_procedure", reader)
+
+
+@pytest.mark.parametrize("algo", [exact_diameter, approx_diameter])
+def test_branch_dependent_evaluation_cost_is_refused(algo, monkeypatch):
+    g = generate("path", 30, seed=2)
+    assert algo(g, seed=1).details.get("r_size", g.n) >= 2
+    _evaluation_with_rounds(monkeypatch, lambda ectx, k: 2 * ectx.total_rounds + (k == 0))
+    with pytest.raises(AlgorithmError, match="evaluation cost must be branch-uniform"):
+        algo(g, seed=1)
+
+
+@pytest.mark.parametrize("algo", [exact_diameter, approx_diameter])
+def test_evaluation_cost_beyond_the_declared_bound_is_refused(algo, monkeypatch):
+    g = generate("path", 30, seed=2)
+    bound = lambda ectx: 18 * ectx.tree.ecc_leader + diameter.EVAL_ROUND_SLACK
+    _evaluation_with_rounds(monkeypatch, lambda ectx, k: bound(ectx))
+    algo(g, seed=1)  # the bound itself is allowed
+    _evaluation_with_rounds(monkeypatch, lambda ectx, k: bound(ectx) + 1)
+    with pytest.raises(AlgorithmError, match=r"rounds, exceeding 18\*\d+\+8"):
+        algo(g, seed=1)
 
 
 def test_consecutive_runs_on_one_graph_share_one_preparation(monkeypatch):

@@ -37,6 +37,28 @@ def test_family_spec_parsing():
     assert parse_family("random:0.05") == ("random", 0.05)
 
 
+def test_config_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        small_config(families=("path", "nope"))
+
+
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+def test_config_rejects_an_edge_probability_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=r"random needs an edge probability in \[0, 1\]"):
+        small_config(families=(f"random:{p}",))
+
+
+def test_config_rejects_random_without_an_edge_probability():
+    with pytest.raises(ValueError, match=r"random needs an edge probability in \[0, 1\]"):
+        small_config(families=("random",))
+
+
+@pytest.mark.parametrize("spec", ["path:0.3", "grid:0", "star:1"])
+def test_config_rejects_an_edge_probability_on_another_family(spec):
+    with pytest.raises(ValueError, match="only random takes an edge probability"):
+        small_config(families=(spec,))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(sizes=(2,))

@@ -23,7 +23,6 @@ from qcongest.qsearch import (
     setup_subset,
     setup_uniform,
     _cdf,
-    _grover_step,
     _RawDraws,
     _try_distribution,
 )
@@ -38,21 +37,21 @@ def reflection_matrix_oracle(setup: np.ndarray, marked: np.ndarray) -> np.ndarra
 
 
 def test_single_marked_of_four_is_exact():
-    state = setup_uniform(range(4))
-    state = grover_iterate(state, lambda x: x == 3)
+    state = setup_uniform(4)
+    state = grover_iterate(state, np.arange(4) == 3)
     assert abs(abs(state.amps[3]) ** 2 - 1.0) <= 1e-9
 
 
 def test_empty_marked_fixes_the_start_state():
-    state = setup_uniform(range(8))
-    after = grover_iterate(state, lambda x: False)
+    state = setup_uniform(8)
+    after = grover_iterate(state, np.zeros(8, bool))
     assert np.allclose(after.amps, state.amps, atol=1e-12)
 
 
 def test_all_marked_keeps_success_probability_one():
-    state = setup_uniform(range(8))
+    state = setup_uniform(8)
     for _ in range(5):
-        state = grover_iterate(state, lambda x: True)
+        state = grover_iterate(state, np.ones(8, bool))
         assert abs(np.sum(np.abs(state.amps) ** 2) - 1.0) <= 1e-9
 
 
@@ -62,11 +61,11 @@ def test_iterate_equals_matrix_oracle(nx, seed, iters):
     raw = rng.normal(size=nx) + 1j * rng.normal(size=nx)
     setup = raw / np.linalg.norm(raw)
     marked = rng.random(nx) < 0.3
-    state = AmplitudeState(tuple(range(nx)), setup.copy(), setup.copy())
+    state = AmplitudeState(setup.copy(), setup.copy())
     matrix = reflection_matrix_oracle(setup, marked)
     vec = setup.copy()
     for _ in range(iters):
-        state = grover_iterate(state, lambda x: bool(marked[x]))
+        state = grover_iterate(state, marked)
         vec = matrix @ vec
     assert np.allclose(state.amps, vec, atol=1e-9)
     assert abs(np.sum(np.abs(state.amps) ** 2) - 1.0) <= 1e-9
@@ -76,18 +75,18 @@ def test_success_probability_recurrence():
     for j in range(1, 33):
         p = j / 64
         theta = math.asin(math.sqrt(p))
-        state = setup_uniform(range(64))
+        state = setup_uniform(64)
         for k in range(1, 51):
-            state = grover_iterate(state, lambda x: x < j)
+            state = grover_iterate(state, np.arange(64) < j)
             expect = math.sin((2 * k + 1) * theta) ** 2
             got = float(np.sum(np.abs(state.amps[:j]) ** 2))
             assert abs(got - expect) <= 1e-9
 
 
 def test_setup_states():
-    assert np.allclose(setup_uniform([7]).amps, [1.0])
-    assert np.allclose(setup_uniform(range(4)).amps, [0.5] * 4)
-    state = setup_subset(range(10), {1, 4, 7})
+    assert np.allclose(setup_uniform(1).amps, [1.0])
+    assert np.allclose(setup_uniform(4).amps, [0.5] * 4)
+    state = setup_subset(10, {1, 4, 7})
     expect = np.zeros(10)
     expect[[1, 4, 7]] = 1 / math.sqrt(3)
     assert np.allclose(np.abs(state.amps), expect)
@@ -95,20 +94,26 @@ def test_setup_states():
 
 def test_setup_subset_rejects_bad_support():
     with pytest.raises(SearchError):
-        setup_subset(range(4), set())
-    with pytest.raises(SearchError):
-        setup_subset(range(4), {9})
+        setup_subset(4, set())
+    for support in ({9}, {4}, {-1}, {0, -3}, {1.5}):
+        with pytest.raises(SearchError, match="not within the branches 0..3"):
+            setup_subset(4, support)
+
+
+def test_setup_uniform_rejects_zero_branches():
+    with pytest.raises(SearchError, match="empty support"):
+        setup_uniform(0)
 
 
 def test_decide_empty_marked_returns_none():
-    state = setup_uniform(range(16))
+    state = setup_uniform(16)
     for seed in range(20):
         found, _ = amplitude_amplify_decide(state, np.zeros(16, bool), 0.25, 0.1, seed)
         assert found is None
 
 
 def test_decide_success_rate():
-    state = setup_uniform(range(16))
+    state = setup_uniform(16)
     marked = np.arange(16) < 4
     hits = sum(
         amplitude_amplify_decide(state, marked, 4 / 16, 0.1, seed)[0] is not None
@@ -119,7 +124,7 @@ def test_decide_success_rate():
 
 def test_decide_output_distribution_uniform_over_marked():
     # conditional law over the marked set stays proportional to the setup
-    state = setup_uniform(range(16))
+    state = setup_uniform(16)
     marked = np.arange(16) < 4
     counts = {x: 0 for x in range(4)}
     total = 0
@@ -135,21 +140,21 @@ def test_decide_output_distribution_uniform_over_marked():
 
 
 def test_decide_call_budget_respected():
-    state = setup_uniform(range(64))
+    state = setup_uniform(64)
     for eps, delta in [(1 / 64, 0.1), (0.25, 0.01), (1 / 32, 1 / 4096)]:
         _, cost = amplitude_amplify_decide(state, np.zeros(64, bool), eps, delta, 5)
         assert cost.total_calls <= decide_call_budget(eps, delta)
 
 
 def test_maximize_constant_function():
-    state = setup_uniform(range(8))
+    state = setup_uniform(8)
     best, _ = quantum_maximize([5] * 8, state, QOptConfig(0.5, 0.05, seed=3))
     assert best in range(8)
 
 
 def test_maximize_small_instance():
     f = [3, 1, 4, 1]
-    state = setup_uniform(range(4))
+    state = setup_uniform(4)
     wins = 0
     for seed in range(200):
         best, _ = quantum_maximize(f, state, QOptConfig(0.25, 0.05, seed=seed))
@@ -159,7 +164,7 @@ def test_maximize_small_instance():
 
 def test_maximize_restricted_support():
     f = [9, 1, 4, 1, 7, 2]
-    state = setup_subset(range(6), {1, 2, 3})
+    state = setup_subset(6, {1, 2, 3})
     for seed in range(50):
         best, _ = quantum_maximize(f, state, QOptConfig(1 / 3, 0.05, seed=seed))
         assert best in {1, 2, 3}
@@ -176,7 +181,7 @@ def test_maximize_empirical_success_many_instances():
         vals = rng.integers(0, 10, size=12)
         best_val = vals.max()
         p_opt = float(np.sum(vals == best_val)) / 12
-        state = setup_uniform(range(12))
+        state = setup_uniform(12)
         good = sum(
             vals[quantum_maximize(vals, state, QOptConfig(p_opt, 0.1, seed=s))[0]]
             == best_val
@@ -187,7 +192,7 @@ def test_maximize_empirical_success_many_instances():
 
 def test_maximize_cost_soundness():
     f = [0, 1, 2, 3, 4, 5, 6, 7]
-    state = setup_uniform(range(8))
+    state = setup_uniform(8)
     for eps, delta in [(1 / 8, 0.05), (0.5, 0.01)]:
         _, cost = quantum_maximize(f, state, QOptConfig(eps, delta, seed=1))
         assert cost.total_calls <= maximize_call_budget(eps, delta)
@@ -198,7 +203,7 @@ def test_maximize_stops_after_one_decision_at_target_epsilon():
     # ever raised: the run is one f evaluation plus one failing decision at
     # config.epsilon, with the rng stream of that single decision
     f = [9, 3, 5, 1, 7, 2, 8, 4, 6, 0, 1, 2, 3, 4, 5, 6]
-    state = setup_uniform(range(16))
+    state = setup_uniform(16)
     eps, delta, seed = 1 / 16, 0.05, 7
     best, cost = quantum_maximize(f, state, QOptConfig(eps, delta, seed=seed))
     found, decide = amplitude_amplify_decide(
@@ -233,17 +238,20 @@ def test_distributed_cost_memory_charges():
 
 
 def test_maximize_rejects_values_not_one_per_candidate():
-    state = setup_uniform(range(4))
+    state = setup_uniform(4)
     for values in ([3, 1, 4], [[3, 1, 4, 1]], 5):
         with pytest.raises(SearchError):
             quantum_maximize(values, state, QOptConfig(0.25, 0.05))
 
 
 def test_decide_rejects_marks_not_one_per_candidate():
-    state = setup_uniform(range(4))
+    # the reference iteration takes and checks the same marks
+    state = setup_uniform(4)
     for marked in (True, np.ones(3, bool), np.ones((4, 1), bool), np.array([0, 1, 0, 0])):
         with pytest.raises(SearchError):
             amplitude_amplify_decide(state, marked, 0.25, 0.1, 0)
+        with pytest.raises(SearchError, match="marked"):
+            grover_iterate(state, marked)
 
 
 def test_config_validation():
@@ -256,7 +264,7 @@ def test_config_validation():
 @given(st.integers(0, 500))
 def test_determinism_per_seed(seed):
     f = [2, 7, 1, 8, 2, 8]
-    state = setup_uniform(range(6))
+    state = setup_uniform(6)
     a = quantum_maximize(f, state, QOptConfig(1 / 3, 0.1, seed=seed))
     b = quantum_maximize(f, state, QOptConfig(1 / 3, 0.1, seed=seed))
     assert a[0] == b[0] and a[1].total_calls == b[1].total_calls
@@ -264,10 +272,10 @@ def test_determinism_per_seed(seed):
 
 def _random_setup(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
     if kind == "uniform":
-        return setup_uniform(range(n)).setup_amps
+        return setup_uniform(n).setup_amps
     if kind == "subset":
         support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        return setup_subset(range(n), support.tolist()).setup_amps
+        return setup_subset(n, support.tolist()).setup_amps
     raw = rng.normal(size=n) + 1j * rng.normal(size=n)
     return raw / np.linalg.norm(raw)
 
@@ -291,15 +299,15 @@ def test_try_distribution_equals_the_vector_grover_steps(n, seed, setup_kind, ma
     rng = np.random.default_rng(seed)
     setup = _random_setup(rng, n, setup_kind)
     mask = _random_mask(rng, n, mask_kind)
-    state = AmplitudeState(tuple(range(n)), setup.copy(), setup.copy())
+    state = AmplitudeState(setup.copy(), setup.copy())
     for _ in range(j):
-        state = grover_iterate(state, lambda x: bool(mask[x]))
+        state = grover_iterate(state, mask)
     got = _try_distribution(setup, mask)(j)
     assert np.max(np.abs(got - np.abs(state.amps) ** 2)) <= 1e-12
 
 
 def _stepped_decide(state0, mask, epsilon, delta, rng):
-    """Reference decision that steps the amplitude vector: j ``_grover_step``
+    """Reference decision that steps the amplitude vector: j ``grover_iterate``
     calls per try, then one ``rng.choice`` on the final amplitudes."""
     cost = SearchCost()
     m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
@@ -308,20 +316,18 @@ def _stepped_decide(state0, mask, epsilon, delta, rng):
         m = 1.0
         while True:
             j = int(rng.integers(0, max(1, int(m))))
-            state = AmplitudeState(
-                state0.candidates, state0.setup_amps.copy(), state0.setup_amps
-            )
+            state = AmplitudeState(state0.setup_amps.copy(), state0.setup_amps)
             cost.setup_calls += 1
             for _ in range(j):
-                state = _grover_step(state, mask)
+                state = grover_iterate(state, mask)
                 cost.eval_calls += 1
                 cost.setup_calls += 1
                 cost.inverse_calls += 2
             p = np.abs(state.amps) ** 2
-            i = int(rng.choice(len(state.candidates), p=p / p.sum()))
+            i = int(rng.choice(len(p), p=p / p.sum()))
             cost.eval_calls += 1
             if mask[i]:
-                return state.candidates[i], cost
+                return i, cost
             if m >= m_cap:
                 break
             m = min(m * 6.0 / 5.0, m_cap)
@@ -345,7 +351,7 @@ def _decide_cases(count: int):
         else:
             epsilon = marked_mass * float(rng.uniform(0.01, 1.0))
         delta = float(rng.uniform(0.001, 0.999))
-        state = AmplitudeState(tuple(range(n)), setup.copy(), setup.copy())
+        state = AmplitudeState(setup.copy(), setup.copy())
         yield state, mask, epsilon, delta, case
 
 
@@ -363,7 +369,7 @@ def _bench_size_cases():
     few marked branches."""
     rng = np.random.default_rng(14)
     for n in (80, 128, 256):
-        state = setup_uniform(range(n))
+        state = setup_uniform(n)
         for marked_count in (0, 1, 3, 7):
             for _ in range(3):
                 mask = np.zeros(n, bool)
@@ -431,7 +437,7 @@ def test_maximize_holds_one_reader_for_all_its_decisions(counting_draws):
     for case in range(120):
         n = int(data.integers(2, 97))
         setup = _random_setup(data, n, ("uniform", "subset", "general")[case % 3])
-        state = AmplitudeState(tuple(range(n)), setup.copy(), setup.copy())
+        state = AmplitudeState(setup.copy(), setup.copy())
         values = data.integers(0, max(2, n // int(data.integers(1, 5))), size=n)
         config = QOptConfig(
             float(data.uniform(0.8, 1.0) / int(data.integers(1, n + 1))),
@@ -463,13 +469,13 @@ def test_decide_builds_each_law_once_per_distinct_j(monkeypatch):
         return after
 
     monkeypatch.setattr(qsearch, "_try_distribution", counting)
-    state = setup_uniform(range(128))
+    state = setup_uniform(128)
     _, cost = amplitude_amplify_decide(state, np.zeros(128, bool), 1 / 128, 1 / 128**2, 3)
     tries = cost.setup_calls - cost.inverse_calls // 2
     assert len(evaluated) == len(set(evaluated)) < tries
     # marks outside the setup support: every try builds or reuses a law and
     # none can succeed
-    state = setup_subset(range(128), range(64))
+    state = setup_subset(128, range(64))
     found, cost = amplitude_amplify_decide(
         state, np.arange(128) >= 64, 1 / 128, 1 / 128**2, 3
     )
@@ -487,7 +493,7 @@ def test_decide_with_nothing_marked_builds_no_law(monkeypatch):
 
     monkeypatch.setattr(qsearch, "_cdf", counting)
     for n, seed in [(16, 0), (80, 1), (256, 2)]:
-        state = setup_uniform(range(n))
+        state = setup_uniform(n)
         mask = np.zeros(n, bool)
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = amplitude_amplify_decide(state, mask, 1 / n, 1 / n**2, ours)
@@ -497,7 +503,7 @@ def test_decide_with_nothing_marked_builds_no_law(monkeypatch):
 
 
 def test_decide_with_nothing_marked_rejects_a_nan_setup():
-    state = setup_uniform(range(4))
+    state = setup_uniform(4)
     state.setup_amps[1] = np.nan
     with pytest.raises(SearchError, match="not normalized"):
         amplitude_amplify_decide(state, np.zeros(4, bool), 0.25, 0.1, 0)
@@ -508,7 +514,7 @@ def test_state_rejects_a_nan_amplitude(field):
     arrays = {"amps": np.full(4, 0.5, complex), "setup_amps": np.full(4, 0.5, complex)}
     arrays[field][2] = np.nan
     with pytest.raises(SearchError, match="not normalized"):
-        AmplitudeState(tuple(range(4)), **arrays)
+        AmplitudeState(**arrays)
 
 
 def _interleaved_draws(data, draws, ref, count):
@@ -552,7 +558,7 @@ def test_raw_draws_match_the_generators_own_draws():
 
 def test_decide_refuses_iteration_counts_beyond_32_bits():
     # j is drawn from a 32-bit value, so m may not exceed 2^32
-    state = setup_uniform(range(4))
+    state = setup_uniform(4)
     with pytest.raises(SearchError, match="2\\^32"):
         amplitude_amplify_decide(state, np.zeros(4, bool), 2.0**-66, 0.5, 0)
     found, _ = amplitude_amplify_decide(state, np.zeros(4, bool), 2.0**-64, 0.5, 0)
@@ -560,7 +566,7 @@ def test_decide_refuses_iteration_counts_beyond_32_bits():
 
 
 def test_decide_refuses_a_generator_not_over_pcg64():
-    state = setup_uniform(range(4))
+    state = setup_uniform(4)
     for rng in (np.random.Generator(np.random.MT19937(1)), np.random.RandomState(1)):
         with pytest.raises(SearchError, match="PCG64"):
             amplitude_amplify_decide(state, np.arange(4) < 1, 0.25, 0.1, rng)
@@ -601,7 +607,7 @@ def test_cdf_rejects_a_law_that_does_not_sum_to_one():
 
 
 def test_decide_rejects_a_setup_that_is_no_longer_normalized():
-    state = setup_uniform(range(4))
+    state = setup_uniform(4)
     state.setup_amps[0] = 1.0
     with pytest.raises(SearchError, match="not normalized"):
         amplitude_amplify_decide(state, np.arange(4) < 2, 0.25, 0.1, 0)
@@ -615,7 +621,7 @@ def test_production_runs_step_no_amplitude_vector(algorithm, monkeypatch):
     def refuse(state, mask):
         raise AssertionError("a production run stepped the amplitude vector")
 
-    monkeypatch.setattr(qsearch, "_grover_step", refuse)
+    monkeypatch.setattr(qsearch, "grover_iterate", refuse)
     g = graphs.generate("random", 12, seed=4, p=0.3)
     assert algorithm(g, seed=1).d_out == graphs.diameter_bruteforce(g)
 
