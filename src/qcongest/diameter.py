@@ -1,13 +1,15 @@
 """End-to-end diameter algorithms: simple exact, windowed exact, and the
 3/2-approximation.
 
-All three elect the minimum-id leader, build its BFS tree, then maximize an
-eccentricity-style function with the amplitude-level search layer.  The
-searched value vector is filled by running the corresponding distributed
-procedure once per support candidate, each run read from a table that
-fills all candidates together; ``distributed_cost`` charges each oracle
-call at the (branch-uniform) network cost of one such run and builds the
-run's report.
+All three elect the minimum-id leader and build its BFS tree, then end in
+one search phase, ``_search``: it reads every candidate's branch once, in
+ascending order, each from a table that fills all candidates together;
+maximizes over those values with the amplitude-level search layer
+(Durr-Hoyer maximum finding); and charges each oracle call, through
+``distributed_cost``, at the network cost of one branch.  The run's report
+is the only one that names a ``leader``: the search's coordinator, which is
+the elected leader for the exact algorithms and the node w for the
+approximation.
 
 Every phase reads one all-sources distance matrix, built once per graph by
 ``_init_phases`` and shared, with the election and the leader tree, by
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -44,7 +47,7 @@ from .procedures import (
     simple_eval_register_bits,
     simple_eval_table,
 )
-from .qsearch import QOptConfig, SearchCost, distributed_cost, quantum_maximize, setup_subset, setup_uniform
+from .qsearch import QOptConfig, SearchCost, distributed_cost, quantum_maximize, setup_subset
 
 # Declared bound constants, asserted on every run (see acceptance suite):
 # an evaluation call costs at most 18*ecc(leader) + EVAL_ROUND_SLACK rounds,
@@ -79,8 +82,8 @@ def _poly_delta(n: int) -> float:
     return 1.0 / max(4, n * n)
 
 
-# One-slot memo of _init_phases: [graph, (leader, ecc, tree, election
-# report, tree report, dist)] for the last graph prepared, or empty.
+# One-slot memo of _init_phases: [graph, (tree, election report, tree
+# report, dist)] for the last graph prepared, or empty.
 _prepared: list = []
 
 
@@ -92,9 +95,11 @@ def release_preparation() -> None:
     _adjacency_memo.clear()
 
 
-def _init_phases(g: Graph) -> tuple[int, int, BfsTreeState, CostReport, np.ndarray]:
-    """Election and leader tree, plus the graph's all-sources distance
-    matrix, which every later phase reads.
+def _init_phases(g: Graph) -> tuple[BfsTreeState, CostReport, np.ndarray]:
+    """The leader's BFS tree, the report of the election and the tree, and
+    the graph's all-sources distance matrix, which every later phase reads.
+    The elected leader and its eccentricity are ``tree.leader`` and
+    ``tree.ecc_leader``.
 
     Consecutive runs on one graph share them through a one-slot memo.  A
     miss drops the previous graph's entry before building the new one, so
@@ -105,11 +110,11 @@ def _init_phases(g: Graph) -> tuple[int, int, BfsTreeState, CostReport, np.ndarr
         _prepared.clear()
         dist = all_sources_distances(g)
         dist.flags.writeable = False
-        leader, ecc_leader, rep_elect = elect_leader_and_ecc(g, dist)
+        leader, _, rep_elect = elect_leader_and_ecc(g, dist)
         tree, rep_bfs = build_bfs_tree(g, leader, dist)
-        _prepared[:] = [g, (leader, ecc_leader, tree, rep_elect, rep_bfs, dist)]
-    leader, ecc_leader, tree, rep_elect, rep_bfs, dist = _prepared[1]
-    return leader, ecc_leader, tree, rep_elect.merge(rep_bfs), dist
+        _prepared[:] = [g, (tree, rep_elect, rep_bfs, dist)]
+    tree, rep_elect, rep_bfs, dist = _prepared[1]
+    return tree, rep_elect.merge(rep_bfs), dist
 
 
 def _trivial_result(g: Graph) -> DiameterResult:
@@ -130,68 +135,81 @@ def _check_leader_memory(report: CostReport) -> None:
         )
 
 
+def _search(
+    tree: BfsTreeState,
+    candidates: Collection[int],
+    read: Callable[[int], tuple[int, CostReport]],
+    t_eval_of: Callable[[set[int]], int],
+    node_qubits: Sequence[int],
+    prep: CostReport,
+    t0: int,
+    epsilon: float,
+    delta: float | None,
+    seed: int,
+    details: dict,
+) -> DiameterResult:
+    """The search phase every algorithm ends in, coordinated by the root of
+    ``tree``: read each candidate's branch once, in ascending order, with
+    ``read``, maximize over the candidates, charge each oracle call at
+    T_eval = ``t_eval_of`` of the branches' round counts, and check the
+    coordinator's memory.  Node v holds ``node_qubits[v]`` qubits in a
+    branch; ``prep`` is the preparation, ending at round ``t0``."""
+    n, d = tree.n, tree.ecc_leader
+    values = [0] * n  # entries outside the candidates are never read
+    rounds: set[int] = set()
+    words_eval = 0
+    for u0 in sorted(candidates):
+        values[u0], rep = read(u0)
+        rounds.add(rep.rounds)
+        words_eval = max(words_eval, rep.total_words)
+    delta = _poly_delta(n) if delta is None else delta
+    best, cost = quantum_maximize(
+        values, setup_subset(n, candidates), QOptConfig(epsilon, delta, seed)
+    )
+    t_eval = t_eval_of(rounds)
+    report = distributed_cost(
+        prep, t0, d, t_eval, words_eval, cost, node_qubits, epsilon, tree.leader
+    )
+    _check_leader_memory(report)
+    return DiameterResult(
+        values[best], report, cost, t0, d, t_eval, d, epsilon, details=details
+    )
+
+
+def _windowed_evaluation(
+    g: Graph, tree: BfsTreeState, dist: np.ndarray, support: frozenset[int]
+) -> tuple[Callable[[int], tuple[int, CostReport]], Callable[[set[int]], int], tuple[int, ...]]:
+    """The windowed evaluation over ``support`` as ``_search`` reads it: the
+    branch reader, T_eval, which must be branch-uniform and at most
+    18*ecc(root) + EVAL_ROUND_SLACK rounds, and the qubits per node."""
+    ectx = make_eval_context(g, tree, dist, support)
+
+    def t_eval_of(rounds: set[int]) -> int:
+        if len(rounds) != 1:
+            raise AlgorithmError(f"evaluation cost must be branch-uniform, got {rounds}")
+        t_eval = rounds.pop()
+        if t_eval > 18 * tree.ecc_leader + EVAL_ROUND_SLACK:
+            raise AlgorithmError(
+                f"evaluation took {t_eval} rounds, exceeding 18*{tree.ecc_leader}+{EVAL_ROUND_SLACK}"
+            )
+        return t_eval
+
+    return (lambda u0: evaluation_procedure(ectx, u0)), t_eval_of, ectx.quantum_bits
+
+
 def exact_diameter_simple(
     g: Graph, seed: int = 0, delta: float | None = None
 ) -> DiameterResult:
     """Maximize plain eccentricity over all nodes: O(sqrt(n) * D) rounds."""
     if g.n <= 2:
         return _trivial_result(g)
-    delta = _poly_delta(g.n) if delta is None else delta
-    leader, d, tree, rep0, dist = _init_phases(g)
-
+    tree, rep0, dist = _init_phases(g)
     table = simple_eval_table(g, tree, dist)
-    values = [0] * g.n
-    t_eval = words_eval = 0
-    for u0 in range(g.n):
-        values[u0], rep = eccentricity_simple_eval(g, tree, u0, table)
-        t_eval = max(t_eval, rep.rounds)
-        words_eval = max(words_eval, rep.total_words)
-    epsilon = 1.0 / g.n
-    best, cost = quantum_maximize(
-        values, setup_uniform(g.n), QOptConfig(epsilon, delta, seed)
+    return _search(
+        tree, range(g.n), lambda u0: eccentricity_simple_eval(g, tree, u0, table), max,
+        [simple_eval_register_bits(g.n)] * g.n, rep0, rep0.rounds,
+        epsilon=1.0 / g.n, delta=delta, seed=seed, details={"leader": tree.leader},
     )
-    qubits = [simple_eval_register_bits(g.n)] * g.n
-    report = distributed_cost(
-        rep0, rep0.rounds, d, t_eval, words_eval, cost, qubits, epsilon, leader
-    )
-    _check_leader_memory(report)
-    return DiameterResult(
-        values[best], report, cost, rep0.rounds, d, t_eval, d, epsilon,
-        details={"leader": leader},
-    )
-
-
-def _windowed_maximize(
-    g: Graph,
-    tree: BfsTreeState,
-    support: frozenset[int] | None,
-    epsilon: float,
-    delta: float,
-    seed: int,
-    dist: np.ndarray,
-) -> tuple[int, int, SearchCost, int, tuple[int, ...]]:
-    """Shared quantum phase of the exact and approximate algorithms: the
-    maximum found, T_eval, the call counts, the words of one evaluation and
-    the evaluation's qubits per node."""
-    ectx = make_eval_context(g, tree, dist, support)
-    values = [0] * g.n  # entries outside the support are never read
-    rounds: set[int] = set()
-    words_eval = 0
-    for u0 in range(g.n) if support is None else sorted(support):
-        values[u0], rep = evaluation_procedure(ectx, u0)
-        rounds.add(rep.rounds)
-        words_eval = max(words_eval, rep.total_words)
-    state0 = setup_uniform(g.n) if support is None else setup_subset(g.n, support)
-    best, cost = quantum_maximize(values, state0, QOptConfig(epsilon, delta, seed))
-
-    if len(rounds) != 1:
-        raise AlgorithmError(f"evaluation cost must be branch-uniform, got {rounds}")
-    t_eval = rounds.pop()
-    if t_eval > 18 * tree.ecc_leader + EVAL_ROUND_SLACK:
-        raise AlgorithmError(
-            f"evaluation took {t_eval} rounds, exceeding 18*{tree.ecc_leader}+{EVAL_ROUND_SLACK}"
-        )
-    return values[best], t_eval, cost, words_eval, ectx.quantum_bits
 
 
 def exact_diameter(g: Graph, seed: int = 0, delta: float | None = None) -> DiameterResult:
@@ -203,19 +221,12 @@ def exact_diameter(g: Graph, seed: int = 0, delta: float | None = None) -> Diame
     """
     if g.n <= 2:
         return _trivial_result(g)
-    delta = _poly_delta(g.n) if delta is None else delta
-    leader, d, tree, rep0, dist = _init_phases(g)
-    epsilon = min(1.0, d / (2.0 * g.n))
-    d_out, t_eval, cost, words_eval, qubits = _windowed_maximize(
-        g, tree, None, epsilon, delta, seed, dist
-    )
-    report = distributed_cost(
-        rep0, rep0.rounds, d, t_eval, words_eval, cost, qubits, epsilon, leader
-    )
-    _check_leader_memory(report)
-    return DiameterResult(
-        d_out, report, cost, rep0.rounds, d, t_eval, d, epsilon,
-        details={"leader": leader},
+    tree, rep0, dist = _init_phases(g)
+    support = frozenset(range(g.n))
+    return _search(
+        tree, support, *_windowed_evaluation(g, tree, dist, support), rep0, rep0.rounds,
+        epsilon=min(1.0, tree.ecc_leader / (2.0 * g.n)), delta=delta, seed=seed,
+        details={"leader": tree.leader},
     )
 
 
@@ -237,8 +248,8 @@ def approx_diameter(g: Graph, seed: int = 0, delta: float | None = None) -> Diam
     if g.n <= 2:
         return _trivial_result(g)
     n = g.n
-    delta = _poly_delta(n) if delta is None else delta
-    leader, d_leader, tree_leader, rep0, dist = _init_phases(g)
+    tree_leader, rep0, dist = _init_phases(g)
+    d_leader = tree_leader.ecc_leader
 
     s = max(1, min(n, math.ceil(n ** (2 / 3) / max(1, d_leader) ** (1 / 3))))
     rng = random.Random(f"qcongest-approx:{seed}")
@@ -269,24 +280,20 @@ def approx_diameter(g: Graph, seed: int = 0, delta: float | None = None) -> Diam
     prep = rep0.merge(rep_ms).merge(rep_ag).merge(rep_w)
     t0 = prep.rounds + (len(landmarks) + 2 * d_leader) + (s + d)
 
-    epsilon = min(1.0, d / (2.0 * len(r_set)))
-    d_quantum, t_eval, cost, words_eval, qubits = _windowed_maximize(
-        g, tree_w, r_set, epsilon, delta, seed, dist
-    )
-    d_bar = max(d_quantum, ecc_landmarks, d)
-    report = distributed_cost(prep, t0, d, t_eval, words_eval, cost, qubits, epsilon, w)
-    _check_leader_memory(report)
-    return DiameterResult(
-        d_bar, report, cost, t0, d, t_eval, d, epsilon,
+    result = _search(
+        tree_w, r_set, *_windowed_evaluation(g, tree_w, dist, r_set), prep, t0,
+        epsilon=min(1.0, d / (2.0 * len(r_set))), delta=delta, seed=seed,
         details={
-            "leader": leader,
+            "leader": tree_leader.leader,
             "w": w,
             "s": s,
             "r_size": len(r_set),
             "landmarks": len(landmarks),
-            "d_quantum": d_quantum,
         },
     )
+    result.details["d_quantum"] = result.d_out
+    result.d_out = max(result.d_out, ecc_landmarks, d)
+    return result
 
 
 def approx_guarantee_holds(d_bar: int, d_true: int) -> bool:

@@ -189,7 +189,13 @@ class NodePeaks(list):
 
 @dataclass
 class CostReport:
-    """Per-execution accounting of rounds, words, and per-node peak memory."""
+    """Per-execution accounting of rounds, words, and per-node peak memory.
+
+    ``leader`` is the run's coordinator, the node whose peak qubits the
+    search's memory bound limits.  Only a run's report names one (built by
+    ``qsearch.distributed_cost``, or directly for n <= 2); a procedure's or
+    a branch's report, and a merge of reports, leaves it None.
+    """
 
     rounds: int = 0
     total_words: int = 0
@@ -204,7 +210,6 @@ class CostReport:
             total_words=self.total_words + other.total_words,
             per_node_peak_bits=self.per_node_peak_bits.merge(other.per_node_peak_bits),
             per_node_peak_qubits=self.per_node_peak_qubits.merge(other.per_node_peak_qubits),
-            leader=self.leader if self.leader is not None else other.leader,
         )
 
 

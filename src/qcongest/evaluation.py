@@ -379,7 +379,7 @@ def evaluate_on_engine(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
     _check_candidate(u0, ectx.numbering.tau)
     outputs, report = run(ectx.g, EvaluationProgram(ectx, u0), max_rounds=ectx.total_rounds + 2)
     _check_window(ectx, u0, frozenset(v for v, o in outputs.items() if o["taup"] is not None))
-    return outputs[ectx.tree.leader]["f"], _with_cleanup(report, ectx.tree.leader)
+    return outputs[ectx.tree.leader]["f"], _with_cleanup(report)
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +565,7 @@ def evaluation_procedure(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
     f, words = ectx.branches[u0]
     peaks = ectx.quantum_bits
     forward = CostReport(ectx.total_rounds, words, NodePeaks(peaks), NodePeaks(peaks))
-    return f, _with_cleanup(forward, ectx.tree.leader)
+    return f, _with_cleanup(forward)
 
 
 def _check_window(ectx: EvalContext, u0: int, window: frozenset[int]) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graphs import BipartiteGadget, Graph, GraphError, bipartite_delta, diameter_bruteforce
 
@@ -173,33 +173,13 @@ def build_reduction_instance(
     cliques), ignoring any stretch dummies.
     """
     gad = gadget_build(n)
-    base = gadget_apply_inputs(gad, inp)
-    if stretch_d:
-        stretched, _ = stretch(gad, stretch_d)
-        # input edges are intra-side and unaffected by stretching
-        extra = sorted(set(base.edges()) - set(gad.graph.edges()))
-        graph = Graph.from_edges(
-            stretched.graph.n, list(stretched.graph.edges()) + extra
-        )
-        gad_out = BipartiteGadget(
-            graph=graph,
-            left=stretched.left,
-            right=stretched.right,
-            cut_edges=stretched.cut_edges,
-            roles=stretched.roles,
-        )
-    else:
-        graph = base
-        gad_out = BipartiteGadget(
-            graph=graph,
-            left=gad.left,
-            right=gad.right,
-            cut_edges=gad.cut_edges,
-            roles=gad.roles,
-        )
+    stretched, _ = stretch(gad, stretch_d)
+    # input edges are intra-side and unaffected by stretching
+    extra = sorted(set(gadget_apply_inputs(gad, inp).edges()) - set(gad.graph.edges()))
+    graph = Graph.from_edges(stretched.graph.n, list(stretched.graph.edges()) + extra)
     return ReductionInstance(
         inp=inp,
-        gadget=gad_out,
+        gadget=replace(stretched, graph=graph),
         graph=graph,
         stretch_d=stretch_d,
         delta=bipartite_delta(graph, gad.left, gad.right),

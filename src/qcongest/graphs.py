@@ -16,7 +16,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 
@@ -286,31 +285,3 @@ def generate(family: str, n: int, seed: int = 0, p: float | None = None) -> Grap
     rng.shuffle(perm)
     return relabel(g, perm)
 
-
-# ---------------------------------------------------------------------------
-# Edge-list interchange format: first line "n m", then m lines "u v" with
-# u < v, 0-based, emitted sorted.
-# ---------------------------------------------------------------------------
-
-
-def write_edge_list(g: Graph, path: str | Path) -> None:
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in sorted(g.edges())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_edge_list(path: str | Path) -> Graph:
-    text = Path(path).read_text(encoding="utf-8")
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
-        raise GraphError(f"{path}: expected header 'n m'")
-    n, m = int(rows[0][0]), int(rows[0][1])
-    if len(rows) - 1 != m:
-        raise GraphError(f"{path}: header claims {m} edges, found {len(rows) - 1}")
-    edges = []
-    for row in rows[1:]:
-        u, v = int(row[0]), int(row[1])
-        if not u < v:
-            raise GraphError(f"{path}: edge {u} {v} not in u<v form")
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)

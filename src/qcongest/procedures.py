@@ -296,8 +296,7 @@ def elect_on_engine(
     eccs = {o["ecc"] for o in outputs.values()}
     if leaders != {0} or len(eccs) != 1:
         raise EngineError("all nodes must agree on leader 0 and its eccentricity")
-    report.leader = leaders.pop()
-    return report.leader, eccs.pop(), report
+    return leaders.pop(), eccs.pop(), report
 
 
 def _doubling_steps(up: np.ndarray, depth: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -395,7 +394,7 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     words = int(count.sum()) + 2 * g.m + int((echoes & adoption & (ready > rk)).sum())
     rounds = int(ready[record[0, 0]]) + int(dist[0].max()) + 1
     bits = NodePeaks((8 * L + 1,) + (9 * L + 1,) * (n - 1))  # the leader has no parent
-    return CostReport(rounds, words, bits, NodePeaks.uniform(n, 0), leader=0)
+    return CostReport(rounds, words, bits, NodePeaks.uniform(n, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +495,7 @@ def build_bfs_tree(
     _check_word(leader, L, g.n)
     report = CostReport(
         ecc_leader, int(deg[row < ecc_leader].sum()),
-        NodePeaks.uniform(g.n, 2 * L), NodePeaks.uniform(g.n, 0), leader,
+        NodePeaks.uniform(g.n, 2 * L), NodePeaks.uniform(g.n, 0),
     )
     state = BfsTreeState(leader, ecc_leader, tuple(parent.tolist()), tuple(row.tolist()))
     return state, report
@@ -512,7 +511,6 @@ def bfs_tree_on_engine(
     outputs, report = run(g, BfsTreeProgram(g.n, leader, budget), max_rounds=budget + 2)
     parent = tuple(outputs[v]["parent"] for v in range(g.n))
     dist = tuple(outputs[v]["dist"] for v in range(g.n))
-    report.leader = leader
     return BfsTreeState(leader, budget, parent, dist), report
 
 
@@ -546,23 +544,17 @@ def dfs_numbering(
     With ``restrict`` the walk covers only that node set, which must contain
     the root and be closed under taking parents.
     """
-    if restrict is None:
-        allowed = None
-        k = tree.n
-    else:
-        allowed = frozenset(restrict)
+    children, k = tree.children, tree.n
+    allowed = None if restrict is None else frozenset(restrict)
+    # every node allowed: the whole tree, with no check or filter needed
+    if allowed is not None and allowed != frozenset(range(k)):
         if tree.leader not in allowed:
             raise EngineError("restricted DFS must contain the root")
         for v in allowed:
             if v != tree.leader and tree.parent[v] not in allowed:
                 raise EngineError(f"restricted set not parent-closed at node {v}")
         k = len(allowed)
-
-    def kids(v: int) -> tuple[int, ...]:
-        cs = tree.children[v]
-        if allowed is None:
-            return cs
-        return tuple(c for c in cs if c in allowed)
+        children = {v: [c for c in children[v] if c in allowed] for v in allowed}
 
     root = tree.leader
     walk = [root]
@@ -570,7 +562,7 @@ def dfs_numbering(
     stack: list[tuple[int, int]] = [(root, 0)]
     while stack:
         v, ci = stack[-1]
-        cs = kids(v)
+        cs = children[v]
         if ci < len(cs):
             stack[-1] = (v, ci + 1)
             c = cs[ci]
@@ -839,16 +831,15 @@ def _simple_eval_result(
             f"simple evaluation of {u0} took {report.rounds} forward rounds, "
             f"exceeding 2*{value}+{tree.ecc_leader}+4"
         )
-    return value, _with_cleanup(report, tree.leader)
+    return value, _with_cleanup(report)
 
 
-def _with_cleanup(forward: CostReport, leader: int) -> CostReport:
+def _with_cleanup(forward: CostReport) -> CostReport:
     """Turn a branch's forward-pass report, in place, into the branch's
     report: the cleanup reversal mirrors the forward pass, so rounds and
     words double, and it reuses the forward registers, so the peaks stay."""
     forward.rounds *= 2
     forward.total_words *= 2
-    forward.leader = leader
     return forward
 
 

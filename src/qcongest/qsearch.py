@@ -98,6 +98,10 @@ class AmplitudeState:
     def __post_init__(self) -> None:
         if len(self.setup_amps) > MAX_BRANCHES:
             raise SearchError(f"more than {MAX_BRANCHES} branches")
+        if self.amps.shape != self.setup_amps.shape:
+            raise SearchError(
+                f"amplitudes of shape {self.amps.shape} do not match the setup's {self.setup_amps.shape}"
+            )
         for arr in (self.amps, self.setup_amps):
             norm = float(np.sum(np.abs(arr) ** 2))
             if not abs(norm - 1.0) <= _NORM_TOL:
@@ -469,7 +473,8 @@ def distributed_cost(
     ``words_per_call`` words.  Node v holds ``node_qubits[v]`` qubits; the
     coordinator additionally stores one amplification outcome per threshold
     phase, so its peak is (max(node_qubits) + log|X|) * log(1/eps).
-    Classical peaks are those of ``prep``.
+    Classical peaks are those of ``prep``.  The report names ``leader`` as
+    the run's coordinator.
     """
     log_eps = max(1, math.ceil(math.log2(1.0 / epsilon)))
     index_bits = max(1, (max(len(node_qubits), 2) - 1).bit_length())

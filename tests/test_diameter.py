@@ -240,7 +240,7 @@ def test_runs_on_one_graph_build_its_adjacency_arrays_once(monkeypatch):
 def test_a_run_cannot_change_the_shared_preparation(algo):
     g = generate("random", 24, seed=4, p=0.2)
     first = algo(g, seed=2)
-    _, _, _, prep, dist = diameter._init_phases(g)
+    _, prep, dist = diameter._init_phases(g)
     with pytest.raises(ValueError, match="read-only"):
         dist[0, 1] = 0
     prep.rounds += 100
@@ -251,3 +251,69 @@ def test_a_run_cannot_change_the_shared_preparation(algo):
     warm = algo(g, seed=2)
     diameter.release_preparation()
     assert warm == algo(g, seed=2)
+
+
+def _recording(patch, name):
+    """Wrap ``diameter.<name>`` so that each call's arguments are recorded."""
+    calls = []
+    inner = getattr(diameter, name)
+    patch.setattr(diameter, name, lambda *args: calls.append(args) or inner(*args))
+    return calls
+
+
+@pytest.mark.parametrize("family, n, p", [("random", 40, 0.15), ("lollipop", 23, None)])
+def test_each_run_reads_every_candidate_once_in_ascending_order(family, n, p, monkeypatch):
+    g = generate(family, n, seed=3, p=p)
+    for algo in (exact_diameter, exact_diameter_simple, approx_diameter):
+        with monkeypatch.context() as patch:
+            windowed = _recording(patch, "evaluation_procedure")
+            simple = _recording(patch, "eccentricity_simple_eval")
+            searches = _recording(patch, "quantum_maximize")
+            result = algo(g, seed=5)
+        candidates = list(range(g.n))
+        if algo is approx_diameter:
+            dist = graphs.bfs_distances(g, result.details["w"])
+            candidates = sorted(sorted(candidates, key=lambda v: (dist[v], v))[: result.details["s"]])
+            assert len(candidates) == result.details["r_size"] < g.n
+        # evaluation_procedure(ectx, u0) and eccentricity_simple_eval(g, tree, u0, table)
+        reads = [args[1] for args in windowed] + [args[2] for args in simple]
+        assert reads == candidates
+        assert bool(simple) == (algo is exact_diameter_simple)
+        assert len(searches) == 1
+
+
+def test_procedure_and_branch_reports_name_no_leader():
+    g = generate("random", 20, seed=2, p=0.25)
+    dist = procedures.all_sources_distances(g)
+    tree, _ = procedures.build_bfs_tree(g, 0, dist)
+    ectx = evaluation.make_eval_context(g, tree, dist)
+    table = procedures.simple_eval_table(g, tree, dist)
+    values = {v: v % 3 for v in range(g.n)}
+    reports = [
+        procedures.elect_leader_and_ecc(g, dist)[2],
+        procedures.elect_on_engine(g)[2],
+        procedures.build_bfs_tree(g, 5, dist)[1],
+        procedures.bfs_tree_on_engine(g, 0, tree.ecc_leader)[1],
+        procedures.multi_source_bfs(g, [1, 7], dist)[1],
+        procedures.multi_source_bfs_on_engine(g, [1, 7])[1],
+        procedures.argmax_convergecast(g, tree, values, dist)[2],
+        procedures.argmax_on_engine(g, tree, values)[2],
+        procedures.eccentricity_simple_eval(g, tree, 4, table)[1],
+        procedures.simple_eval_on_engine(g, tree, 4)[1],
+        evaluation.evaluation_procedure(ectx, 4)[1],
+        evaluation.evaluate_on_engine(ectx, 4)[1],
+    ]
+    assert [r.leader for r in reports] == [None] * len(reports)
+    run_report = exact_diameter(g, seed=1).report
+    assert run_report.leader == 0
+    assert run_report.merge(run_report).leader is None
+
+
+def test_a_runs_report_names_its_coordinator():
+    g = generate("random", 48, seed=6, p=0.1)
+    for algo in (exact_diameter, exact_diameter_simple):
+        result = algo(g, seed=3)
+        assert result.report.leader == result.details["leader"] == 0
+    result = approx_diameter(g, seed=3)
+    assert result.details["leader"] == 0
+    assert result.report.leader == result.details["w"]

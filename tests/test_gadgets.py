@@ -6,7 +6,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from qcongest import graphs
 from qcongest.engine import run
 from qcongest.gadgets import (
     DisjInput,
@@ -166,13 +165,6 @@ def test_reduction_cost_dominates_engine_cut_traffic(tmp_path):
     assert total_cut_words <= r * 2 * len(inst.gadget.cut_edges)
     assert messages == 2 * r
     assert qubits >= total_cut_words  # each cut word is at most b log n qubits worth
-
-
-def test_export_gadget_edge_list(tmp_path):
-    inst = build_reduction_instance(10, DisjInput(4, "1100", "0011"))
-    path = tmp_path / "gadget.edges"
-    graphs.write_edge_list(inst.graph, path)
-    assert graphs.read_edge_list(path) == inst.graph
 
 
 @given(st.integers(0, 200))

@@ -17,9 +17,7 @@ from qcongest.graphs import (
     diameter_bruteforce,
     eccentricity,
     generate,
-    read_edge_list,
     relabel,
-    write_edge_list,
 )
 
 
@@ -145,25 +143,6 @@ def test_generate_random_needs_p():
 
 def test_generate_seeds_differ():
     assert generate("random", 20, seed=0, p=0.2) != generate("random", 20, seed=1, p=0.2)
-
-
-def test_edge_list_roundtrip(tmp_path):
-    g = generate("grid", 12, seed=4)
-    path = tmp_path / "g.edges"
-    write_edge_list(g, path)
-    text = path.read_text()
-    first, *rest = text.splitlines()
-    assert first == f"{g.n} {g.m}"
-    assert all(int(a) < int(b) for a, b in (line.split() for line in rest))
-    assert rest == sorted(rest, key=lambda s: tuple(map(int, s.split())))
-    assert read_edge_list(path) == g
-
-
-def test_edge_list_rejects_disconnected(tmp_path):
-    path = tmp_path / "bad.edges"
-    path.write_text("4 2\n0 1\n2 3\n")
-    with pytest.raises(GraphError):
-        read_edge_list(path)
 
 
 def test_bipartite_delta_definition():

@@ -249,6 +249,12 @@ def test_restricted_numbering():
     num = dfs_numbering(tree, r)
     assert set(num.tau) == set(r)
     assert num.index_space == 10
+    assert dfs_numbering(tree, range(g.n)) == dfs_numbering(tree)
+    with pytest.raises(EngineError, match="must contain the root"):
+        dfs_numbering(tree, r - {tree.leader})
+    deep = next(v for v in order if tree.dist[v] == 2)
+    with pytest.raises(EngineError, match="not parent-closed"):
+        dfs_numbering(tree, {tree.leader, deep})
 
 
 # -- simple evaluation ---------------------------------------------------------

@@ -517,6 +517,16 @@ def test_state_rejects_a_nan_amplitude(field):
         AmplitudeState(**arrays)
 
 
+@pytest.mark.parametrize("amps_len, setup_len", [(1, 4), (4, 1), (4, 16)])
+def test_state_rejects_amplitudes_not_one_per_setup_branch(amps_len, setup_len):
+    amps = np.full(amps_len, amps_len**-0.5, complex)
+    setup = np.full(setup_len, setup_len**-0.5, complex)
+    with pytest.raises(SearchError, match="do not match the setup"):
+        AmplitudeState(amps, setup)
+    state = AmplitudeState(setup.copy(), setup)
+    assert grover_iterate(state, np.arange(setup_len) < 1).amps.shape == setup.shape
+
+
 def _interleaved_draws(data, draws, ref, count):
     # integers(0, m) over m in [2, 2^32] (about half the draws reject just
     # above 2^31) and random(), in random order
