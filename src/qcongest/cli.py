@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import verify as verify_mod
@@ -18,22 +19,38 @@ from .harness import (
 )
 
 
+class InputError(Exception):
+    """A command's input is invalid: ``main`` reports it in one line and
+    returns exit status 2."""
+
+
+@contextmanager
+def _reading_inputs():
+    """Turn a ``ValueError`` or ``OSError`` raised while a command reads its
+    inputs into an ``InputError``; errors of the work that follows pass."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise InputError(exc) from exc
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        families=tuple(f for f in args.families.split(",") if f),
-        sizes=_int_list(args.sizes),
-        seeds=tuple(range(args.num_seeds)),
-        algos=tuple(a for a in args.algos.split(",") if a),
-        delta=args.delta,
-        master_seed=args.seed,
-        jobs=args.jobs,
-        out=args.out,
-        trace_dir=args.trace,
-    )
+    with _reading_inputs():
+        config = ExperimentConfig(
+            families=tuple(f for f in args.families.split(",") if f),
+            sizes=_int_list(args.sizes),
+            seeds=tuple(range(args.num_seeds)),
+            algos=tuple(a for a in args.algos.split(",") if a),
+            delta=args.delta,
+            master_seed=args.seed,
+            jobs=args.jobs,
+            out=args.out,
+            trace_dir=args.trace,
+        )
     rows = run_grid(config)
     write_csv(rows, config.out)
     failures = sum(1 for r in rows if not r["ok"])
@@ -42,7 +59,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
-    rows = read_csv(args.csv)
+    with _reading_inputs():
+        rows = read_csv(args.csv)
     summary = scaling_summary(rows)
     for algo, stats in summary.items():
         slope = "undefined" if stats["slope"] is None else f"{stats['slope']:.3f}"
@@ -60,17 +78,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gadget(args: argparse.Namespace) -> int:
-    s = gadget_size(args.n)
-    k = s * s
-    if args.random is not None:
-        rng = random.Random(args.seed)
-        inp = DisjInput.random(k, rng)
-    else:
-        if args.x is None or args.y is None:
-            print("provide --x and --y bit strings, or --random", file=sys.stderr)
-            return 2
-        inp = DisjInput(k, args.x, args.y)
-    inst = build_reduction_instance(args.n, inp, stretch_d=args.d)
+    with _reading_inputs():
+        s = gadget_size(args.n)
+        k = s * s
+        if args.random is not None:
+            inp = DisjInput.random(k, random.Random(args.seed))
+        elif args.x is None or args.y is None:
+            raise InputError("provide --x and --y bit strings, or --random")
+        else:
+            inp = DisjInput(k, args.x, args.y)
+        inst = build_reduction_instance(args.n, inp, stretch_d=args.d)
     gap_ok = (inst.delta <= 2 + args.d) == (inst.disj == 1)
     print(f"n={args.n} s={s} k={k} stretch_d={args.d}")
     print(f"x={inst.inp.x}")
@@ -121,7 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InputError as exc:
+        print(f"qcongest: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

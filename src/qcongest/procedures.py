@@ -333,10 +333,13 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
 
     Node v adopts wave b in round k = dist(b, v) exactly when b is smaller
     than every id closer to v (ties by id), and holds it until its next
-    adoption.  Its parent for b is its smallest neighbor one level closer to
-    b, which adopts b in round k - 1; these links make the adoption records
-    a forest whose roots are the round-0 records.  Two aggregates over each
-    record's subtree give the echoes:
+    adoption.  Record (v, b) is keyed by its flat index v*n + b, and its
+    pair with a neighbor w by w*n + b, which keys both dist(b, w) (the
+    matrix is symmetric) and w's record for b, so every pair is read with
+    flat gathers.  v's parent for b is its smallest neighbor one level
+    closer to b, which adopts b in round k - 1; these links make the
+    adoption records a forest whose roots are the round-0 records.  Two
+    aggregates over each record's subtree give the echoes:
     - v's echo for b is ready in round E, the latest arrival of a non-parent
       neighbor's b-wave (dist(b, w) + 1) or of a child's echo (E_c + 1), so
       E + k is the largest E0 + k over the subtree, where E0 counts the
@@ -344,44 +347,51 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     - it is sent only if every non-parent neighbor adopts b, every child
       echoes and E comes before v's next adoption, so the subtree's records
       must all meet their own two conditions.
-    ``_subtree_fold`` folds both by pointer doubling.  An echo ready in the
-    adoption round rides on the claim word; a later one costs a word of its
-    own.  Round 0 and each adoption send deg(v) words.  Node 0 completes in
-    round R0 = max over its children of E + 1, and DONE floods 2m words in
-    ecc(0) rounds plus one that only delivers.
+    E0 and the adoption test are taken over every neighbor, the parent
+    included, and the parent changes neither: it adopts b, which the
+    forest's link already reads, and its wave arrives in round
+    dist(b, parent) + 1 = k, while every neighbor's arrival is at least k
+    (neighbors differ by at most one level).  A round-0 record has no
+    parent, and its node has a neighbor, so there E0 = 2.
+    ``_subtree_fold`` folds both aggregates by pointer doubling.  An echo
+    ready in the adoption round rides on the claim word; a later one costs
+    a word of its own.  Round 0 and each adoption send deg(v) words.  Node 0
+    completes in round R0 = max over its children of E + 1, and DONE floods
+    2m words in ecc(0) rounds plus one that only delivers.
     """
     n, L = g.n, id_bits(g.n)
     _check_register("election", n - 1, L)
     _check_word(0, 2 * L + 3, n)
     deg, starts, neighbors = _adjacency(g)
+    flat_dist = dist.ravel()
     # records (v, b) of v adopting b, round 0 counting as adopting v itself;
     # per v, b ascends and the adoption round descends
     closest = np.minimum.accumulate(dist, axis=1)
     adopts = np.ones((n, n), dtype=bool)
     adopts[:, 1:] = dist[:, 1:] < closest[:, :-1]
-    rv, rb = np.nonzero(adopts)
-    rk = dist[rv, rb]
-    size = len(rv)
-    record = np.full((n, n), -1, dtype=np.int32)
-    record[rv, rb] = np.arange(size, dtype=np.int32)
+    key = np.flatnonzero(adopts)
+    rv, rb = np.divmod(key, n)
+    rk = flat_dist.take(key)
+    size = len(key)
+    record = np.full(n * n, -1, dtype=np.int32)
+    record[key] = np.arange(size, dtype=np.int32)
     next_round = np.full(size, np.iinfo(rk.dtype).max, dtype=rk.dtype)
     same = rv[1:] == rv[:-1]
     next_round[1:][same] = rk[:-1][same]
 
-    # one entry per (record, neighbor w of its node)
-    count = deg[rv]
+    # one entry per (record, neighbor w of its node), keyed by w*n + b
+    count = deg.take(rv)
     first = np.cumsum(count) - count
-    entry = np.repeat(np.arange(size), count)
-    w = neighbors[np.arange(int(count.sum())) - np.repeat(first - starts[rv], count)]
-    b = rb[entry]
-    dw = dist[b, w]
-    parent = np.minimum.reduceat(np.where(dw == rk[entry] - 1, w, n), first)
-    nonparent = w != parent[entry]
-    echoes = np.logical_and.reduceat(~nonparent | (record[w, b] >= 0), first)
-    ready = np.maximum(rk, np.maximum.reduceat(np.where(nonparent, dw + 1, 0), first))
+    slot = np.arange(int(count.sum())) - np.repeat(first - starts.take(rv), count)
+    w = neighbors.take(slot)
+    wb = w * n + np.repeat(rb, count)
+    dw = flat_dist.take(wb)
+    parent = np.minimum.reduceat(np.where(dw == np.repeat(rk - 1, count), w, n), first)
+    echoes = np.logical_and.reduceat(record.take(wb) >= 0, first)
+    ready = np.maximum.reduceat(dw, first) + 1
     adoption = rk > 0
     up = np.arange(size, dtype=np.int32)  # round-0 records are the roots
-    up[adoption] = record[parent[adoption], rb[adoption]]
+    up[adoption] = record.take(parent[adoption] * n + rb[adoption])
 
     # the two subtree aggregates (a root's own echo is never read)
     steps = _doubling_steps(up, rk)
@@ -392,7 +402,7 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     echoes = _subtree_fold(np.minimum, echoes, steps).view(bool)
 
     words = int(count.sum()) + 2 * g.m + int((echoes & adoption & (ready > rk)).sum())
-    rounds = int(ready[record[0, 0]]) + int(dist[0].max()) + 1
+    rounds = int(ready[record[0]]) + int(dist[0].max()) + 1
     bits = NodePeaks((8 * L + 1,) + (9 * L + 1,) * (n - 1))  # the leader has no parent
     return CostReport(rounds, words, bits, NodePeaks.uniform(n, 0))
 
@@ -706,12 +716,13 @@ def all_sources_distances(g: Graph) -> np.ndarray:
     connected graph: a BFS from every source at once, one level per step.
 
     Row v of the frontier is a bit set of sources packed into 64-bit words;
-    a level ORs the rows of v's neighbors with one ``reduceat`` over the
-    neighbor lists.  The distances stay packed as well: bit plane k, shaped
-    like the frontier, holds bit k of every distance, so a level ORs its
-    frontier into the planes of its level number's set bits.  Once no
-    frontier is left, the matrix is assembled from the planes by Horner's
-    rule, ``_ROWS_ELEMENTS`` entries at a time.
+    a level gathers the rows of v's neighbors with one ``take`` (2-D fancy
+    indexing of short rows is NumPy's slow path) and ORs them with one
+    ``reduceat`` over the neighbor lists.  The distances stay packed as
+    well: bit plane k, shaped like the frontier, holds bit k of every
+    distance, so a level ORs its frontier into the planes of its level
+    number's set bits.  Once no frontier is left, the matrix is assembled
+    from the planes by Horner's rule, ``_ROWS_ELEMENTS`` entries at a time.
     """
     n = g.n
     _, starts, neighbors = _adjacency(g)
@@ -724,7 +735,7 @@ def all_sources_distances(g: Graph) -> np.ndarray:
     while g.m:  # a single node: reduceat rejects an empty neighbor array
         level += 1
         # row v: the sources whose frontier holds a neighbor of v
-        frontier = np.bitwise_or.reduceat(frontier[neighbors], starts, axis=0)
+        frontier = np.bitwise_or.reduceat(frontier.take(neighbors, axis=0), starts, axis=0)
         frontier &= unseen
         if not np.count_nonzero(frontier):
             break
@@ -755,7 +766,11 @@ def simple_eval_table(
     The rows follow from the program's event times.  Node v learns its
     distance in round dist[v] and reports once that is known and every tree
     child has reported, so it is ready in round
-    ready[v] = max(dist[v], max over children c of ready[c] + 1).  The leader
+    ready[v] = max(dist[v], max over children c of ready[c] + 1).  A child
+    is one level deeper than v, so ready[v] + depth(v) is the largest
+    dist[u] + depth(u) over v's subtree: one subtree-maximum fold of the
+    rows of dist + depth, children into parents bottom-up, less depth,
+    gives every node's ready round for every u0 at once.  The leader
     halts at ready[leader]; when that is also its activation round, its
     flood needs one more delivery round.  Every node floods each neighbor
     once and every non-leader reports once, except that a node ready in its
@@ -772,11 +787,13 @@ def simple_eval_table(
     # registers: u0 < n, dist and best <= ecc(u0), reports <= #children
     widest = max(n - 1, int(dist.max()), max(len(c) for c in tree.children))
     _check_register("simple evaluation", widest, id_bits(n))
-    ready = dist.copy()
+    depth = np.array(tree.dist, dtype=dist.dtype)[:, None]
+    ready = dist + depth
     for v in sorted(range(n), key=tree.dist.__getitem__, reverse=True):
         if v != leader:
             p = tree.parent[v]
-            np.maximum(ready[p], ready[v] + 1, out=ready[p])
+            np.maximum(ready[p], ready[v], out=ready[p])
+    ready -= depth
     merged = ready == dist
     merged[leader] = False
     halt = ready[leader]

@@ -14,6 +14,7 @@ import bisect
 import itertools
 import math
 import random
+import time
 from typing import Callable
 
 import numpy as np
@@ -340,12 +341,16 @@ CHECKS: list[tuple[str, Check]] = [
 
 
 def run_all() -> bool:
+    """Run every check, printing one line each: PASS or FAIL, the check's
+    name, its elapsed seconds and its detail."""
     all_ok = True
     for name, fn in CHECKS:
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # surfaced as a failure, not a crash
             ok, detail = False, f"exception: {exc}"
+        elapsed = time.perf_counter() - start
         all_ok &= ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name:22s} {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:22s} {elapsed:6.2f}s  {detail}")
     return all_ok

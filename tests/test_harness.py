@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from qcongest import diameter, graphs, harness
+from qcongest import cli, diameter, graphs, harness
 from qcongest.cli import main as cli_main
 from qcongest.harness import (
     CSV_COLUMNS,
@@ -18,6 +18,15 @@ from qcongest.harness import (
     splitmix64,
     write_csv,
 )
+
+
+def assert_one_line_error(capsys, message):
+    """The CLI reported bad input as one ``qcongest: error:`` line on
+    stderr, naming ``message``, and printed nothing else."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("qcongest: error: ") and message in captured.err
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -75,44 +84,44 @@ def test_grid_rows_and_shape():
     assert all(r["ok"] == 1 for r in rows)
 
 
-def test_config_rejects_an_empty_algo_list(tmp_path):
+def test_config_rejects_an_empty_algo_list(tmp_path, capsys):
     with pytest.raises(ValueError, match="algorithm"):
         small_config(algos=())
     out = tmp_path / "empty.csv"
-    with pytest.raises(ValueError, match="algorithm"):
-        cli_main(["run", "--families", "path", "--sizes", "8", "--algos", "", "--out", str(out)])
+    assert cli_main(["run", "--families", "path", "--sizes", "8", "--algos", "", "--out", str(out)]) == 2
+    assert_one_line_error(capsys, "need at least one algorithm")
     assert not out.exists()
 
 
-def test_config_rejects_an_empty_size_list(tmp_path):
+def test_config_rejects_an_empty_size_list(tmp_path, capsys):
     with pytest.raises(ValueError, match="size"):
         small_config(sizes=())
     out = tmp_path / "empty.csv"
-    with pytest.raises(ValueError, match="size"):
-        cli_main(["run", "--families", "path", "--sizes", "", "--out", str(out)])
+    assert cli_main(["run", "--families", "path", "--sizes", "", "--out", str(out)]) == 2
+    assert_one_line_error(capsys, "need at least one size")
     assert not out.exists()
 
 
-def test_config_rejects_an_empty_family_list(tmp_path):
+def test_config_rejects_an_empty_family_list(tmp_path, capsys):
     with pytest.raises(ValueError, match="family"):
         small_config(families=())
     out = tmp_path / "empty.csv"
-    with pytest.raises(ValueError, match="family"):
-        cli_main(["run", "--families", "", "--sizes", "8", "--out", str(out)])
+    assert cli_main(["run", "--families", "", "--sizes", "8", "--out", str(out)]) == 2
+    assert_one_line_error(capsys, "need at least one family")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, float("nan")])
-def test_config_rejects_a_delta_outside_the_unit_interval(delta, monkeypatch, tmp_path):
+def test_config_rejects_a_delta_outside_the_unit_interval(delta, monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a graph was built for an invalid config")
 
     monkeypatch.setattr(graphs, "generate", refuse)
     with pytest.raises(ValueError, match="delta"):
         small_config(delta=delta)
-    with pytest.raises(ValueError, match="delta"):
-        cli_main(["run", "--families", "path", "--sizes", "8", "--delta", str(delta),
-                  "--out", str(tmp_path / "out.csv")])
+    assert cli_main(["run", "--families", "path", "--sizes", "8", "--delta", str(delta),
+                     "--out", str(tmp_path / "out.csv")]) == 2
+    assert_one_line_error(capsys, "delta must be in (0, 1)")
     assert not (tmp_path / "out.csv").exists()
     assert small_config(delta=0.5).delta == 0.5
 
@@ -206,6 +215,33 @@ def test_cli_gadget(capsys):
     assert "DISJ=1" in printed and "delta=2" in printed
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run", "--num-seeds", "0"], "need at least one seed"),
+        (["run", "--families", "nope"], "unknown family 'nope'"),
+        (["scaling", "missing.csv"], "No such file or directory: 'missing.csv'"),
+        (["gadget", "--n", "7"], "gadget needs n = 4s+2 with s >= 1, got n=7"),
+        (["gadget", "--n", "10", "--x", "0000"], "provide --x and --y bit strings, or --random"),
+    ],
+    ids=["run-seeds", "run-family", "scaling", "gadget-size", "gadget-bits"],
+)
+def test_cli_reports_bad_input_in_one_line(argv, message, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # no run writes its CSV, and missing.csv is absent
+    assert cli_main(argv) == 2
+    assert_one_line_error(capsys, message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_does_not_catch_errors_raised_while_the_algorithms_run(monkeypatch, tmp_path):
+    def failing(config):
+        raise ValueError("raised by a run")
+
+    monkeypatch.setattr(cli, "run_grid", failing)
+    with pytest.raises(ValueError, match="raised by a run"):
+        cli_main(["run", "--sizes", "8", "--out", str(tmp_path / "out.csv")])
+
+
 def test_cli_trace_dump(tmp_path):
     out = tmp_path / "t.csv"
     trace_dir = tmp_path / "traces"
@@ -231,3 +267,7 @@ def test_cli_verify_passes_every_check(capsys):
     assert cli_main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 11 and all(line.startswith("PASS") for line in lines)
+    # each line: PASS, the check's name, its elapsed seconds, its detail
+    for line in lines:
+        _, _, seconds, _ = line.split(maxsplit=3)
+        assert seconds.endswith("s") and 0 <= float(seconds[:-1]) < 60

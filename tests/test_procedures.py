@@ -22,6 +22,7 @@ from qcongest.engine import (
     SchemaViolationError,
 )
 from qcongest.graphs import generate
+from qcongest.harness import parse_family
 from qcongest.procedures import (
     BfsTreeState,
     all_sources_distances,
@@ -376,14 +377,20 @@ def test_simple_eval_table_matches_engine():
         assert_table_matches_engine(g, make_tree(g))
 
 
+# random graphs are shallow; paths, lollipops and grids rooted away from
+# their ends give deep trees, whose fold runs over many levels
 @given(
-    st.integers(3, 24),
+    st.one_of(
+        st.tuples(st.just("random"), st.integers(3, 24)),
+        st.tuples(st.sampled_from(["path", "lollipop", "grid"]), st.integers(3, 60)),
+    ),
     st.floats(0.0, 0.5),
     st.integers(0, 10**6),
-    st.integers(0, 23),
+    st.integers(0, 59),
 )
-def test_simple_eval_table_matches_engine_on_random_graphs(n, p, seed, root):
-    g = generate("random", n, seed=seed, p=p)
+def test_simple_eval_table_matches_engine_on_random_graphs(family_n, p, seed, root):
+    family, n = family_n
+    g = generate(family, n, seed=seed, p=p)
     assert_table_matches_engine(g, tree_at(g, root % n))
 
 
@@ -462,7 +469,7 @@ def test_closed_forms_match_engine_on_corpus():
 
 @given(
     st.integers(3, 40),
-    st.floats(0.0, 0.5),
+    st.floats(0.0, 0.9),
     st.integers(0, 10**6),
     st.integers(0, 39),
 )
@@ -471,18 +478,26 @@ def test_closed_forms_match_engine_on_random_graphs(n, p, seed, root):
 
 
 # depths on both sides of 4, 8, 16, 32 and 64, where the closed form's
-# pointer doubling takes one step more
+# pointer doubling takes one step more; and dense graphs, whose records
+# have many neighbor pairs, on both sides of 64 nodes, where a row of the
+# matrix's bit frontier takes a second word
 DEEP = [("path", n) for n in (*range(3, 10), 16, 17, 18, 33, 34, 65, 66)] + [
     ("cycle", 33),
     ("cycle", 66),
     ("lollipop", 64),
     ("lollipop", 65),
+    ("random:0.5", 64),
+    ("random:0.5", 65),
+    ("random:0.9", 63),
+    ("random:0.9", 64),
+    ("random:0.9", 65),
 ]
 
 
 @pytest.mark.parametrize("family,n", DEEP)
 def test_election_matches_engine_across_doubling_steps(family, n):
-    g = generate(family, n, seed=n)
+    name, p = parse_family(family)
+    g = generate(name, n, seed=n, p=p)
     assert elect_leader_and_ecc(g, all_sources_distances(g)) == elect_on_engine(g)
 
 
