@@ -51,6 +51,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             out=args.out,
             trace_dir=args.trace,
         )
+        if not Path(config.out).parent.is_dir():
+            raise InputError(f"output directory {Path(config.out).parent} does not exist")
     rows = run_grid(config)
     write_csv(rows, config.out)
     failures = sum(1 for r in rows if not r["ok"])

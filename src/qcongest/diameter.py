@@ -3,13 +3,13 @@
 
 All three elect the minimum-id leader and build its BFS tree, then end in
 one search phase, ``_search``: it reads every candidate's branch once, in
-ascending order, each from a table that fills all candidates together;
-maximizes over those values with the amplitude-level search layer
-(Durr-Hoyer maximum finding); and charges each oracle call, through
-``distributed_cost``, at the network cost of one branch.  The run's report
-is the only one that names a ``leader``: the search's coordinator, which is
-the elected leader for the exact algorithms and the node w for the
-approximation.
+ascending order, as a ``Branch`` row (value, rounds, words) from a table
+that fills all candidates together; maximizes over those values with the
+amplitude-level search layer (Durr-Hoyer maximum finding); and charges
+each oracle call, through ``distributed_cost``, at the network cost of one
+branch.  That call builds the run's report, the only one that names a
+``leader``: the search's coordinator, which is the elected leader for the
+exact algorithms and the node w for the approximation.
 
 Every phase reads one all-sources distance matrix, built once per graph by
 ``_init_phases`` and shared, with the election and the leader tree, by
@@ -36,6 +36,7 @@ from .evaluation import evaluation_procedure, make_eval_context
 from .graphs import Graph
 from .procedures import (
     BfsTreeState,
+    Branch,
     _adjacency_memo,
     all_sources_distances,
     argmax_convergecast,
@@ -138,7 +139,7 @@ def _check_leader_memory(report: CostReport) -> None:
 def _search(
     tree: BfsTreeState,
     candidates: Collection[int],
-    read: Callable[[int], tuple[int, CostReport]],
+    read: Callable[[int], Branch],
     t_eval_of: Callable[[set[int]], int],
     node_qubits: Sequence[int],
     prep: CostReport,
@@ -149,24 +150,22 @@ def _search(
     details: dict,
 ) -> DiameterResult:
     """The search phase every algorithm ends in, coordinated by the root of
-    ``tree``: read each candidate's branch once, in ascending order, with
-    ``read``, maximize over the candidates, charge each oracle call at
-    T_eval = ``t_eval_of`` of the branches' round counts, and check the
-    coordinator's memory.  Node v holds ``node_qubits[v]`` qubits in a
-    branch; ``prep`` is the preparation, ending at round ``t0``."""
+    ``tree``: read each candidate's branch row once, in ascending order,
+    with ``read``, maximize over the candidates, charge each oracle call at
+    T_eval = ``t_eval_of`` of the rows' round counts and their most words,
+    and check the coordinator's memory.  Node v holds ``node_qubits[v]``
+    qubits in a branch; ``prep`` is the preparation, ending at round ``t0``."""
     n, d = tree.n, tree.ecc_leader
+    rows = {u0: read(u0) for u0 in sorted(candidates)}
     values = [0] * n  # entries outside the candidates are never read
-    rounds: set[int] = set()
-    words_eval = 0
-    for u0 in sorted(candidates):
-        values[u0], rep = read(u0)
-        rounds.add(rep.rounds)
-        words_eval = max(words_eval, rep.total_words)
+    for u0, row in rows.items():
+        values[u0] = row.value
     delta = _poly_delta(n) if delta is None else delta
     best, cost = quantum_maximize(
         values, setup_subset(n, candidates), QOptConfig(epsilon, delta, seed)
     )
-    t_eval = t_eval_of(rounds)
+    t_eval = t_eval_of({row.rounds for row in rows.values()})
+    words_eval = max(row.words for row in rows.values())
     report = distributed_cost(
         prep, t0, d, t_eval, words_eval, cost, node_qubits, epsilon, tree.leader
     )
@@ -178,7 +177,7 @@ def _search(
 
 def _windowed_evaluation(
     g: Graph, tree: BfsTreeState, dist: np.ndarray, support: frozenset[int]
-) -> tuple[Callable[[int], tuple[int, CostReport]], Callable[[set[int]], int], tuple[int, ...]]:
+) -> tuple[Callable[[int], Branch], Callable[[set[int]], int], tuple[int, ...]]:
     """The windowed evaluation over ``support`` as ``_search`` reads it: the
     branch reader, T_eval, which must be branch-uniform and at most
     18*ecc(root) + EVAL_ROUND_SLACK rounds, and the qubits per node."""

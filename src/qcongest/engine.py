@@ -193,8 +193,8 @@ class CostReport:
 
     ``leader`` is the run's coordinator, the node whose peak qubits the
     search's memory bound limits.  Only a run's report names one (built by
-    ``qsearch.distributed_cost``, or directly for n <= 2); a procedure's or
-    a branch's report, and a merge of reports, leaves it None.
+    ``qsearch.distributed_cost``, or directly for n <= 2); a procedure's
+    report, and a merge of reports, leaves it None.
     """
 
     rounds: int = 0

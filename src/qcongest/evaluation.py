@@ -32,13 +32,15 @@ an event), and surviving messages are identical.  Every computed S is
 checked against the central window oracle: the engine's walked window on
 every branch, and each row of the table once, when the table is built.
 
-``evaluation_procedure`` reads one branch with one lookup in a table that an
-EvalContext fills on first use, in closed form from the lemma, the tour
-positions and the graph's all-sources distance matrix:
+``evaluation_procedure`` reads one branch, a ``Branch`` row (value, rounds,
+words), with one lookup in a table that an EvalContext fills on first use,
+in closed form from the lemma, the tour positions and the graph's
+all-sources distance matrix:
 
     S     = the first-visited nodes of the token walk,
     f     = max over u in S of ecc(u),
-    words = walk sends + |S|*2m + (n - 1).
+    words = walk sends + |S|*2m + (n - 1), doubled with the 9d+1 rounds
+            for the cleanup reversal.
 
 The lemma's consequences stay checked for every branch, as inequalities on
 the arrival times: at every node arrivals strictly increase in tau' order,
@@ -51,24 +53,21 @@ arrival matrix, and the violation names the earliest offending node and
 branch.
 
 ``evaluate_on_engine`` runs one branch as the word-level ``EvaluationProgram``
-instead.  It takes the same arguments and gives the same value and report;
-it is the reference the table is tested against, and no production caller
-runs it.
+instead, with the same arguments and row, and checks that node v held the
+``quantum_bits[v]`` qubits the search charges; it is the reference the
+table is tested against, and no production caller runs it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .engine import (
-    CostReport,
     EngineError,
     NodeContext,
-    NodePeaks,
     NodeProgram,
     RegisterField,
     RegisterSchema,
@@ -80,7 +79,9 @@ from .engine import (
 from .graphs import Graph
 from .procedures import (
     BfsTreeState,
+    Branch,
     DfsNumbering,
+    _check_branch_peaks,
     _check_candidate,
     _require_size,
     _with_cleanup,
@@ -373,13 +374,14 @@ class EvaluationProgram(NodeProgram):
         return result
 
 
-def evaluate_on_engine(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
+def evaluate_on_engine(ectx: EvalContext, u0: int) -> Branch:
     """``evaluation_procedure``'s reference: one branch as
-    ``EvaluationProgram`` on the engine, with the same value and report."""
+    ``EvaluationProgram`` on the engine, with the same row."""
     _check_candidate(u0, ectx.numbering.tau)
     outputs, report = run(ectx.g, EvaluationProgram(ectx, u0), max_rounds=ectx.total_rounds + 2)
     _check_window(ectx, u0, frozenset(v for v, o in outputs.items() if o["taup"] is not None))
-    return outputs[ectx.tree.leader]["f"], _with_cleanup(report)
+    _check_branch_peaks(report, ectx.quantum_bits)
+    return _with_cleanup(outputs[ectx.tree.leader]["f"], report.rounds, report.total_words)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +390,6 @@ def evaluate_on_engine(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
 
 
 _CHUNK = 1 << 16  # elements per temporary in `_pair_gaps`
-
-
-class Branch(NamedTuple):
-    """Outcome of one branch: f(u0) and its forward-phase words."""
-
-    f: int
-    words: int
 
 
 def _window_table(ectx: EvalContext) -> dict[int, Branch]:
@@ -426,7 +421,7 @@ def _window_table(ectx: EvalContext) -> dict[int, Branch]:
     end = pos + 2 * d  # each walk's last tour position, unrolled
     first = np.arange(k)
     count = np.minimum(np.searchsorted(unrolled, end, side="right") - first, k)
-    _check_windows(ectx, count)
+    _check_windows(ectx, pos, unrolled, count)
     last = first + count - 1
     sends = 2 * d - end // ectx.base - (end + 1) // ectx.base
     words = sends + count * 2 * ectx.g.m + ectx.g.n - 1
@@ -447,17 +442,18 @@ def _window_table(ectx: EvalContext) -> dict[int, Branch]:
         order = num.first_visits[i:] + num.first_visits[:i]
         # raises, unless the row's offsets are out of tour order and still pass
         _replay(ectx, order[0], dict(zip(order, taup)), int(sends[i]))
-    return dict(zip(num.first_visits, map(Branch, f.tolist(), words.tolist())))
+    rows = map(_with_cleanup, f.tolist(), [ectx.total_rounds] * k, words.tolist())
+    return dict(zip(num.first_visits, rows))
 
 
-def _check_windows(ectx: EvalContext, count: np.ndarray) -> None:
+def _check_windows(
+    ectx: EvalContext, pos: np.ndarray, unrolled: np.ndarray, count: np.ndarray
+) -> None:
     """Check every row's window once: row i's ``count[i]`` first visits from
     the i-th on, cyclically, must be all k of them or the longest run whose
     offsets tau' are all at most 2d.  A failing row, in candidate order,
     builds its own window and checks it against ``set_S``."""
     num, d, k = ectx.numbering, ectx.d, len(count)
-    pos = np.asarray(num.positions, dtype=np.int64)
-    unrolled = np.concatenate((pos, pos + ectx.base))
     size = np.clip(count, 1, k)
     last = np.arange(k) + size - 1
     fits = (
@@ -497,7 +493,7 @@ def _replay(ectx: EvalContext, u0: int, taup: dict[int, int], sends: int) -> Bra
     _check_arrivals(ectx, u0, waves, tau, 2 * ectx.d + 2 * tau[:, None] + hops)
     # each wave crosses every edge once each way; every non-root reports once
     words = sends + len(waves) * 2 * ectx.g.m + ectx.g.n - 1
-    return Branch(int(hops.max()), words)
+    return _with_cleanup(int(hops.max()), ectx.total_rounds, words)
 
 
 def _check_arrivals(
@@ -554,18 +550,12 @@ def _check_arrivals(
 # ---------------------------------------------------------------------------
 
 
-def evaluation_procedure(ectx: EvalContext, u0: int) -> tuple[int, CostReport]:
-    """Compute f(u0) = max eccentricity over the DFS window of u0.
-
-    Reads the branch from the context's window table.  Returns the value and
-    a cost report whose rounds and words include the mirror-image cost of
-    the cleanup reversal (phase costs doubled).
-    """
+def evaluation_procedure(ectx: EvalContext, u0: int) -> Branch:
+    """Compute f(u0) = max eccentricity over the DFS window of u0: the
+    branch's row in the context's window table, whose rounds and words
+    include the mirror-image cost of the cleanup reversal."""
     _check_candidate(u0, ectx.numbering.tau)
-    f, words = ectx.branches[u0]
-    peaks = ectx.quantum_bits
-    forward = CostReport(ectx.total_rounds, words, NodePeaks(peaks), NodePeaks(peaks))
-    return f, _with_cleanup(forward)
+    return ectx.branches[u0]
 
 
 def _check_window(ectx: EvalContext, u0: int, window: frozenset[int]) -> None:

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("need at least one algorithm")
         if self.delta is not None and not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for a in self.algos:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
@@ -164,7 +166,7 @@ def _run_task(args: tuple[ExperimentConfig, int, tuple[str, int, int, str]]) -> 
 def run_grid(config: ExperimentConfig) -> list[dict]:
     """One row per (family, n, seed, algo), in task order."""
     tasks = [(config, i, task) for i, task in enumerate(config.tasks())]
-    if config.jobs <= 1:
+    if config.jobs == 1:
         return [_run_task(task) for task in tasks]
     # tasks run algorithm-innermost: a chunk of len(algos) tasks is one
     # graph, so a worker generates and prepares each graph once

@@ -36,7 +36,7 @@ import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -803,6 +803,29 @@ def simple_eval_table(
     return tuple(zip(ecc.tolist(), rounds.tolist(), words.tolist()))
 
 
+class Branch(NamedTuple):
+    """An evaluation branch as the search reads it: the value at u0, and rounds
+    and words with the cleanup reversal.  Its registers do not depend on u0."""
+
+    value: int
+    rounds: int
+    words: int
+
+
+def _with_cleanup(value: int, rounds: int, words: int) -> Branch:
+    """A branch from its forward pass; the cleanup reversal mirrors it, doubling the costs."""
+    return Branch(value, 2 * rounds, 2 * words)
+
+
+def _check_branch_peaks(report: CostReport, charged: Sequence[int]) -> None:
+    """An engine reference's check that node v held the ``charged[v]`` bits, all qubits."""
+    units = (("bits", report.per_node_peak_bits), ("qubits", report.per_node_peak_qubits))
+    for unit, peaks in units:
+        for v, (held, due) in enumerate(zip(peaks, charged)):
+            if held != due:
+                raise EngineError(f"node {v} held {held} {unit} in the branch; {due} are charged")
+
+
 def _check_candidate(u0: int, candidates: Container[int]) -> None:
     """Both evaluations' check that ``u0`` is one of the searched nodes,
     made before any row or register is read."""
@@ -811,11 +834,8 @@ def _check_candidate(u0: int, candidates: Container[int]) -> None:
 
 
 def eccentricity_simple_eval(
-    g: Graph,
-    tree: BfsTreeState,
-    u0: int,
-    table: Sequence[tuple[int, int, int]],
-) -> tuple[int, CostReport]:
+    g: Graph, tree: BfsTreeState, u0: int, table: Sequence[tuple[int, int, int]]
+) -> Branch:
     """Compute ecc(u0) at the leader; cost doubled for the cleanup reversal.
 
     The branch is read from row u0 of ``table`` (from ``simple_eval_table``),
@@ -823,41 +843,29 @@ def eccentricity_simple_eval(
     checked on every call.
     """
     _check_candidate(u0, range(g.n))
-    value, rounds, words = table[u0]
-    peaks = NodePeaks.uniform(g.n, simple_eval_register_bits(g.n))
-    return _simple_eval_result(tree, u0, value, CostReport(rounds, words, peaks, NodePeaks(peaks)))
+    return _simple_eval_result(tree, u0, *table[u0])
 
 
-def simple_eval_on_engine(g: Graph, tree: BfsTreeState, u0: int) -> tuple[int, CostReport]:
+def simple_eval_on_engine(g: Graph, tree: BfsTreeState, u0: int) -> Branch:
     """``eccentricity_simple_eval``'s reference: ``SimpleEvalProgram`` on
-    the engine, with the same value and report."""
+    the engine, with the same row."""
     _require_size(g)
     _check_candidate(u0, range(g.n))
     # the leader halts by forward round ecc(u0) + ecc(leader) + 1 <= 2n - 1
     outputs, report = run(g, SimpleEvalProgram(g.n, u0, tree), max_rounds=4 * g.n + 16)
-    return _simple_eval_result(tree, u0, outputs[tree.leader], report)
+    _check_branch_peaks(report, [simple_eval_register_bits(g.n)] * g.n)
+    return _simple_eval_result(tree, u0, outputs[tree.leader], report.rounds, report.total_words)
 
 
-def _simple_eval_result(
-    tree: BfsTreeState, u0: int, value: int, report: CostReport
-) -> tuple[int, CostReport]:
+def _simple_eval_result(tree: BfsTreeState, u0: int, value: int, rounds: int, words: int) -> Branch:
     """Check the forward pass's bound of 2*ecc(u0) + ecc(leader) + 4 rounds,
     then add the cleanup reversal."""
-    if report.rounds > 2 * value + tree.ecc_leader + 4:
+    if rounds > 2 * value + tree.ecc_leader + 4:
         raise EngineError(
-            f"simple evaluation of {u0} took {report.rounds} forward rounds, "
+            f"simple evaluation of {u0} took {rounds} forward rounds, "
             f"exceeding 2*{value}+{tree.ecc_leader}+4"
         )
-    return value, _with_cleanup(report)
-
-
-def _with_cleanup(forward: CostReport) -> CostReport:
-    """Turn a branch's forward-pass report, in place, into the branch's
-    report: the cleanup reversal mirrors the forward pass, so rounds and
-    words double, and it reuses the forward registers, so the peaks stay."""
-    forward.rounds *= 2
-    forward.total_words *= 2
-    return forward
+    return _with_cleanup(value, rounds, words)
 
 
 # ---------------------------------------------------------------------------

@@ -201,15 +201,14 @@ def check_evaluation() -> tuple[bool, str]:
         ectx = make_eval_context(g, tree, dist)
         for u0 in range(g.n):
             expected = max(eccs[v] for v in set_S(u0, d, num))
-            f_table, rep_t = evaluation_procedure(ectx, u0)
-            f_eng, rep_e = evaluate_on_engine(ectx, u0)
-            if f_table != expected or f_eng != expected:
-                return False, f"evaluation({u0}) = {f_table}/{f_eng}, oracle {expected}"
-            if rep_t != rep_e:
-                return False, f"table and engine reports differ at u0={u0}"
-            if rep_t.rounds > 18 * d + 8:
-                return False, f"evaluation rounds {rep_t.rounds} > 18d+8"
-    return True, "window table and engine equal the window-max oracle with identical reports"
+            table = evaluation_procedure(ectx, u0)
+            if table != evaluate_on_engine(ectx, u0):
+                return False, f"table and engine rows differ at u0={u0}"
+            if table.value != expected:
+                return False, f"evaluation({u0}) = {table.value}, oracle {expected}"
+            if table.rounds > 18 * d + 8:
+                return False, f"evaluation rounds {table.rounds} > 18d+8"
+    return True, "window table and engine equal the window-max oracle with identical rows"
 
 
 def check_window_distances() -> tuple[bool, str]:

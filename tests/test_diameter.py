@@ -162,9 +162,8 @@ def _evaluation_with_rounds(monkeypatch, rounds_of):
     calls = itertools.count()
 
     def reader(ectx, u0):
-        f, report = evaluation.evaluation_procedure(ectx, u0)
-        report.rounds = rounds_of(ectx, next(calls))
-        return f, report
+        branch = evaluation.evaluation_procedure(ectx, u0)
+        return branch._replace(rounds=rounds_of(ectx, next(calls)))
 
     monkeypatch.setattr(diameter, "evaluation_procedure", reader)
 
@@ -286,8 +285,6 @@ def test_procedure_and_branch_reports_name_no_leader():
     g = generate("random", 20, seed=2, p=0.25)
     dist = procedures.all_sources_distances(g)
     tree, _ = procedures.build_bfs_tree(g, 0, dist)
-    ectx = evaluation.make_eval_context(g, tree, dist)
-    table = procedures.simple_eval_table(g, tree, dist)
     values = {v: v % 3 for v in range(g.n)}
     reports = [
         procedures.elect_leader_and_ecc(g, dist)[2],
@@ -298,10 +295,6 @@ def test_procedure_and_branch_reports_name_no_leader():
         procedures.multi_source_bfs_on_engine(g, [1, 7])[1],
         procedures.argmax_convergecast(g, tree, values, dist)[2],
         procedures.argmax_on_engine(g, tree, values)[2],
-        procedures.eccentricity_simple_eval(g, tree, 4, table)[1],
-        procedures.simple_eval_on_engine(g, tree, 4)[1],
-        evaluation.evaluation_procedure(ectx, 4)[1],
-        evaluation.evaluate_on_engine(ectx, 4)[1],
     ]
     assert [r.leader for r in reports] == [None] * len(reports)
     run_report = exact_diameter(g, seed=1).report

@@ -69,7 +69,7 @@ def test_path_hand_example():
     # 0-1-2 with the root at node 0 and u0 = 2: window {2, 0}, both ecc 2
     g = graphs.path_graph(3)
     tree = tree_at(g, 0)
-    f, _ = evaluation_procedure(context(g, tree), 2)
+    f = evaluation_procedure(context(g, tree), 2).value
     assert f == 2
     assert f == window_max_oracle(g, tree, 2, 2)
 
@@ -80,8 +80,7 @@ def test_f_equals_diameter_when_window_covers_all():
     ectx = context(g, tree_at(g, 0))
     d_true = graphs.diameter_bruteforce(g)
     for u0 in range(g.n):
-        f, _ = evaluation_procedure(ectx, u0)
-        assert f == d_true
+        assert evaluation_procedure(ectx, u0).value == d_true
 
 
 @pytest.mark.parametrize("spec", CORPUS, ids=[f"{s[0]}-{s[1]}" for s in CORPUS])
@@ -91,11 +90,9 @@ def test_matches_oracle_both_backends(spec):
     ectx = context(g, tree)
     for u0 in range(g.n):
         expected = window_max_oracle(g, tree, u0, d)
-        f_table, rep_table = evaluation_procedure(ectx, u0)
-        f_eng, rep_eng = evaluate_on_engine(ectx, u0)
-        assert f_table == expected
-        assert f_eng == expected
-        assert rep_table == rep_eng
+        table = evaluation_procedure(ectx, u0)
+        assert table.value == expected
+        assert table == evaluate_on_engine(ectx, u0)
 
 
 @pytest.mark.parametrize("spec", CORPUS[:4], ids=[f"{s[0]}-{s[1]}" for s in CORPUS[:4]])
@@ -103,10 +100,7 @@ def test_round_cost_is_branch_uniform_and_bounded(spec):
     g, tree = prepared(spec)
     d = tree.ecc_leader
     ectx = context(g, tree)
-    rounds = set()
-    for u0 in range(g.n):
-        _, rep = evaluation_procedure(ectx, u0)
-        rounds.add(rep.rounds)
+    rounds = {evaluation_procedure(ectx, u0).rounds for u0 in range(g.n)}
     assert len(rounds) == 1
     assert rounds.pop() <= 18 * d + 8
 
@@ -135,8 +129,7 @@ def test_restricted_window_evaluation():
         ectx = context(g, tree, restrict)
         for u0 in sorted(restrict):
             expected = window_max_oracle(g, tree, u0, tree.ecc_leader, restrict)
-            f, _ = evaluation_procedure(ectx, u0)
-            assert f == expected
+            assert evaluation_procedure(ectx, u0).value == expected
 
 
 def test_quantum_register_footprint_is_logarithmic():
@@ -193,14 +186,14 @@ def _contexts(spec):
 
 def assert_table_matches_engine(ectx):
     # the engine checks each walked window against set_S and the table each
-    # row's window when it is built, so equal reports (words) and values
-    # mean equal branches
+    # row's window when it is built, so equal rows (values and words) mean
+    # equal branches
     candidates = sorted(ectx.numbering.tau)
     assert sorted(ectx.branches) == candidates
     for u0 in candidates:
         engine = evaluate_on_engine(ectx, u0)
         assert evaluation_procedure(ectx, u0) == engine
-        assert engine[1].rounds == 2 * ectx.total_rounds
+        assert engine.rounds == 2 * ectx.total_rounds
 
 
 @pytest.mark.parametrize("spec", CORPUS, ids=[f"{s[0]}-{s[1]}" for s in CORPUS])
@@ -333,7 +326,9 @@ def _window_sizes(ectx):
 def test_window_check_rejects_a_row_one_short_or_one_long(spec):
     for ectx in _contexts(spec):
         count = _window_sizes(ectx)
-        evaluation._check_windows(ectx, count)
+        pos = np.asarray(ectx.numbering.positions, dtype=np.int64)
+        unrolled = np.concatenate((pos, pos + ectx.base))
+        evaluation._check_windows(ectx, pos, unrolled, count)
         nodes = ectx.numbering.first_visits
         k = len(nodes)
         for i in range(k):
@@ -351,4 +346,4 @@ def test_window_check_rejects_a_row_one_short_or_one_long(spec):
                 corrupted = count.copy()
                 corrupted[i] += shift
                 with pytest.raises(EvaluationInvariantError, match=re.escape(message)):
-                    evaluation._check_windows(ectx, corrupted)
+                    evaluation._check_windows(ectx, pos, unrolled, corrupted)

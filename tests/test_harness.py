@@ -126,6 +126,32 @@ def test_config_rejects_a_delta_outside_the_unit_interval(delta, monkeypatch, tm
     assert small_config(delta=0.5).delta == 0.5
 
 
+def _refuse_to_run(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(harness, "run_one", refuse)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_config_rejects_fewer_than_one_job(jobs, monkeypatch, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        small_config(jobs=jobs)
+    _refuse_to_run(monkeypatch)
+    out = tmp_path / "out.csv"
+    assert cli_main(["run", "--sizes", "8", "--jobs", str(jobs), "--out", str(out)]) == 2
+    assert_one_line_error(capsys, f"jobs must be >= 1, got {jobs}")
+    assert not out.exists()
+
+
+def test_cli_rejects_an_output_path_in_a_missing_directory(monkeypatch, tmp_path, capsys):
+    _refuse_to_run(monkeypatch)
+    missing = tmp_path / "missing"
+    assert cli_main(["run", "--sizes", "8", "--out", str(missing / "x.csv")]) == 2
+    assert_one_line_error(capsys, f"output directory {missing} does not exist")
+    assert not missing.exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     config = small_config()
     a = rows_to_csv(run_grid(config))

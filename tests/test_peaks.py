@@ -1,15 +1,20 @@
 """Every producer of a CostReport stores its per-node peaks as NodePeaks, a
-list with one entry per node that each report owns."""
+list with one entry per node that each report owns.  An evaluation branch
+is a row with no peaks; its engine reference checks that each node held the
+registers the search charges."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from qcongest import diameter, graphs
-from qcongest.engine import CostReport, EngineTimeout, NodePeaks, run
+from qcongest import diameter, evaluation, graphs, procedures
+from qcongest.engine import CostReport, EngineError, EngineTimeout, NodePeaks, RegisterSchema, run
 from qcongest.evaluation import evaluate_on_engine, evaluation_procedure, make_eval_context
 from qcongest.procedures import (
     ElectionProgram,
+    SimpleEvalProgram,
     all_sources_distances,
     argmax_convergecast,
     build_bfs_tree,
@@ -48,7 +53,7 @@ def test_engine_runs_report_compact_peaks(prepared):
     with pytest.raises(EngineTimeout) as timeout:
         run(g, ElectionProgram(g.n), max_rounds=3)
     assert_peaks(timeout.value.report, g.n)
-    assert_peaks(simple_eval_on_engine(g, tree, 3)[1], g.n)
+    assert_peaks(run(g, SimpleEvalProgram(g.n, 3, tree))[1], g.n)
 
 
 def test_closed_forms_report_compact_peaks(prepared):
@@ -60,28 +65,53 @@ def test_closed_forms_report_compact_peaks(prepared):
     assert_peaks(build_bfs_tree(g, tree.leader, dist)[1], g.n)
     assert_peaks(multi_source_bfs(g, [1, 4], dist)[1], g.n)
     assert_peaks(argmax_convergecast(g, tree, dict.fromkeys(range(g.n), 1), dist)[2], g.n)
-    table = simple_eval_table(g, tree, dist)
-    assert_peaks(eccentricity_simple_eval(g, tree, 3, table)[1], g.n)
-    ectx = make_eval_context(g, tree, dist)
-    for evaluate in (evaluation_procedure, evaluate_on_engine):
-        assert_peaks(evaluate(ectx, 3)[1], g.n)
 
 
 def test_reports_sharing_values_stay_independent(prepared):
     g, dist, tree = prepared
-    ectx = make_eval_context(g, tree, dist)
-    _, first = evaluation_procedure(ectx, 1)
-    _, second = evaluation_procedure(ectx, 2)
-    first.per_node_peak_qubits[0] = 10**6
-    assert second.per_node_peak_qubits[0] == ectx.quantum_bits[0]
-    assert first.per_node_peak_bits[0] == ectx.quantum_bits[0]
-    table = simple_eval_table(g, tree, dist)
-    _, simple = eccentricity_simple_eval(g, tree, 3, table)
-    simple.per_node_peak_bits[0] = 10**6
-    assert simple.per_node_peak_qubits[0] != 10**6
+    _, first = build_bfs_tree(g, tree.leader, dist)
     report = distributed_cost(first, 0, 1, 1, 1, SearchCost(1, 1, 1), [4] * g.n, 0.5, 0)
     report.per_node_peak_bits[1] = 10**6
-    assert first.per_node_peak_bits[1] == ectx.quantum_bits[1]
+    assert first.per_node_peak_bits[1] == 2 * id_bits(g.n)
+
+
+def test_references_check_the_charged_branch_registers(prepared, monkeypatch):
+    g, dist, tree = prepared
+    ectx = make_eval_context(g, tree, dist)
+    assert evaluate_on_engine(ectx, 3) == evaluation_procedure(ectx, 3)
+    for shift in (-1, 1):
+        charged = list(ectx.quantum_bits)
+        charged[5] += shift
+        off = dataclasses.replace(ectx, quantum_bits=tuple(charged))
+        message = f"node 5 held {ectx.quantum_bits[5]} bits in the branch; {charged[5]} are charged"
+        with pytest.raises(EngineError, match=message):
+            evaluate_on_engine(off, 3)
+    table = simple_eval_table(g, tree, dist)
+    assert simple_eval_on_engine(g, tree, 3) == eccentricity_simple_eval(g, tree, 3, table)
+    declared = procedures.simple_eval_register_bits(g.n)
+    for shift in (-1, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(procedures, "simple_eval_register_bits", lambda n: declared + shift)
+            message = f"node 0 held {declared} bits in the branch; {declared + shift} are charged"
+            with pytest.raises(EngineError, match=message):
+                simple_eval_on_engine(g, tree, 3)
+
+
+def test_the_evaluation_reference_checks_its_qubits_apart_from_its_bits(prepared, monkeypatch):
+    # a branch register declared classical: the bits still match, the qubits do not
+    g, dist, tree = prepared
+    ectx = make_eval_context(g, tree, dist)
+    schema = evaluation.EvaluationProgram.schema
+
+    def classical_hold(self, ctx):
+        fields = schema(self, ctx).fields
+        return RegisterSchema(tuple(dataclasses.replace(f, quantum=f.name != "hold") for f in fields))
+
+    monkeypatch.setattr(evaluation.EvaluationProgram, "schema", classical_hold)
+    charged = ectx.quantum_bits[0]
+    message = f"node 0 held {charged - 2} qubits in the branch; {charged} are charged"
+    with pytest.raises(EngineError, match=message):
+        evaluate_on_engine(ectx, 3)
 
 
 def test_merge_and_distributed_cost_report_compact_peaks():

@@ -272,15 +272,14 @@ def test_simple_eval_path():
     g = graphs.path_graph(4)
     for simple_eval in simple_evals(g, make_tree(g)):
         for u0 in range(4):
-            val, _ = simple_eval(u0)
-            assert val == graphs.eccentricity(g, u0)
+            assert simple_eval(u0).value == graphs.eccentricity(g, u0)
 
 
 def test_simple_eval_star():
     g = graphs.star_graph(5)
     for simple_eval in simple_evals(g, make_tree(g)):
-        assert simple_eval(0)[0] == 1
-        assert simple_eval(3)[0] == 2
+        assert simple_eval(0).value == 1
+        assert simple_eval(3).value == 2
 
 
 @pytest.mark.parametrize("u0", [-1, 8])
@@ -298,10 +297,10 @@ def test_simple_eval_matches_oracle_with_round_bound():
         d = tree.ecc_leader
         table = simple_table(g, tree)
         for u0 in range(g.n):
-            val, report = eccentricity_simple_eval(g, tree, u0, table)
+            branch = eccentricity_simple_eval(g, tree, u0, table)
             ecc = graphs.eccentricity(g, u0)
-            assert val == ecc
-            assert report.rounds <= 2 * (2 * ecc + d + 4)  # doubled for reversal
+            assert branch.value == ecc
+            assert branch.rounds <= 2 * (2 * ecc + d + 4)  # doubled for reversal
 
 
 def assert_matrix_matches_bfs(g):
