@@ -186,16 +186,26 @@ def write_csv(rows: list[dict], path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> list[dict]:
+    """The rows of a CSV that ``write_csv`` wrote.  Raises ``ValueError``
+    naming the file when its header lacks any of ``CSV_COLUMNS`` (an empty
+    file lacks them all) or a row's field count differs from the header's."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
+    header = lines[0].split(",") if lines else []
+    missing = [c for c in CSV_COLUMNS if c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing columns {', '.join(missing)}")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        row = dict(zip(header, line.split(",")))
+        fields = line.split(",")
+        if len(fields) != len(header):
+            raise ValueError(
+                f"{path}: line {number} has {len(fields)} fields, the header {len(header)}"
+            )
+        row = dict(zip(header, fields))
         for key in ("n", "D_true", "D_out", "rounds", "words", "leader_qubits", "seed", "ok"):
-            if key in row:
-                row[key] = int(row[key])
+            row[key] = int(row[key])
         rows.append(row)
     return rows
 

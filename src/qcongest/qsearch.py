@@ -14,27 +14,16 @@ A decision does not step that vector.  Flipping the marked branches and
 reflecting about the setup state both keep the state in the plane of the
 setup's marked and unmarked parts, where one iteration is a rotation by
 2*theta, sin^2(theta) being the marked setup mass (Boyer-Brassard-Hoyer-Tapp
-1998).  So each try samples its measurement from the exact law after its j
-iterations (``_try_distribution``).  A decision builds that law's CDF in
-O(|X|) work once per distinct j (at most ceil(1/sqrt(eps)) of them) and
-draws each try from it in O(log |X|).  ``grover_iterate``, which applies the
-two reflections to the amplitude vector, is the reference that law is tested
-and verified against.  A decision with nothing marked cannot succeed, so it
-builds no law: its tries only draw their j and their measurement value.
-
-A try's draws are ``Generator.integers(0, m)`` for j and
-``Generator.random()`` for the measurement, but ``_RawDraws`` reads them
-from blocks of the PCG64 generator's raw 64-bit output instead of calling
-NumPy per draw: a bounded integer is Lemire's multiply-shift of a 32-bit
-value (the low half of a fresh word, or the high half NumPy buffers from the
-previous one), a double is a fresh word's top 53 bits, and the generator is
-left in the state the native calls leave it in.  A maximization's decisions
-share one generator, so ``quantum_maximize`` opens one reader on it, hands
-it to every decision and closes it once: the draws are those of a reader
-per decision, without saving and restoring the state around each one.
-Outputs therefore depend on NumPy's PCG64 stream and its bounded-integer
-algorithm; the tests against the stepped reference decision and
-``qcongest verify`` pin both.
+1998).  So a try after j iterations succeeds with probability
+sin^2((2j+1)theta), and a success lands on marked branch x with probability
+|alpha_x|^2 / sin^2(theta), whatever j is; a failure needs no branch.  A
+decision draws all its tries' j in one ``Generator.integers`` call and their
+outcomes in one ``Generator.random`` call, charges the tries up to the first
+success, and on a success draws one more value on the cumulative marked
+setup mass to pick the branch.  ``_try_distribution`` (the full law after j
+iterations) and ``grover_iterate`` (the two reflections applied to the
+amplitude vector) are the references that law is tested and verified
+against.
 
 Cost accounting: one amplification iteration applies the evaluation (the
 marking oracle), its inverse, and the setup reflection (setup + inverse
@@ -56,7 +45,6 @@ exactly one failing decision, at the end.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -78,10 +66,7 @@ CALL_BUDGET_C1 = 128.0
 MAX_BRANCHES = 1 << 20
 _NORM_TOL = 1e-9
 
-_RAW_BLOCK = 128  # raw words a decision reads from its generator at a time
-_LOW32 = 0xFFFFFFFF
 _TWO32 = 1 << 32
-_UNIT = 2.0**-53
 
 
 class SearchError(ValueError):
@@ -204,6 +189,20 @@ def _marks(state: AmplitudeState, marked) -> np.ndarray:
     return mask
 
 
+def _split_mass(
+    setup_amps: np.ndarray, mask: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """The setup law w = |setup|^2 and its marked and unmarked masses,
+    checking that they sum to 1."""
+    w = np.abs(setup_amps) ** 2
+    marked_mass = float(w[mask].sum())
+    unmarked_mass = float(w[~mask].sum())
+    total = marked_mass + unmarked_mass
+    if not abs(total - 1.0) <= _NORM_TOL:
+        raise SearchError(f"state not normalized: |psi|^2 = {total}")
+    return w, marked_mass, unmarked_mass
+
+
 def _try_distribution(
     setup_amps: np.ndarray, mask: np.ndarray
 ) -> Callable[[int], np.ndarray]:
@@ -215,12 +214,7 @@ def _try_distribution(
     with probability sin^2((2j+1)theta) * w_x/P if x is marked and
     cos^2((2j+1)theta) * w_x/Q otherwise (a part of mass 0 drops out).
     """
-    w = np.abs(setup_amps) ** 2
-    marked_mass = float(w[mask].sum())
-    unmarked_mass = float(w[~mask].sum())
-    total = marked_mass + unmarked_mass
-    if not abs(total - 1.0) <= _NORM_TOL:
-        raise SearchError(f"state not normalized: |psi|^2 = {total}")
+    w, marked_mass, unmarked_mass = _split_mass(setup_amps, mask)
     theta = math.atan2(math.sqrt(marked_mass), math.sqrt(unmarked_mass))
     on_marked = np.where(mask, w, 0.0)
     on_unmarked = w - on_marked
@@ -236,88 +230,16 @@ def _try_distribution(
     return after
 
 
-def _cdf(p: np.ndarray) -> list[float]:
-    """The normalized CDF of ``p``, checking that ``p`` sums to 1.
-
-    ``bisect.bisect_right(cdf, rng.random())`` draws the index
-    ``rng.choice(len(p), p=p / p.sum())`` draws: one ``rng.random()`` value
-    located on the same CDF, without ``choice``'s argument validation."""
-    mass = p.sum()
-    if not abs(mass - 1.0) <= _NORM_TOL:
-        raise SearchError(f"measurement law not normalized: total {mass}")
-    cdf = np.cumsum(p / mass)
-    cdf /= cdf[-1]
-    return cdf.tolist()
-
-
-class _RawDraws:
-    """``Generator.integers(0, m)`` and ``Generator.random()`` of a
-    PCG64-backed generator, read from blocks of its raw 64-bit output.
-
-    NumPy draws an integer below m (2 <= m <= 2^32) from a 32-bit value x:
-    the low half of a fresh word, whose high half it buffers in the state's
-    ``has_uint32``/``uinteger``, or else that buffered half.  It returns
-    (x*m) >> 32 and redraws x while the low 32 bits of x*m fall below
-    (2^32 - m) % m (Lemire's multiply-shift).  ``random()`` is
-    (word >> 11) * 2^-53 of a fresh word and leaves the buffer alone.
-    ``close`` restores the generator's saved state, advances it by the words
-    read and writes the buffer back, so the generator ends where those
-    native calls leave it.
-    """
-
-    __slots__ = ("_bits", "_saved", "_has", "_buf", "_words", "_pos", "_read")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        bits = getattr(rng, "bit_generator", None)
-        if not isinstance(bits, np.random.PCG64):
-            raise SearchError(
-                "a decision needs a PCG64-backed generator (default_rng), "
-                f"got one over {type(bits).__name__}"
-            )
-        self._bits = bits
-        self._saved = bits.state
-        self._has = self._saved["has_uint32"]
-        self._buf = self._saved["uinteger"]
-        self._words: list[int] = []
-        self._pos = 0
-        self._read = 0  # words of the blocks before the current one
-
-    def _word(self) -> int:
-        pos = self._pos
-        if pos == len(self._words):
-            self._read += pos
-            self._words = self._bits.random_raw(_RAW_BLOCK).tolist()
-            pos = 0
-        self._pos = pos + 1
-        return self._words[pos]
-
-    def _uint32(self) -> int:
-        if self._has:
-            self._has = 0
-            return self._buf
-        word = self._word()
-        self._has = 1
-        self._buf = word >> 32
-        return word & _LOW32
-
-    def integers(self, m: int) -> int:
-        product = self._uint32() * m
-        if product & _LOW32 < m:
-            threshold = (_TWO32 - m) % m
-            while product & _LOW32 < threshold:
-                product = self._uint32() * m
-        return product >> 32
-
-    def random(self) -> float:
-        return (self._word() >> 11) * _UNIT
-
-    def close(self) -> None:
-        self._bits.state = self._saved
-        self._bits.advance(self._read + self._pos)
-        state = self._bits.state
-        state["has_uint32"] = self._has
-        state["uinteger"] = self._buf
-        self._bits.state = state
+def _generator(rng) -> np.random.Generator:
+    """``rng`` itself if it is a ``Generator``, ``default_rng(rng)`` if it
+    is an int seed; anything else is refused."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    if isinstance(rng, (int, np.integer)):
+        return np.random.default_rng(int(rng))
+    raise SearchError(
+        f"a search needs a numpy Generator or an int seed, got {type(rng).__name__}"
+    )
 
 
 def amplitude_amplify_decide(
@@ -325,26 +247,20 @@ def amplitude_amplify_decide(
     marked: np.ndarray,
     epsilon: float,
     delta: float,
-    rng: np.random.Generator | int | _RawDraws,
+    rng: np.random.Generator | int,
 ) -> tuple[int | None, SearchCost]:
     """Decide whether any branch is marked, under the promise that the marked
     probability mass is 0 or at least ``epsilon``.
 
     ``marked`` holds one bool per branch.  Returns the index of a sampled
     marked branch (x with conditional probability |alpha_x|^2 / P_M) or
-    None, plus the oracle-call counts.  Each try's measurement is sampled,
-    by seeded inverse CDF, from the exact law of its final state
-    (``_try_distribution``), which ``grover_iterate`` steps to.  A try
-    draws j from at most ceil(1/sqrt(epsilon)) values, so the CDF of each
-    j's law is built once, at the first try that draws it.  With nothing
-    marked no try can succeed: every try still draws its j and its
-    measurement value, but no law is built.  ``rng`` must be PCG64-backed;
-    its draws are read by ``_RawDraws`` and leave it as ``integers(0, m)``
-    and ``random()`` would.  A ``Generator`` or an int seed gets a reader
-    of its own, closed before the decision returns; a reader handed in
-    (``quantum_maximize`` holds one across its decisions) is read from and
-    left open, and the generator reaches that state once its owner closes
-    it.
+    None, plus the oracle-call counts.  Try t draws j_t uniformly below its
+    bound and succeeds iff its uniform draw u_t < sin^2((2 j_t + 1) theta),
+    the marked mass of ``_try_distribution`` after j_t iterations, which
+    ``grover_iterate`` steps to.  ``rng`` is a ``Generator`` or an int seed.
+    The decision makes one ``integers`` call that draws every try's j, one
+    ``random`` call that draws every outcome and, on a success, one
+    ``random()`` that picks the branch.
     """
     mask = _marks(state0, marked)
     if not (0.0 < epsilon <= 1.0) or not (0.0 < delta < 1.0):
@@ -352,11 +268,9 @@ def amplitude_amplify_decide(
     m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
     if m_cap > _TWO32:
         raise SearchError(f"epsilon {epsilon} needs more than 2^32 iterations")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    law = _try_distribution(state0.setup_amps, mask)
-    marks = mask.tolist() if mask.any() else None
-    cdfs: dict[int, list[float]] = {}  # j -> CDF of the law after j iterations
+    rng = _generator(rng)
+    w, marked_mass, unmarked_mass = _split_mass(state0.setup_amps, mask)
+    theta = math.atan2(math.sqrt(marked_mass), math.sqrt(unmarked_mass))
     # one repetition's iteration bounds: m grows by 6/5 up to m_cap
     bounds = [1]
     m = 1.0
@@ -364,29 +278,16 @@ def amplitude_amplify_decide(
         m = min(m * 6.0 / 5.0, m_cap)
         bounds.append(int(m))
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
-    tries = iterations = 0
-    own = not isinstance(rng, _RawDraws)
-    draws = _RawDraws(rng) if own else rng
-    try:
-        for _ in range(reps):
-            for bound in bounds:
-                # integers(0, 1) is 0 and leaves the generator's state alone
-                j = draws.integers(bound) if bound >= 2 else 0
-                u = draws.random()
-                tries += 1
-                iterations += j
-                if marks is None:
-                    continue
-                cdf = cdfs.get(j)
-                if cdf is None:
-                    cdf = cdfs[j] = _cdf(law(j))
-                i = bisect.bisect_right(cdf, u)
-                if marks[i]:
-                    return i, _decision_cost(tries, iterations)
-    finally:
-        if own:
-            draws.close()
-    return None, _decision_cost(tries, iterations)
+    js = rng.integers(0, np.tile(bounds, reps))
+    hits = np.flatnonzero(rng.random(js.size) < np.sin((2 * js + 1) * theta) ** 2)
+    if hits.size == 0:
+        return None, _decision_cost(js.size, int(js.sum()))
+    tries = int(hits[0]) + 1
+    branches = np.flatnonzero(mask)
+    cdf = np.cumsum(w[branches])
+    cdf /= cdf[-1]
+    found = int(branches[np.searchsorted(cdf, rng.random(), side="right")])
+    return found, _decision_cost(tries, int(js[:tries].sum()))
 
 
 def _decision_cost(tries: int, iterations: int) -> SearchCost:
@@ -414,27 +315,11 @@ def quantum_maximize(
     marked, so the marked mass is at least epsilon and the decision's
     promise holds.  The computation aborts with the current threshold
     element once the worst-case call budget is spent.  The decisions share
-    one generator, seeded by ``config.seed``, and one ``_RawDraws`` reader
-    on it: each decision reads on where the previous one stopped, so the
-    draws are those of a reader per decision, without saving and
-    restoring the generator's state around each one.
+    one generator made from ``config.seed``: each draws on where the
+    previous one stopped.
     """
     vals = _per_branch(state0, values, "values")
-    draws = _RawDraws(np.random.default_rng(config.seed))
-    try:
-        return _threshold_search(vals, state0, config, draws)
-    finally:
-        draws.close()
-
-
-def _threshold_search(
-    vals: np.ndarray,
-    state0: AmplitudeState,
-    config: QOptConfig,
-    rng: np.random.Generator | _RawDraws,
-) -> tuple[int, SearchCost]:
-    """``quantum_maximize``'s threshold loop, each decision drawing from
-    ``rng``."""
+    rng = _generator(config.seed)
     cost = SearchCost()
     support = np.abs(state0.setup_amps) > 0.0
     best = int(np.flatnonzero(support)[0])  # fixed start: the first support index

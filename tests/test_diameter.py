@@ -281,7 +281,7 @@ def test_each_run_reads_every_candidate_once_in_ascending_order(family, n, p, mo
         assert len(searches) == 1
 
 
-def test_procedure_and_branch_reports_name_no_leader():
+def test_procedure_reports_name_no_leader():
     g = generate("random", 20, seed=2, p=0.25)
     dist = procedures.all_sources_distances(g)
     tree, _ = procedures.build_bfs_tree(g, 0, dist)

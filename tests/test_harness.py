@@ -259,6 +259,22 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, monkeypatch, t
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "missing columns family, n, D_true, algo, D_out, rounds"),
+        ("family,n,algo\npath,8,exact\n", "missing columns D_true, D_out, rounds"),
+        (rows_to_csv([]) + "path,8,7\n", "line 2 has 3 fields, the header 10"),
+    ],
+    ids=["empty", "no-result-columns", "short-row"],
+)
+def test_cli_scaling_reports_a_csv_it_cannot_read_in_one_line(text, message, capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["scaling", str(path)]) == 2
+    assert_one_line_error(capsys, f"{path}: {message}")
+
+
 def test_cli_does_not_catch_errors_raised_while_the_algorithms_run(monkeypatch, tmp_path):
     def failing(config):
         raise ValueError("raised by a run")

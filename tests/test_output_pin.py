@@ -13,42 +13,42 @@ from qcongest.harness import ExperimentConfig, rows_to_csv, run_grid
 
 PINNED_CSV = (
     "family,n,D_true,algo,D_out,rounds,words,leader_qubits,seed,ok\n"
-    "path,12,11,exact,11,14779,58899,54,0,1\n"
+    "path,12,11,exact,11,15363,61227,54,0,1\n"
     "path,12,11,approx,11,2579,3208,27,0,1\n"
-    "path,12,11,exact,11,17845,52991,54,1,1\n"
+    "path,12,11,exact,11,21045,62495,54,1,1\n"
     "path,12,11,approx,11,3527,3352,27,1,1\n"
-    "path,16,15,exact,15,20245,104599,60,0,1\n"
+    "path,16,15,exact,15,21045,108735,60,0,1\n"
     "path,16,15,approx,15,3531,4368,30,0,1\n"
-    "path,16,15,exact,15,22663,92929,60,1,1\n"
+    "path,16,15,exact,15,24695,101265,60,1,1\n"
     "path,16,15,approx,15,4479,4530,30,1,1\n"
-    "random:0.2,12,3,exact,3,12613,120378,84,0,1\n"
-    "random:0.2,12,3,approx,3,4036,35010,56,0,1\n"
-    "random:0.2,12,3,exact,3,10536,137074,116,1,1\n"
-    "random:0.2,12,3,approx,3,8129,80894,87,1,1\n"
-    "random:0.2,16,3,exact,3,15302,191955,128,0,1\n"
+    "random:0.2,12,3,exact,3,11493,109698,84,0,1\n"
+    "random:0.2,12,3,approx,3,3884,33690,56,0,1\n"
+    "random:0.2,12,3,exact,3,8712,113362,116,1,1\n"
+    "random:0.2,12,3,approx,3,7825,77870,87,1,1\n"
+    "random:0.2,16,3,exact,3,14854,186339,128,0,1\n"
     "random:0.2,16,3,approx,3,5709,58062,64,0,1\n"
-    "random:0.2,16,3,exact,3,10992,177731,128,1,1\n"
-    "random:0.2,16,3,approx,3,8137,100566,96,1,1\n"
+    "random:0.2,16,3,exact,3,10536,170363,128,1,1\n"
+    "random:0.2,16,3,approx,3,7985,98686,96,1,1\n"
 )
 
 # per row, in task order: (t0, t_eval, search.total_calls)
 PINNED_ACCOUNTING = [
-    (33, 146, 101),
+    (33, 146, 105),
     (97, 146, 17),
-    (45, 200, 89),
+    (45, 200, 105),
     (127, 200, 17),
-    (45, 200, 101),
+    (45, 200, 105),
     (131, 200, 17),
-    (57, 254, 89),
+    (57, 254, 97),
     (161, 254, 17),
-    (13, 56, 225),
-    (46, 38, 105),
-    (10, 38, 277),
-    (35, 38, 213),
-    (14, 56, 273),
+    (13, 56, 205),
+    (46, 38, 101),
+    (10, 38, 229),
+    (35, 38, 205),
+    (14, 56, 265),
     (53, 56, 101),
-    (10, 38, 289),
-    (43, 38, 213),
+    (10, 38, 277),
+    (43, 38, 209),
 ]
 
 

@@ -15,26 +15,26 @@ from qcongest.harness import ExperimentConfig, rows_to_csv, run_grid
 
 PINNED_CSV = (
     "family,n,D_true,algo,D_out,rounds,words,leader_qubits,seed,ok\n"
-    "path,12,11,simple,11,11319,18531,80,0,1\n"
-    "path,12,11,simple,11,12409,18109,80,1,1\n"
-    "path,16,15,simple,15,14033,23299,80,0,1\n"
-    "path,16,15,simple,15,17167,25561,80,1,1\n"
-    "random:0.2,12,3,simple,3,2953,26198,80,0,1\n"
-    "random:0.2,12,3,simple,3,2480,29876,80,1,1\n"
-    "random:0.2,16,3,simple,3,3338,39643,80,0,1\n"
-    "random:0.2,16,3,simple,3,3000,45733,80,1,1\n"
+    "path,12,11,simple,11,11927,19523,80,0,1\n"
+    "path,12,11,simple,11,10825,15805,80,1,1\n"
+    "path,16,15,simple,15,16945,28115,80,0,1\n"
+    "path,16,15,simple,15,16355,24357,80,1,1\n"
+    "random:0.2,12,3,simple,3,3577,31710,80,0,1\n"
+    "random:0.2,12,3,simple,3,2820,33956,80,1,1\n"
+    "random:0.2,16,3,simple,3,3290,39075,80,0,1\n"
+    "random:0.2,16,3,simple,3,2780,42389,80,1,1\n"
 )
 
 # per row, in task order: (t0, t_eval, search.total_calls)
 PINNED_ACCOUNTING = [
-    (33, 38, 297),
-    (45, 44, 281),
-    (45, 52, 269),
-    (57, 58, 295),
-    (13, 12, 245),
-    (10, 10, 247),
-    (14, 12, 277),
-    (10, 10, 299),
+    (33, 38, 313),
+    (45, 44, 245),
+    (45, 52, 325),
+    (57, 58, 281),
+    (13, 12, 297),
+    (10, 10, 281),
+    (14, 12, 273),
+    (10, 10, 277),
 ]
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -22,8 +21,6 @@ from qcongest.qsearch import (
     quantum_maximize,
     setup_subset,
     setup_uniform,
-    _cdf,
-    _RawDraws,
     _try_distribution,
 )
 
@@ -304,33 +301,45 @@ def test_try_distribution_equals_the_vector_grover_steps(n, seed, setup_kind, ma
         state = grover_iterate(state, mask)
     got = _try_distribution(setup, mask)(j)
     assert np.max(np.abs(got - np.abs(state.amps) ** 2)) <= 1e-12
+    # the identity a decision draws its outcomes from
+    w = np.abs(setup) ** 2
+    theta = math.atan2(math.sqrt(w[mask].sum()), math.sqrt(w[~mask].sum()))
+    success = math.sin((2 * j + 1) * theta) ** 2
+    assert abs(success - got[mask].sum()) <= 1e-12
+    assert abs(success - np.sum(np.abs(state.amps[mask]) ** 2)) <= 1e-12
 
 
 def _stepped_decide(state0, mask, epsilon, delta, rng):
-    """Reference decision that steps the amplitude vector: j ``grover_iterate``
-    calls per try, then one ``rng.choice`` on the final amplitudes."""
-    cost = SearchCost()
+    """Reference decision that steps the amplitude vector.  It makes the
+    decision's generator calls: every try's j in one ``integers`` call, every
+    outcome in one ``random`` call, and on a success one ``random()`` on the
+    stepped vector's marked amplitudes.  Try t steps the vector j_t times
+    with ``grover_iterate`` and succeeds iff u_t is below its marked mass."""
     m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
-    for _ in range(reps):
-        m = 1.0
-        while True:
-            j = int(rng.integers(0, max(1, int(m))))
-            state = AmplitudeState(state0.setup_amps.copy(), state0.setup_amps)
-            cost.setup_calls += 1
-            for _ in range(j):
-                state = grover_iterate(state, mask)
-                cost.eval_calls += 1
-                cost.setup_calls += 1
-                cost.inverse_calls += 2
-            p = np.abs(state.amps) ** 2
-            i = int(rng.choice(len(p), p=p / p.sum()))
+    bounds, m = [], 1.0
+    while True:
+        bounds.append(int(m))
+        if m >= m_cap:
+            break
+        m = min(m * 6.0 / 5.0, m_cap)
+    js = rng.integers(0, np.tile(bounds, reps))
+    outcomes = rng.random(js.size)
+    cost = SearchCost()
+    for j, u in zip(js.tolist(), outcomes.tolist()):
+        state = AmplitudeState(state0.setup_amps.copy(), state0.setup_amps)
+        cost.setup_calls += 1
+        for _ in range(j):
+            state = grover_iterate(state, mask)
             cost.eval_calls += 1
-            if mask[i]:
-                return i, cost
-            if m >= m_cap:
-                break
-            m = min(m * 6.0 / 5.0, m_cap)
+            cost.setup_calls += 1
+            cost.inverse_calls += 2
+        cost.eval_calls += 1
+        p = np.abs(state.amps[mask]) ** 2
+        if u < p.sum():
+            cdf = np.cumsum(p)
+            i = np.searchsorted(cdf / cdf[-1], rng.random(), side="right")
+            return int(np.flatnonzero(mask)[i]), cost
     return None, cost
 
 
@@ -385,52 +394,7 @@ def test_decide_matches_the_stepped_reference_at_bench_size():
         assert ours.bit_generator.state == ref.bit_generator.state
 
 
-class _CountingDraws(_RawDraws):
-    """A reader that records how many readers are opened and closed."""
-
-    __slots__ = ()
-    opened = closed = 0
-
-    def __init__(self, rng):
-        super().__init__(rng)
-        _CountingDraws.opened += 1
-
-    def close(self):
-        _CountingDraws.closed += 1
-        super().close()
-
-
-@pytest.fixture
-def counting_draws(monkeypatch):
-    monkeypatch.setattr(_CountingDraws, "opened", 0)
-    monkeypatch.setattr(_CountingDraws, "closed", 0)
-    monkeypatch.setattr(qsearch, "_RawDraws", _CountingDraws)
-    return _CountingDraws
-
-
-def test_decide_on_an_open_reader_matches_the_stepped_reference(counting_draws):
-    # the caller's reader is read from, left open, and the generator ends
-    # where the stepped reference leaves its own once the caller closes it;
-    # the reader enters the decision with no buffered half, with one from
-    # the generator, or with one from its own last integer draw
-    for state, mask, epsilon, delta, case in _decide_cases(300):
-        ours, ref = np.random.default_rng(case), np.random.default_rng(case)
-        entry = case % 3
-        if entry == 1:
-            assert ours.integers(0, 7) == ref.integers(0, 7)
-        draws = counting_draws(ours)
-        if entry == 2:
-            assert draws.integers(7) == ref.integers(0, 7)
-        assert draws._has == (entry > 0)
-        got = amplitude_amplify_decide(state, mask, epsilon, delta, draws)
-        assert got == _stepped_decide(state, mask, epsilon, delta, ref), case
-        assert counting_draws.opened == case + 1 and counting_draws.closed == case
-        assert draws.random() == ref.random()
-        draws.close()
-        assert ours.bit_generator.state == ref.bit_generator.state, case
-
-
-def test_maximize_holds_one_reader_for_all_its_decisions(counting_draws):
+def test_maximize_draws_every_decision_from_one_generator():
     # random values with ties, uniform, subset and general setups, epsilons
     # from 1 down to about 1/n, and deltas from 1/2 down to 1/n^2
     data = np.random.default_rng(21)
@@ -439,67 +403,25 @@ def test_maximize_holds_one_reader_for_all_its_decisions(counting_draws):
         setup = _random_setup(data, n, ("uniform", "subset", "general")[case % 3])
         state = AmplitudeState(setup.copy(), setup.copy())
         values = data.integers(0, max(2, n // int(data.integers(1, 5))), size=n)
-        config = QOptConfig(
-            float(data.uniform(0.8, 1.0) / int(data.integers(1, n + 1))),
-            float(data.choice([0.5, 0.05, 1.0 / n**2])),
-            seed=int(data.integers(2**32)),
-        )
-        before = counting_draws.opened
-        got = quantum_maximize(values, state, config)
-        assert counting_draws.opened - before == 1
-        assert counting_draws.closed == counting_draws.opened
-        # the same threshold loop, each decision opening a reader of its own
-        # on the shared generator
+        eps = float(data.uniform(0.8, 1.0) / int(data.integers(1, n + 1)))
+        delta = float(data.choice([0.5, 0.05, 1.0 / n**2]))
+        config = QOptConfig(eps, delta, seed=int(data.integers(2**32)))
+        # the threshold loop written out, its decisions on one generator
         rng = np.random.default_rng(config.seed)
-        expected = qsearch._threshold_search(values, state, config, rng)
-        assert counting_draws.opened - before > 1
-        assert got == expected, case
-
-
-def test_decide_builds_each_law_once_per_distinct_j(monkeypatch):
-    evaluated: list[int] = []
-
-    def counting(setup_amps, mask):
-        law = _try_distribution(setup_amps, mask)
-
-        def after(j):
-            evaluated.append(j)
-            return law(j)
-
-        return after
-
-    monkeypatch.setattr(qsearch, "_try_distribution", counting)
-    state = setup_uniform(128)
-    _, cost = amplitude_amplify_decide(state, np.zeros(128, bool), 1 / 128, 1 / 128**2, 3)
-    tries = cost.setup_calls - cost.inverse_calls // 2
-    assert len(evaluated) == len(set(evaluated)) < tries
-    # marks outside the setup support: every try builds or reuses a law and
-    # none can succeed
-    state = setup_subset(128, range(64))
-    found, cost = amplitude_amplify_decide(
-        state, np.arange(128) >= 64, 1 / 128, 1 / 128**2, 3
-    )
-    tries = cost.setup_calls - cost.inverse_calls // 2
-    assert found is None
-    assert 1 < len(evaluated) == len(set(evaluated)) < tries
-
-
-def test_decide_with_nothing_marked_builds_no_law(monkeypatch):
-    built: list[np.ndarray] = []
-
-    def counting(p):
-        built.append(p)
-        return _cdf(p)
-
-    monkeypatch.setattr(qsearch, "_cdf", counting)
-    for n, seed in [(16, 0), (80, 1), (256, 2)]:
-        state = setup_uniform(n)
-        mask = np.zeros(n, bool)
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = amplitude_amplify_decide(state, mask, 1 / n, 1 / n**2, ours)
-        assert got == _stepped_decide(state, mask, 1 / n, 1 / n**2, ref)
-        assert ours.bit_generator.state == ref.bit_generator.state
-    assert built == []
+        support = setup != 0
+        best = int(np.flatnonzero(support)[0])
+        cost = SearchCost(eval_calls=1)
+        while True:
+            found, sub = amplitude_amplify_decide(
+                state, support & (values > values[best]), eps, delta, rng
+            )
+            cost.add(sub)
+            if found is None:
+                break
+            best = found
+            if cost.total_calls > maximize_call_budget(eps, delta):
+                break
+        assert quantum_maximize(values, state, config) == (best, cost), case
 
 
 def test_decide_with_nothing_marked_rejects_a_nan_setup():
@@ -527,47 +449,8 @@ def test_state_rejects_amplitudes_not_one_per_setup_branch(amps_len, setup_len):
     assert grover_iterate(state, np.arange(setup_len) < 1).amps.shape == setup.shape
 
 
-def _interleaved_draws(data, draws, ref, count):
-    # integers(0, m) over m in [2, 2^32] (about half the draws reject just
-    # above 2^31) and random(), in random order
-    for _ in range(count):
-        kind = int(data.integers(5))
-        if kind == 0:
-            assert draws.random() == ref.random()
-            continue
-        if kind == 1:
-            m = int(data.integers(2, 64))
-        elif kind == 2:
-            m = 2**31 + int(data.integers(1, 2**16))
-        elif kind == 3:
-            m = int(data.choice([2, 3, 2**31 + 1, 2**32 - 1, 2**32]))
-        else:
-            m = int(data.integers(2, 2**32 + 1))
-        assert draws.integers(m) == ref.integers(0, m), m
-
-
-def test_raw_draws_match_the_generators_own_draws():
-    # the decision reads integers(0, m) and random() from PCG64's raw
-    # output; if a numpy upgrade changes its bounded integers or PCG64's
-    # buffered half, this test fails
-    data = np.random.default_rng(11)
-    for seed in range(120):
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            # start both readers with and without a buffered half
-            for _ in range(int(data.integers(0, 3))):
-                assert ours.integers(0, 7) == ref.integers(0, 7)
-            draws = _RawDraws(ours)
-            _interleaved_draws(data, draws, ref, int(data.integers(0, 400)))
-            draws.close()
-            assert ours.bit_generator.state == ref.bit_generator.state, seed
-        assert ours.integers(0, 1000, size=5).tolist() == ref.integers(0, 1000, size=5).tolist()
-        assert ours.random() == ref.random()
-        assert ours.integers(0, 2**31 + 1) == ref.integers(0, 2**31 + 1)
-
-
 def test_decide_refuses_iteration_counts_beyond_32_bits():
-    # j is drawn from a 32-bit value, so m may not exceed 2^32
+    # a decision caps its iteration bound m at 2^32
     state = setup_uniform(4)
     with pytest.raises(SearchError, match="2\\^32"):
         amplitude_amplify_decide(state, np.zeros(4, bool), 2.0**-66, 0.5, 0)
@@ -575,45 +458,22 @@ def test_decide_refuses_iteration_counts_beyond_32_bits():
     assert found is None
 
 
-def test_decide_refuses_a_generator_not_over_pcg64():
+def test_decide_takes_any_generator_or_an_int_seed():
     state = setup_uniform(4)
-    for rng in (np.random.Generator(np.random.MT19937(1)), np.random.RandomState(1)):
-        with pytest.raises(SearchError, match="PCG64"):
-            amplitude_amplify_decide(state, np.arange(4) < 1, 0.25, 0.1, rng)
-
-
-def test_cdf_draws_what_generator_choice_draws():
-    # if a numpy upgrade changes how choice(p=...) draws, this test fails
-    data = np.random.default_rng(5)
-    for seed in range(300):
-        n = int(data.integers(1, 65))
-        p = data.random(n) * (data.random(n) < 0.7)
-        if not p.any():
-            p[int(data.integers(n))] = 1.0
-        p /= p.sum()
-        cdf = _cdf(p)
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(20):
-            assert bisect.bisect_right(cdf, ours.random()) == ref.choice(n, p=p / p.sum())
-        assert ours.random() == ref.random()
-
-
-def test_one_value_draw_leaves_the_generator_alone():
-    # a decision sets j = 0 without drawing integers(0, 1); if a numpy
-    # upgrade makes that draw consume state, this test fails
-    for seed in range(50):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(20):
-            assert rng.integers(0, 1) == 0
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert rng.random() == ref.random()
-
-
-def test_cdf_rejects_a_law_that_does_not_sum_to_one():
-    with pytest.raises(SearchError, match="not normalized"):
-        _cdf(np.array([0.5, 0.6]))
-    with pytest.raises(SearchError, match="not normalized"):
-        _cdf(np.array([np.nan, 0.5]))
+    marked = np.arange(4) < 1
+    for rng in (np.random.RandomState(1), 1.0, "1", None):
+        with pytest.raises(SearchError, match=f"got {type(rng).__name__}"):
+            amplitude_amplify_decide(state, marked, 0.25, 0.1, rng)
+        with pytest.raises(SearchError, match=f"got {type(rng).__name__}"):
+            quantum_maximize([0, 1, 2, 3], state, QOptConfig(0.25, 0.1, seed=rng))
+    mt = lambda: np.random.Generator(np.random.MT19937(1))  # noqa: E731
+    got = amplitude_amplify_decide(state, marked, 0.25, 0.1, mt())
+    assert got[0] == 0 and got == _stepped_decide(state, marked, 0.25, 0.1, mt())
+    for seed in (0, np.int64(5), 2**40):
+        expected = amplitude_amplify_decide(
+            state, marked, 0.25, 0.1, np.random.default_rng(int(seed))
+        )
+        assert amplitude_amplify_decide(state, marked, 0.25, 0.1, seed) == expected
 
 
 def test_decide_rejects_a_setup_that_is_no_longer_normalized():
@@ -629,9 +489,10 @@ def test_decide_rejects_a_setup_that_is_no_longer_normalized():
 )
 def test_production_runs_step_no_amplitude_vector(algorithm, monkeypatch):
     def refuse(state, mask):
-        raise AssertionError("a production run stepped the amplitude vector")
+        raise AssertionError("a production run stepped the amplitude vector or built its law")
 
     monkeypatch.setattr(qsearch, "grover_iterate", refuse)
+    monkeypatch.setattr(qsearch, "_try_distribution", refuse)
     g = graphs.generate("random", 12, seed=4, p=0.3)
     assert algorithm(g, seed=1).d_out == graphs.diameter_bruteforce(g)
 
@@ -649,56 +510,3 @@ def test_verify_checks_the_decision_law(monkeypatch):
     monkeypatch.setattr(verify, "_try_distribution", off_by_one)
     ok, detail = verify.check_grover()
     assert not ok and "closed-form law off the steps" in detail
-
-
-def test_verify_checks_the_decision_draw(monkeypatch):
-    from qcongest import verify
-
-    ok, detail = verify.check_grover()
-    assert ok and "Generator.choice draw" in detail
-
-    def shifted(p):
-        cdf = _cdf(p)
-        return [0.0] + cdf[:-1]
-
-    monkeypatch.setattr(verify, "_cdf", shifted)
-    ok, detail = verify.check_grover()
-    assert not ok and "differs from Generator.choice" in detail
-
-
-def test_verify_checks_the_decisions_generator_draws(monkeypatch):
-    from qcongest import verify
-
-    ok, detail = verify.check_grover()
-    assert ok and "Generator.integers/random draws" in detail
-
-    class Unbuffered(_RawDraws):
-        # a reader that drops the buffered high half of each word
-        __slots__ = ()
-
-        def _uint32(self):
-            return self._word() & 0xFFFFFFFF
-
-    monkeypatch.setattr(verify, "_RawDraws", Unbuffered)
-    ok, detail = verify.check_grover()
-    assert not ok and "differ from Generator.integers/random at seed 0" in detail
-
-
-def test_verify_checks_a_maximizations_shared_reader(monkeypatch):
-    from qcongest import verify
-
-    ok, detail = verify.check_grover()
-    assert ok and "a maximization's shared reader" in detail
-
-    decide = qsearch.amplitude_amplify_decide
-
-    def skips_a_word(state0, marked, epsilon, delta, rng):
-        # a decision that reads a reader it is handed differently from one
-        # it opens itself
-        if isinstance(rng, _RawDraws):
-            rng.random()
-        return decide(state0, marked, epsilon, delta, rng)
-
-    monkeypatch.setattr(qsearch, "amplitude_amplify_decide", skips_a_word)
-    ok, detail = verify.check_grover()
-    assert not ok and "shared reader differs from a reader per decision at seed 0" in detail
