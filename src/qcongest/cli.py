@@ -51,8 +51,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             out=args.out,
             trace_dir=args.trace,
         )
-        if not Path(config.out).parent.is_dir():
-            raise InputError(f"output directory {Path(config.out).parent} does not exist")
+        out = Path(config.out)
+        if not out.parent.is_dir():
+            raise InputError(f"output directory {out.parent} does not exist")
+        if out.is_dir():
+            raise InputError(f"output path {out} is a directory")
+        if config.trace_dir is not None:
+            trace = Path(config.trace_dir)
+            # the nearest existing ancestor (or the path itself) must be a
+            # directory, or creating the trace directory fails mid-grid
+            existing = next(p for p in (trace, *trace.parents) if p.exists())
+            if not existing.is_dir():
+                raise InputError(f"trace path {existing} exists and is not a directory")
     rows = run_grid(config)
     write_csv(rows, config.out)
     failures = sum(1 for r in rows if not r["ok"])

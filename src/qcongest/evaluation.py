@@ -81,6 +81,7 @@ from .procedures import (
     BfsTreeState,
     Branch,
     DfsNumbering,
+    _adjacency,
     _check_branch_peaks,
     _check_candidate,
     _require_size,
@@ -128,13 +129,6 @@ class EvalContext:
         checked when the table is built, so a read is one lookup."""
         return _window_table(self)
 
-    @functools.cached_property
-    def children_r(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's tree children among the candidates: the token walk's
-        moves on the engine."""
-        tau = self.numbering.tau
-        return tuple(tuple(c for c in kids if c in tau) for kids in self.tree.children)
-
 
 def _eval_field_bits(n: int, deg: int) -> int:
     L, L2 = id_bits(n), (2 * n).bit_length()
@@ -154,8 +148,9 @@ def make_eval_context(
     window table nor ``evaluate_on_engine`` runs on a smaller network."""
     _require_size(g)
     numbering = dfs_numbering(tree, restrict)
-    widths = {deg: _eval_field_bits(g.n, deg) for deg in set(map(len, g.adj))}
-    qbits = tuple(widths[len(nbrs)] for nbrs in g.adj)
+    degrees = _adjacency(g)[0].tolist()
+    widths = {deg: _eval_field_bits(g.n, deg) for deg in set(degrees)}
+    qbits = tuple(map(widths.__getitem__, degrees))
     return EvalContext(
         g=g,
         tree=tree,
@@ -266,7 +261,7 @@ class EvaluationProgram(NodeProgram):
         ectx, v = self.ectx, ctx.node
         if round_no >= 2 * ectx.d:
             return
-        kids = ectx.children_r[v]
+        kids = ectx.numbering.children[v]
         if state["cursor"] < len(kids):
             out[kids[state["cursor"]]] = self._token(round_no + 1)
         elif v != ectx.tree.leader:
@@ -302,7 +297,7 @@ class EvaluationProgram(NodeProgram):
                         )
                     state["cursor"] = 0
                 else:
-                    state["cursor"] = ectx.children_r[v].index(sender) + 1
+                    state["cursor"] = ectx.numbering.children[v].index(sender) + 1
             elif tag == _TAG_EVAL:
                 _, taup, delta = unpack_bits(word, (2, self.M, self.M))
                 if taup + 1 > state["t1"]:
@@ -406,43 +401,45 @@ def _window_table(ectx: EvalContext) -> dict[int, Branch]:
     between consecutive waves a, b at p, p+1, delta = unrolled[p+1] -
     unrolled[p] apart, passes ``_check_arrivals`` iff 2*delta + gap >=
     max(delta, 1) with gap = min over v of dist(b, v) - dist(a, v).  Neither
-    depends on the branch, so each pair is checked once, and a row fails iff
-    the prefix sum of late pairs grows between i and last.  f is the largest
-    eccentricity over [i, last], and the last arrival is
-    2d + 2*tau'_last + ecc(last).  Failing rows are replayed from their full
-    arrival matrix, in candidate order, so the first failing branch raises
-    the error ``_check_arrivals`` names.
+    depends on the branch or on the copy p falls in, so each of the k pairs
+    is checked once, and a row fails iff the prefix sum of late pairs grows
+    between i and last.  f is the largest eccentricity over [i, last], and
+    the last arrival is 2d + 2*tau'_last + ecc(last).  Failing rows are
+    replayed from their full arrival matrix, in candidate order, so the first
+    failing branch raises the error ``_check_arrivals`` names.  The cleanup
+    reversal mirrors the forward pass, so every row's rounds and words are
+    doubled.
     """
-    num, d, dist = ectx.numbering, ectx.d, ectx.dist
-    nodes = np.asarray(num.first_visits)
-    k = len(nodes)
-    pos = np.asarray(num.positions, dtype=np.int64)
-    unrolled = np.concatenate((pos, pos + ectx.base))
+    num, d, dist, base = ectx.numbering, ectx.d, ectx.dist, ectx.base
+    k = len(num.first_visits)
+    twice = np.array(num.first_visits * 2)
+    pos = np.array(num.positions, dtype=np.int64)
+    unrolled = np.concatenate((pos, pos + base))
     end = pos + 2 * d  # each walk's last tour position, unrolled
     first = np.arange(k)
-    count = np.minimum(np.searchsorted(unrolled, end, side="right") - first, k)
+    count = np.minimum(unrolled.searchsorted(end, side="right") - first, k)
     _check_windows(ectx, pos, unrolled, count)
     last = first + count - 1
-    sends = 2 * d - end // ectx.base - (end + 1) // ectx.base
+    sends = 2 * d - end // base - (end + 1) // base
     words = sends + count * 2 * ectx.g.m + ectx.g.n - 1
-    ecc = dist.max(axis=1)[np.concatenate((nodes, nodes))]
+    ecc = dist.max(axis=1)[twice]
 
-    delta = np.diff(unrolled)
-    gap = np.tile(_pair_gaps(dist, nodes), 2)[:-1]
-    late = 2 * delta + gap < np.maximum(delta, 1)
-    late_before = np.concatenate(([0], np.cumsum(late)))  # late pairs before index p
-    f = np.maximum.reduceat(ecc, np.column_stack((first, last + 1)).ravel())[::2]
-    taup_last = unrolled[last] - pos
-    bad = (late_before[last] > late_before[first]) | (
-        2 * d + 2 * taup_last + ecc[last] > ectx.s2_last_send
+    delta = unrolled[1 : k + 1] - pos
+    late = 2 * delta + _pair_gaps(dist, twice) < np.maximum(delta, 1)
+    late_before = np.concatenate(([0], late, late)).cumsum()  # late pairs before index p
+    bounds = np.empty(2 * k, dtype=np.intp)
+    bounds[0::2], bounds[1::2] = first, last + 1
+    f = np.maximum.reduceat(ecc, bounds)[::2]
+    bad = (late_before[last] > late_before[:k]) | (
+        2 * d + 2 * (unrolled[last] - pos) + ecc[last] > ectx.s2_last_send
     )
 
-    for i in sorted(np.flatnonzero(bad).tolist(), key=nodes.__getitem__):
+    for i in sorted(np.flatnonzero(bad).tolist(), key=num.first_visits.__getitem__):
         taup = (unrolled[i : last[i] + 1] - pos[i]).tolist()
         order = num.first_visits[i:] + num.first_visits[:i]
         # raises, unless the row's offsets are out of tour order and still pass
         _replay(ectx, order[0], dict(zip(order, taup)), int(sends[i]))
-    rows = map(_with_cleanup, f.tolist(), [ectx.total_rounds] * k, words.tolist())
+    rows = map(Branch, f.tolist(), [2 * ectx.total_rounds] * k, (2 * words).tolist())
     return dict(zip(num.first_visits, rows))
 
 
@@ -469,15 +466,16 @@ def _check_windows(
         )
 
 
-def _pair_gaps(dist: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """min over v of dist(b, v) - dist(a, v), for each node a of
-    first-visit order and its successor b (the first node after the last)."""
-    after = np.roll(nodes, -1)
-    gap = np.empty(len(nodes), dtype=np.int64)
+def _pair_gaps(dist: np.ndarray, twice: np.ndarray) -> np.ndarray:
+    """min over v of dist(b, v) - dist(a, v), for each node a of the k in
+    first-visit order and its successor b, given that order listed twice
+    (the first node follows the last)."""
+    k = len(twice) // 2
+    gap = np.empty(k, dtype=np.int64)
     rows = max(1, _CHUNK // len(dist))
-    for lo in range(0, len(nodes), rows):
-        hi = lo + rows
-        gap[lo:hi] = (dist[after[lo:hi]] - dist[nodes[lo:hi]]).min(axis=1)
+    for lo in range(0, k, rows):
+        hi = min(lo + rows, k)
+        gap[lo:hi] = (dist[twice[lo + 1 : hi + 1]] - dist[twice[lo:hi]]).min(axis=1)
     return gap
 
 

@@ -25,10 +25,13 @@ engine and is what the closed form is tested against: ``elect_on_engine``
 ``simple_eval_on_engine``.  The programs are event-driven: they act on
 message arrival, so the engine only steps nodes that have work.
 
-The DFS numbering walks the tree as a closed Euler tour.  The tour occupies
+The DFS numbering numbers the tree's closed Euler tour in closed form: the
+tour first visits v at position 2*pre(v) - depth(v), pre(v) being v's index
+in preorder with children in ascending id order.  The tour occupies
 positions 0 .. 2(k-1) of a cyclic index space of size 2k (k = number of
 nodes covered); the one leftover position is an idle step at the root, which
 keeps the distributed traversal aligned with the cyclic window definition.
+The tour itself is stepped only on request, as the numbering's reference.
 """
 from __future__ import annotations
 
@@ -472,11 +475,12 @@ class BfsTreeState:
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's children, in ascending id order: v runs upward."""
         kids: list[list[int]] = [[] for _ in self.parent]
         for v, p in enumerate(self.parent):
-            if v != self.leader:
-                kids[p].append(v)
-        return tuple(tuple(sorted(c)) for c in kids)
+            kids[p].append(v)
+        kids[self.leader].remove(self.leader)  # its own parent
+        return tuple(map(tuple, kids))
 
     @property
     def n(self) -> int:
@@ -533,24 +537,50 @@ def bfs_tree_on_engine(
 class DfsNumbering:
     """First-visit step indices along the closed DFS walk of the tree.
 
-    ``traversal`` lists the walk's node sequence (length 2(k-1)+1) and
     ``index_space`` is the cyclic index space 2k the windows live in.
-    ``first_visits`` lists the covered nodes in ascending ``tau``, and
-    ``positions`` their ``tau``: the (tau, node) order, sorted once.
+    ``first_visits`` lists the covered nodes in preorder, which is ascending
+    ``tau``, and ``positions`` their ``tau``.  ``children`` holds each
+    node's children among the covered nodes in ascending id order (none for
+    an uncovered node): the walk's moves.
     """
 
     tau: dict[int, int]
-    traversal: tuple[int, ...]
     index_space: int
     positions: tuple[int, ...]
     first_visits: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def traversal(self) -> tuple[int, ...]:
+        """The closed walk's node sequence (length 2(k-1)+1), stepped from
+        the root: the reference the closed-form numbering is checked by."""
+        root = self.first_visits[0]
+        walk = [root]
+        stack: list[tuple[int, int]] = [(root, 0)]
+        while stack:
+            v, ci = stack[-1]
+            cs = self.children[v]
+            if ci < len(cs):
+                stack[-1] = (v, ci + 1)
+                walk.append(cs[ci])
+                stack.append((cs[ci], 0))
+            else:
+                stack.pop()
+                if stack:
+                    walk.append(stack[-1][0])
+        if len(walk) != 2 * (len(self.tau) - 1) + 1:
+            raise EngineError("DFS walk must visit every node and return to the root")
+        return tuple(walk)
 
 
 def dfs_numbering(
     tree: BfsTreeState, restrict: Iterable[int] | None = None
 ) -> DfsNumbering:
-    """DFS-number the tree (children in ascending id order).
+    """DFS-number the tree (children in ascending id order) in closed form.
 
+    The walk enters each node before v in preorder once and climbs back
+    pre(v) - depth(v) times before it first visits v, so
+    tau(v) = 2*pre(v) - depth(v), and one preorder pass numbers the tree.
     With ``restrict`` the walk covers only that node set, which must contain
     the root and be closed under taking parents.
     """
@@ -564,32 +594,22 @@ def dfs_numbering(
             if v != tree.leader and tree.parent[v] not in allowed:
                 raise EngineError(f"restricted set not parent-closed at node {v}")
         k = len(allowed)
-        children = {v: [c for c in children[v] if c in allowed] for v in allowed}
+        kept: list[tuple[int, ...]] = [()] * tree.n
+        for v in allowed:
+            kept[v] = tuple(c for c in children[v] if c in allowed)
+        children = tuple(kept)
 
-    root = tree.leader
-    walk = [root]
-    tau = {root: 0}
-    stack: list[tuple[int, int]] = [(root, 0)]
+    order: list[int] = []
+    stack = [tree.leader]
     while stack:
-        v, ci = stack[-1]
-        cs = children[v]
-        if ci < len(cs):
-            stack[-1] = (v, ci + 1)
-            c = cs[ci]
-            tau[c] = len(walk)
-            walk.append(c)
-            stack.append((c, 0))
-        else:
-            stack.pop()
-            if stack:
-                walk.append(stack[-1][0])
-    if len(walk) != 2 * (k - 1) + 1 or len(tau) != k:
-        raise EngineError("DFS walk must visit every node and return to the root")
-    by_tau = sorted((t, v) for v, t in tau.items())
-    return DfsNumbering(
-        tau, tuple(walk), 2 * k,
-        tuple(t for t, _ in by_tau), tuple(v for _, v in by_tau),
-    )
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(children[v]))
+    if len(order) != k:
+        raise EngineError("DFS must visit every covered node")
+    depth = tree.dist
+    positions = tuple([2 * i - depth[v] for i, v in enumerate(order)])
+    return DfsNumbering(dict(zip(order, positions)), 2 * k, positions, tuple(order), children)
 
 
 def set_S(u0: int, d: int, numbering: DfsNumbering) -> frozenset[int]:

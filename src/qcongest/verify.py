@@ -3,9 +3,10 @@
 Each check returns (ok, detail).  The suite covers the oracle cross-checks,
 the engine programs of the election and BFS tree against the BFS oracle,
 every closed form against its engine reference (the classical procedures,
-the simple evaluation's table and the windowed evaluation), the window and
-wave invariants, amplitude exactness, the gadget gap, and the two-party
-schedule grid, at sizes small enough to run in about a second.
+the simple evaluation's table and the windowed evaluation), the closed-form
+DFS numbering against the walked tour, the window and wave invariants,
+amplitude exactness, the gadget gap, and the two-party schedule grid, at
+sizes small enough to run in about a second.
 """
 
 from __future__ import annotations
@@ -170,6 +171,29 @@ def check_closed_forms() -> tuple[bool, str]:
     )
 
 
+def check_dfs_numbering() -> tuple[bool, str]:
+    for g in _corpus():
+        _, tree = _leader_tree(g)
+        closest = sorted(range(g.n), key=lambda v: (tree.dist[v], v))
+        # the full tree, and the parent-closed set of the closest half
+        for restrict in (None, frozenset(closest[: (g.n + 1) // 2])):
+            num = dfs_numbering(tree, restrict)
+            walk = num.traversal
+            scope = f"n={g.n}" + ("" if restrict is None else f" restricted to {len(restrict)}")
+            if walk[0] != tree.leader or walk[-1] != tree.leader or any(
+                tree.parent[a] != b and tree.parent[b] != a for a, b in zip(walk, walk[1:])
+            ):
+                return False, f"walked tour is not a closed walk along tree edges at {scope}"
+            first: dict[int, int] = {}
+            for t, v in enumerate(walk):
+                first.setdefault(v, t)
+            if (num.tau, num.first_visits, num.positions) != (
+                first, tuple(first), tuple(first.values())
+            ):
+                return False, f"closed-form numbering differs from the walked tour at {scope}"
+    return True, "tau = 2*pre - depth equals the walked tour's first visits, full and restricted"
+
+
 def check_window_coverage() -> tuple[bool, str]:
     for g in _corpus():
         _, tree = _leader_tree(g)
@@ -273,6 +297,7 @@ CHECKS: list[tuple[str, Check]] = [
     ("leader-election", check_election),
     ("bfs-tree", check_bfs_tree),
     ("closed-forms", check_closed_forms),
+    ("dfs-numbering", check_dfs_numbering),
     ("window-coverage", check_window_coverage),
     ("window-distances", check_window_distances),
     ("evaluation", check_evaluation),

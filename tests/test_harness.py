@@ -152,6 +152,26 @@ def test_cli_rejects_an_output_path_in_a_missing_directory(monkeypatch, tmp_path
     assert not missing.exists()
 
 
+def test_cli_rejects_an_output_path_that_is_a_directory(monkeypatch, tmp_path, capsys):
+    _refuse_to_run(monkeypatch)
+    assert cli_main(["run", "--sizes", "8", "--out", str(tmp_path)]) == 2
+    assert_one_line_error(capsys, f"output path {tmp_path} is a directory")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("below", [(), ("traces",)], ids=["file", "below-a-file"])
+def test_cli_rejects_a_trace_path_at_or_below_a_file(below, monkeypatch, tmp_path, capsys):
+    _refuse_to_run(monkeypatch)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = tmp_path / "out.csv"
+    trace = blocker.joinpath(*below)
+    assert cli_main(["run", "--sizes", "8", "--out", str(out), "--trace", str(trace)]) == 2
+    assert_one_line_error(capsys, f"trace path {blocker} exists and is not a directory")
+    assert blocker.read_text() == "kept\n"
+    assert not out.exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     config = small_config()
     a = rows_to_csv(run_grid(config))
@@ -308,7 +328,7 @@ def test_cli_trace_dump(tmp_path):
 def test_cli_verify_passes_every_check(capsys):
     assert cli_main(["verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11 and all(line.startswith("PASS") for line in lines)
+    assert len(lines) == 12 and all(line.startswith("PASS") for line in lines)
     # each line: PASS, the check's name, its elapsed seconds, its detail
     for line in lines:
         _, _, seconds, _ = line.split(maxsplit=3)

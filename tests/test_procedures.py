@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 import random
@@ -240,6 +241,62 @@ def test_set_s_matches_its_definition(n, p, seed, root, size, d):
                 v for v, t in num.tau.items() if (t - t0) % num.index_space <= 2 * d
             )
             assert set_S(u0, d, num) == expected
+
+
+@given(
+    st.integers(3, 24),
+    st.floats(0.0, 0.5),
+    st.integers(0, 10**6),
+    st.integers(0, 23),
+    st.integers(0, 24),
+)
+def test_closed_form_numbering_matches_the_stepped_walk(n, p, seed, root, picks):
+    # a tree built directly, with any parent one level up rather than the
+    # smallest, and the parent-closure of `picks` random nodes
+    g = generate("random", n, seed=seed, p=p)
+    root %= n
+    depth = graphs.bfs_distances(g, root)
+    rng = random.Random(seed)
+    parent = tuple(
+        v if v == root else rng.choice([u for u in g.adj[v] if depth[u] == depth[v] - 1])
+        for v in range(n)
+    )
+    tree = BfsTreeState(root, max(depth.values()), parent, tuple(depth[v] for v in range(n)))
+    for v, kids in enumerate(tree.children):
+        assert kids == tuple(c for c in range(n) if c != root and parent[c] == v)
+    closed = {root}
+    for v in rng.sample(range(n), min(picks, n)):
+        while v not in closed:
+            closed.add(v)
+            v = parent[v]
+    for restrict in (None, frozenset(closed)):
+        num = dfs_numbering(tree, restrict)
+        covered = range(n) if restrict is None else restrict
+        assert num.children == tuple(
+            tuple(c for c in kids if c in covered) for kids in tree.children
+        )
+        first = {}  # each node's first step on the stepped tour, in order
+        for t, v in enumerate(num.traversal):
+            first.setdefault(v, t)
+        assert num.tau == first
+        assert num.first_visits == tuple(first)
+        assert num.positions == tuple(first.values())
+
+
+def test_verify_checks_the_dfs_numbering(monkeypatch):
+    from qcongest import verify
+
+    ok, detail = verify.check_dfs_numbering()
+    assert ok and "first visits" in detail
+
+    def one_late(tree, restrict=None):
+        num = dfs_numbering(tree, restrict)
+        last = num.first_visits[-1]
+        return dataclasses.replace(num, tau={**num.tau, last: num.tau[last] + 1})
+
+    monkeypatch.setattr(verify, "dfs_numbering", one_late)
+    ok, detail = verify.check_dfs_numbering()
+    assert not ok and "closed-form numbering differs from the walked tour" in detail
 
 
 def test_restricted_numbering():
