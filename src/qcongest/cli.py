@@ -48,10 +48,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             delta=args.delta,
             master_seed=args.seed,
             jobs=args.jobs,
-            out=args.out,
             trace_dir=args.trace,
         )
-        out = Path(config.out)
+        out = Path(args.out)
         if not out.parent.is_dir():
             raise InputError(f"output directory {out.parent} does not exist")
         if out.is_dir():
@@ -64,9 +63,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             if not existing.is_dir():
                 raise InputError(f"trace path {existing} exists and is not a directory")
     rows = run_grid(config)
-    write_csv(rows, config.out)
+    write_csv(rows, args.out)
     failures = sum(1 for r in rows if not r["ok"])
-    print(f"wrote {len(rows)} rows to {config.out}; {failures} failed validation")
+    print(f"wrote {len(rows)} rows to {args.out}; {failures} failed validation")
     return 0 if failures == 0 else 1
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .engine import CostReport, EngineError
+from .engine import CostReport, EngineError, id_bits
 from .evaluation import evaluation_procedure, make_eval_context
 from .graphs import Graph
 from .procedures import (
@@ -43,7 +43,6 @@ from .procedures import (
     build_bfs_tree,
     eccentricity_simple_eval,
     elect_leader_and_ecc,
-    id_bits,
     multi_source_bfs,
     simple_eval_register_bits,
     simple_eval_table,

@@ -213,10 +213,15 @@ class CostReport:
         )
 
 
+def id_bits(n: int) -> int:
+    """Bits needed for a node id in [0, n)."""
+    return max(1, (max(n, 2) - 1).bit_length())
+
+
 def default_bandwidth(n: int) -> int:
     """Bandwidth 4 * ceil(log2 n) bits: a 2-bit tag plus two counters below
     2n, the widest message shape used by the procedures."""
-    return 4 * max(1, (max(n, 2) - 1).bit_length())
+    return 4 * id_bits(n)
 
 
 def _check_state(

@@ -72,6 +72,7 @@ from .engine import (
     RegisterField,
     RegisterSchema,
     Word,
+    id_bits,
     pack_bits,
     run,
     unpack_bits,
@@ -87,7 +88,6 @@ from .procedures import (
     _require_size,
     _with_cleanup,
     dfs_numbering,
-    id_bits,
     set_S,
 )
 

@@ -52,11 +52,16 @@ def parse_family(spec: str) -> tuple[str, float | None]:
     must be one of ``graphs.FAMILIES``; "random", and no other family,
     takes an edge probability p in [0, 1]."""
     fam, sep, arg = spec.partition(":")
-    p = float(arg) if sep else None
     if fam not in graphs.FAMILIES:
         raise ValueError(f"unknown family {fam!r} (choose from {graphs.FAMILIES})")
-    if fam != "random" and p is not None:
+    if fam != "random" and sep:
         raise ValueError(f"family spec {spec!r}: only random takes an edge probability")
+    try:
+        p = float(arg) if sep else None
+    except ValueError:
+        raise ValueError(
+            f"family spec {spec!r}: edge probability {arg!r} is not a number"
+        ) from None
     if fam == "random" and not (p is not None and 0.0 <= p <= 1.0):
         raise ValueError(f"family spec {spec!r}: random needs an edge probability in [0, 1]")
     return fam, p
@@ -71,7 +76,6 @@ class ExperimentConfig:
     delta: float | None = None  # None: 1/n^2 per instance
     master_seed: int = 0
     jobs: int = 1
-    out: str = "results.csv"
     trace_dir: str | None = None  # dumps election word traces per task
 
     def __post_init__(self) -> None:
@@ -188,7 +192,8 @@ def write_csv(rows: list[dict], path: str | Path) -> None:
 def read_csv(path: str | Path) -> list[dict]:
     """The rows of a CSV that ``write_csv`` wrote.  Raises ``ValueError``
     naming the file when its header lacks any of ``CSV_COLUMNS`` (an empty
-    file lacks them all) or a row's field count differs from the header's."""
+    file lacks them all), a row's field count differs from the header's, or
+    an integer column holds something else (naming the line and column)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
     missing = [c for c in CSV_COLUMNS if c not in header]
@@ -205,7 +210,12 @@ def read_csv(path: str | Path) -> list[dict]:
             )
         row = dict(zip(header, fields))
         for key in ("n", "D_true", "D_out", "rounds", "words", "leader_qubits", "seed", "ok"):
-            row[key] = int(row[key])
+            try:
+                row[key] = int(row[key])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {number} column {key}: {row[key]!r} is not an integer"
+                ) from None
         rows.append(row)
     return rows
 

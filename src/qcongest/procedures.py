@@ -55,16 +55,12 @@ from .engine import (
     SchemaViolationError,
     Word,
     default_bandwidth,
+    id_bits,
     pack_bits,
     run,
     unpack_bits,
 )
 from .graphs import Graph
-
-
-def id_bits(n: int) -> int:
-    """Bits needed for a node id in [0, n)."""
-    return max(1, (max(n, 2) - 1).bit_length())
 
 
 MIN_PROCEDURE_N = 3  # message layouts need ceil(log2 n) >= 2 at bandwidth 4*ceil(log2 n)
@@ -289,8 +285,6 @@ def elect_on_engine(
     its word trace to ``trace_path``.  The last round only delivers DONE
     words, so the engine never counts it against the limit."""
     max_rounds = 8 * g.n + 32 if max_rounds is None else max_rounds
-    if max_rounds <= 0:
-        raise EngineError("max_rounds must be positive")
     _require_size(g)
     outputs, report = run(
         g, ElectionProgram(g.n), max_rounds=max_rounds, trace_path=trace_path
@@ -581,13 +575,16 @@ def dfs_numbering(
     The walk enters each node before v in preorder once and climbs back
     pre(v) - depth(v) times before it first visits v, so
     tau(v) = 2*pre(v) - depth(v), and one preorder pass numbers the tree.
-    With ``restrict`` the walk covers only that node set, which must contain
-    the root and be closed under taking parents.
+    With ``restrict`` the walk covers only that node set, which must hold
+    node ids in 0..n-1, contain the root and be closed under taking parents.
     """
     children, k = tree.children, tree.n
     allowed = None if restrict is None else frozenset(restrict)
     # every node allowed: the whole tree, with no check or filter needed
     if allowed is not None and allowed != frozenset(range(k)):
+        outside = sorted(v for v in allowed if not 0 <= v < k)
+        if outside:
+            raise EngineError(f"restricted node {outside[0]} is not a node id in 0..{k - 1}")
         if tree.leader not in allowed:
             raise EngineError("restricted DFS must contain the root")
         for v in allowed:

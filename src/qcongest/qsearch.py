@@ -20,10 +20,9 @@ sin^2((2j+1)theta), and a success lands on marked branch x with probability
 decision draws all its tries' j in one ``Generator.integers`` call and their
 outcomes in one ``Generator.random`` call, charges the tries up to the first
 success, and on a success draws one more value on the cumulative marked
-setup mass to pick the branch.  ``_try_distribution`` (the full law after j
-iterations) and ``grover_iterate`` (the two reflections applied to the
-amplitude vector) are the references that law is tested and verified
-against.
+setup mass to pick the branch.  ``grover_iterate`` (the two reflections
+applied to the amplitude vector) is the one reference that law is tested and
+verified against.
 
 Cost accounting: one amplification iteration applies the evaluation (the
 marking oracle), its inverse, and the setup reflection (setup + inverse
@@ -47,11 +46,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import CostReport, NodePeaks
+from .engine import CostReport, NodePeaks, id_bits
 
 # Declared engineering constants (empirically validated, see tests):
 # worst-case Setup+Evaluation+inverse calls per amplification decision is
@@ -189,47 +188,6 @@ def _marks(state: AmplitudeState, marked) -> np.ndarray:
     return mask
 
 
-def _split_mass(
-    setup_amps: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """The setup law w = |setup|^2 and its marked and unmarked masses,
-    checking that they sum to 1."""
-    w = np.abs(setup_amps) ** 2
-    marked_mass = float(w[mask].sum())
-    unmarked_mass = float(w[~mask].sum())
-    total = marked_mass + unmarked_mass
-    if not abs(total - 1.0) <= _NORM_TOL:
-        raise SearchError(f"state not normalized: |psi|^2 = {total}")
-    return w, marked_mass, unmarked_mass
-
-
-def _try_distribution(
-    setup_amps: np.ndarray, mask: np.ndarray
-) -> Callable[[int], np.ndarray]:
-    """The measurement law of a try, as a function of its iteration count j.
-
-    With w = |setup|^2, marked mass P and unmarked mass Q, j iterations
-    rotate the state by 2j*theta in the plane of the setup's marked and
-    unmarked parts, theta = atan(sqrt(P/Q)).  So the try measures branch x
-    with probability sin^2((2j+1)theta) * w_x/P if x is marked and
-    cos^2((2j+1)theta) * w_x/Q otherwise (a part of mass 0 drops out).
-    """
-    w, marked_mass, unmarked_mass = _split_mass(setup_amps, mask)
-    theta = math.atan2(math.sqrt(marked_mass), math.sqrt(unmarked_mass))
-    on_marked = np.where(mask, w, 0.0)
-    on_unmarked = w - on_marked
-    if marked_mass > 0.0:
-        on_marked /= marked_mass
-    if unmarked_mass > 0.0:
-        on_unmarked /= unmarked_mass
-
-    def after(j: int) -> np.ndarray:
-        angle = (2 * j + 1) * theta
-        return math.sin(angle) ** 2 * on_marked + math.cos(angle) ** 2 * on_unmarked
-
-    return after
-
-
 def _generator(rng) -> np.random.Generator:
     """``rng`` itself if it is a ``Generator``, ``default_rng(rng)`` if it
     is an int seed; anything else is refused."""
@@ -256,9 +214,9 @@ def amplitude_amplify_decide(
     marked branch (x with conditional probability |alpha_x|^2 / P_M) or
     None, plus the oracle-call counts.  Try t draws j_t uniformly below its
     bound and succeeds iff its uniform draw u_t < sin^2((2 j_t + 1) theta),
-    the marked mass of ``_try_distribution`` after j_t iterations, which
-    ``grover_iterate`` steps to.  ``rng`` is a ``Generator`` or an int seed.
-    The decision makes one ``integers`` call that draws every try's j, one
+    the marked mass after j_t steps of ``grover_iterate``, where
+    sin^2(theta) = P_M.  ``rng`` is a ``Generator`` or an int seed.  The
+    decision makes one ``integers`` call that draws every try's j, one
     ``random`` call that draws every outcome and, on a success, one
     ``random()`` that picks the branch.
     """
@@ -269,7 +227,12 @@ def amplitude_amplify_decide(
     if m_cap > _TWO32:
         raise SearchError(f"epsilon {epsilon} needs more than 2^32 iterations")
     rng = _generator(rng)
-    w, marked_mass, unmarked_mass = _split_mass(state0.setup_amps, mask)
+    w = np.abs(state0.setup_amps) ** 2
+    marked_mass = float(w[mask].sum())
+    unmarked_mass = float(w[~mask].sum())
+    total = marked_mass + unmarked_mass
+    if not abs(total - 1.0) <= _NORM_TOL:
+        raise SearchError(f"state not normalized: |psi|^2 = {total}")
     theta = math.atan2(math.sqrt(marked_mass), math.sqrt(unmarked_mass))
     # one repetition's iteration bounds: m grows by 6/5 up to m_cap
     bounds = [1]
@@ -362,9 +325,8 @@ def distributed_cost(
     the run's coordinator.
     """
     log_eps = max(1, math.ceil(math.log2(1.0 / epsilon)))
-    index_bits = max(1, (max(len(node_qubits), 2) - 1).bit_length())
     qubits = NodePeaks(node_qubits)
-    qubits[leader] = (max(node_qubits) + index_bits) * log_eps
+    qubits[leader] = (max(node_qubits) + id_bits(len(node_qubits))) * log_eps
     return CostReport(
         rounds=t0 + calls.total_calls * max(t_setup, t_eval),
         total_words=prep.total_words + calls.total_calls * words_per_call,

@@ -184,7 +184,7 @@ def build_two_party_schedule(
         if cell_exists(i, t, d) and (i, t) not in cells
     ]
     if uncovered:
-        raise AssertionError(f"schedule left cells uncovered: {uncovered[:5]}")
+        raise EngineError(f"schedule left cells uncovered: {uncovered[:5]}")
     messages.append(PhaseMessage(ALICE, n_regular + 2, (RegisterRef("out", 0, ("output",)),), 1))
     return TwoPartySchedule(
         r=r, d=d, cells=cells, order=order, messages=messages,
@@ -197,7 +197,6 @@ class ValidationReport:
     ok: bool
     violations: list[str]
     message_count: int
-    cells_checked: int
     max_phase_qubits: int
 
 
@@ -216,7 +215,6 @@ def validate_schedule(
     ver_r: dict[int, tuple] = {i: INIT for i in range(d + 2)}
 
     phase_messages = {m.phase: m for m in sched.messages if m.registers and m.registers[0].kind != "out"}
-    checked = 0
     current_phase = 0
 
     def deliver(phase: int) -> None:
@@ -271,7 +269,6 @@ def validate_schedule(
                 )
         ver_t[treg] = (i, t)
         ver_r[i] = (i, t)
-        checked += 1
 
     for phase in range(current_phase + 1, max(phase_messages, default=0) + 1):
         deliver(phase)
@@ -289,7 +286,6 @@ def validate_schedule(
         ok=not violations,
         violations=violations,
         message_count=len(sched.messages),
-        cells_checked=checked,
         max_phase_qubits=max_q,
     )
 

@@ -269,8 +269,14 @@ def test_cli_gadget(capsys):
         (["scaling", "missing.csv"], "No such file or directory: 'missing.csv'"),
         (["gadget", "--n", "7"], "gadget needs n = 4s+2 with s >= 1, got n=7"),
         (["gadget", "--n", "10", "--x", "0000"], "provide --x and --y bit strings, or --random"),
+        (["run", "--families", "path:"], "family spec 'path:': only random takes"),
+        (["run", "--families", "random:abc"], "'random:abc': edge probability 'abc' is not a number"),
+        (["run", "--families", "random:0.5:1"], "'random:0.5:1': edge probability '0.5:1' is not"),
     ],
-    ids=["run-seeds", "run-family", "scaling", "gadget-size", "gadget-bits"],
+    ids=[
+        "run-seeds", "run-family", "scaling", "gadget-size", "gadget-bits",
+        "run-family-empty-p", "run-family-text-p", "run-family-two-p",
+    ],
 )
 def test_cli_reports_bad_input_in_one_line(argv, message, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # no run writes its CSV, and missing.csv is absent
@@ -285,8 +291,12 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, monkeypatch, t
         ("", "missing columns family, n, D_true, algo, D_out, rounds"),
         ("family,n,algo\npath,8,exact\n", "missing columns D_true, D_out, rounds"),
         (rows_to_csv([]) + "path,8,7\n", "line 2 has 3 fields, the header 10"),
+        (
+            rows_to_csv([]) + "path,8,7,exact,7,x,9,4,0,1\n",
+            "line 2 column rounds: 'x' is not an integer",
+        ),
     ],
-    ids=["empty", "no-result-columns", "short-row"],
+    ids=["empty", "no-result-columns", "short-row", "not-an-integer"],
 )
 def test_cli_scaling_reports_a_csv_it_cannot_read_in_one_line(text, message, capsys, tmp_path):
     path = tmp_path / "rows.csv"

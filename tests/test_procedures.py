@@ -315,6 +315,19 @@ def test_restricted_numbering():
         dfs_numbering(tree, {tree.leader, deep})
 
 
+def test_restricted_numbering_refuses_a_node_id_outside_the_graph():
+    # 5 would index past the parent array; -4 would read node 1's parent
+    g = graphs.path_graph(5)
+    tree = make_tree(g)
+    dist = all_sources_distances(g)
+    for restrict, bad in (({0, 1, 5}, 5), ({0, 1, -4}, -4)):
+        message = f"restricted node {bad} is not a node id in 0..4"
+        with pytest.raises(EngineError, match=message):
+            dfs_numbering(tree, restrict)
+        with pytest.raises(EngineError, match=message):
+            evaluation.make_eval_context(g, tree, dist, frozenset(restrict))
+
+
 # -- simple evaluation ---------------------------------------------------------
 
 

@@ -21,7 +21,6 @@ from qcongest.qsearch import (
     quantum_maximize,
     setup_subset,
     setup_uniform,
-    _try_distribution,
 )
 
 
@@ -292,21 +291,22 @@ def _random_mask(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
     st.sampled_from(["empty", "full", "random"]),
     st.integers(0, 60),
 )
-def test_try_distribution_equals_the_vector_grover_steps(n, seed, setup_kind, mask_kind, j):
+def test_grover_steps_follow_the_success_and_pick_laws(n, seed, setup_kind, mask_kind, j):
     rng = np.random.default_rng(seed)
     setup = _random_setup(rng, n, setup_kind)
     mask = _random_mask(rng, n, mask_kind)
     state = AmplitudeState(setup.copy(), setup.copy())
     for _ in range(j):
         state = grover_iterate(state, mask)
-    got = _try_distribution(setup, mask)(j)
-    assert np.max(np.abs(got - np.abs(state.amps) ** 2)) <= 1e-12
-    # the identity a decision draws its outcomes from
+    on_marked = np.abs(state.amps[mask]) ** 2
+    # the success law a decision draws its outcomes from
     w = np.abs(setup) ** 2
-    theta = math.atan2(math.sqrt(w[mask].sum()), math.sqrt(w[~mask].sum()))
+    mass = w[mask].sum()
+    theta = math.atan2(math.sqrt(mass), math.sqrt(w[~mask].sum()))
     success = math.sin((2 * j + 1) * theta) ** 2
-    assert abs(success - got[mask].sum()) <= 1e-12
-    assert abs(success - np.sum(np.abs(state.amps[mask]) ** 2)) <= 1e-12
+    assert abs(success - on_marked.sum()) <= 1e-12
+    # the pick law: a success lands on x with probability w_x / P
+    assert np.max(np.abs(on_marked * mass - success * w[mask]), initial=0.0) <= 1e-12
 
 
 def _stepped_decide(state0, mask, epsilon, delta, rng):
@@ -489,10 +489,9 @@ def test_decide_rejects_a_setup_that_is_no_longer_normalized():
 )
 def test_production_runs_step_no_amplitude_vector(algorithm, monkeypatch):
     def refuse(state, mask):
-        raise AssertionError("a production run stepped the amplitude vector or built its law")
+        raise AssertionError("a production run stepped the amplitude vector")
 
     monkeypatch.setattr(qsearch, "grover_iterate", refuse)
-    monkeypatch.setattr(qsearch, "_try_distribution", refuse)
     g = graphs.generate("random", 12, seed=4, p=0.3)
     assert algorithm(g, seed=1).d_out == graphs.diameter_bruteforce(g)
 
@@ -501,12 +500,30 @@ def test_verify_checks_the_decision_law(monkeypatch):
     from qcongest import verify
 
     ok, detail = verify.check_grover()
-    assert ok and "closed-form law" in detail
+    assert ok and "pick law" in detail
 
-    def off_by_one(setup_amps, mask):
-        law = _try_distribution(setup_amps, mask)
-        return lambda j: law(j + 1)
+    def one_ahead(state, mask):
+        # a step from the setup takes two iterations: off by one from then on
+        after = grover_iterate(state, mask)
+        if np.allclose(state.amps, state.setup_amps):
+            after = grover_iterate(after, mask)
+        return after
 
-    monkeypatch.setattr(verify, "_try_distribution", off_by_one)
+    monkeypatch.setattr(verify, "grover_iterate", one_ahead)
     ok, detail = verify.check_grover()
-    assert not ok and "closed-form law off the steps" in detail
+    assert not ok and "recurrence broken" in detail
+
+    def rotate_two_marked(state, mask):
+        # a rotation of the first two marked amplitudes moves mass between
+        # them and keeps the marked total, so the success law still holds
+        after = grover_iterate(state, mask)
+        marked = np.flatnonzero(mask)
+        if marked.size >= 2:
+            x, y = marked[:2]
+            a, b = after.amps[x], after.amps[y]
+            after.amps[x], after.amps[y] = (a - b) / math.sqrt(2), (a + b) / math.sqrt(2)
+        return after
+
+    monkeypatch.setattr(verify, "grover_iterate", rotate_two_marked)
+    ok, detail = verify.check_grover()
+    assert not ok and "pick law off the steps at k=1, p=2/64" in detail

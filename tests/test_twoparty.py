@@ -3,6 +3,10 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
+
+from qcongest import twoparty
+from qcongest.engine import EngineError
 from qcongest.twoparty import (
     ALICE,
     BOB,
@@ -60,6 +64,18 @@ def test_validation_grid():
             report = validate_schedule(sched, r, d)
             assert report.ok, (r, d, report.violations[:2])
             assert report.message_count <= -(-r // d) + 1
+
+
+def test_schedule_that_leaves_a_cell_uncovered_is_refused(monkeypatch):
+    rows = twoparty._phase_rows
+
+    def without_row_1(s, d):
+        sub1, sub2, ship1, ship2 = rows(s, d)
+        return [c for c in sub1 if c[0] != 1], [c for c in sub2 if c[0] != 1], ship1, ship2
+
+    monkeypatch.setattr(twoparty, "_phase_rows", without_row_1)
+    with pytest.raises(EngineError, match=r"schedule left cells uncovered: \[\(1, 1\)"):
+        build_two_party_schedule(8, 2)
 
 
 def test_corrupted_owner_detected():
