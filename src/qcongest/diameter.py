@@ -3,11 +3,13 @@
 
 All three elect the minimum-id leader and build its BFS tree, then end in
 one search phase, ``_search``: it reads every candidate's branch once, in
-ascending order, as a ``Branch`` row (value, rounds, words) from a table
-that fills all candidates together; maximizes over those values with the
-amplitude-level search layer (Durr-Hoyer maximum finding); and charges
-each oracle call, through ``distributed_cost``, at the network cost of one
-branch.  That call builds the run's report, the only one that names a
+ascending order, as a ``Branch`` row (value, rounds, words) of the forward
+pass from a table that fills all candidates together; maximizes over those
+values with the amplitude-level search layer (Durr-Hoyer maximum finding);
+and charges each oracle call, through ``distributed_cost``, at the network
+cost of one branch: its forward pass and the cleanup reversal that mirrors
+it, twice the row's rounds and words, the one place the reversal is
+charged.  That call builds the run's report, the only one that names a
 ``leader``: the search's coordinator, which is the elected leader for the
 exact algorithms and the node w for the approximation.
 
@@ -50,9 +52,9 @@ from .procedures import (
 from .qsearch import QOptConfig, SearchCost, distributed_cost, quantum_maximize, setup_subset
 
 # Declared bound constants, asserted on every run (see acceptance suite):
-# an evaluation call costs at most 18*ecc(leader) + EVAL_ROUND_SLACK rounds,
-# and the coordinator's peak quantum memory stays below
-# LEADER_QUBIT_C2 * ceil(log2 n)^2.
+# a windowed evaluation call, reversal included, costs at most 18*ecc(leader)
+# + EVAL_ROUND_SLACK rounds, and the coordinator's peak quantum memory stays
+# below LEADER_QUBIT_C2 * ceil(log2 n)^2.
 EVAL_ROUND_SLACK = 8
 LEADER_QUBIT_C2 = 16
 
@@ -150,8 +152,9 @@ def _search(
 ) -> DiameterResult:
     """The search phase every algorithm ends in, coordinated by the root of
     ``tree``: read each candidate's branch row once, in ascending order,
-    with ``read``, maximize over the candidates, charge each oracle call at
-    T_eval = ``t_eval_of`` of the rows' round counts and their most words,
+    with ``read``, maximize over the candidates, charge each oracle call
+    its forward pass and the cleanup reversal that mirrors it, T_eval =
+    ``t_eval_of`` of the rows' doubled rounds and twice their most words,
     and check the coordinator's memory.  Node v holds ``node_qubits[v]``
     qubits in a branch; ``prep`` is the preparation, ending at round ``t0``."""
     n, d = tree.n, tree.ecc_leader
@@ -163,8 +166,8 @@ def _search(
     best, cost = quantum_maximize(
         values, setup_subset(n, candidates), QOptConfig(epsilon, delta, seed)
     )
-    t_eval = t_eval_of({row.rounds for row in rows.values()})
-    words_eval = max(row.words for row in rows.values())
+    t_eval = t_eval_of({2 * row.rounds for row in rows.values()})
+    words_eval = 2 * max(row.words for row in rows.values())
     report = distributed_cost(
         prep, t0, d, t_eval, words_eval, cost, node_qubits, epsilon, tree.leader
     )
@@ -178,8 +181,8 @@ def _windowed_evaluation(
     g: Graph, tree: BfsTreeState, dist: np.ndarray, support: frozenset[int]
 ) -> tuple[Callable[[int], Branch], Callable[[set[int]], int], tuple[int, ...]]:
     """The windowed evaluation over ``support`` as ``_search`` reads it: the
-    branch reader, T_eval, which must be branch-uniform and at most
-    18*ecc(root) + EVAL_ROUND_SLACK rounds, and the qubits per node."""
+    branch reader, T_eval of the charged rounds, which must be branch-uniform
+    and at most 18*ecc(root) + EVAL_ROUND_SLACK, and the qubits per node."""
     ectx = make_eval_context(g, tree, dist, support)
 
     def t_eval_of(rounds: set[int]) -> int:

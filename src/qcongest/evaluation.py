@@ -6,7 +6,9 @@ the procedure computes, for an input node u0 known to everyone,
     f(u0) = max { ecc(v) : v in S(u0) },
 
 where S(u0) is the cyclic DFS-number window of width 2d starting at u0.
-It runs in three budgeted phases plus a mirror-cost cleanup reversal:
+It runs in three budgeted phases, 9d+1 rounds in all; the cleanup
+reversal that uncomputes them mirrors their cost, and the search
+(``diameter._search``) charges it:
 
   1. a token walks 2d steps of the DFS traversal starting at u0 (wrapping
      through one idle step at the root), assigning each first-visited node
@@ -39,8 +41,7 @@ all-sources distance matrix:
 
     S     = the first-visited nodes of the token walk,
     f     = max over u in S of ecc(u),
-    words = walk sends + |S|*2m + (n - 1), doubled with the 9d+1 rounds
-            for the cleanup reversal.
+    words = walk sends + |S|*2m + (n - 1) in the 9d+1 forward rounds.
 
 The lemma's consequences stay checked for every branch by
 ``procedures.pipelined_arrivals``, its one statement: no wave reaches a node
@@ -86,7 +87,6 @@ from .procedures import (
     _check_branch_peaks,
     _check_candidate,
     _require_size,
-    _with_cleanup,
     dfs_numbering,
     pipelined_arrivals,
     set_S,
@@ -377,7 +377,7 @@ def evaluate_on_engine(ectx: EvalContext, u0: int) -> Branch:
     outputs, report = run(ectx.g, EvaluationProgram(ectx, u0), max_rounds=ectx.total_rounds + 2)
     _check_window(ectx, u0, frozenset(v for v, o in outputs.items() if o["taup"] is not None))
     _check_branch_peaks(report, ectx.quantum_bits)
-    return _with_cleanup(outputs[ectx.tree.leader]["f"], report.rounds, report.total_words)
+    return Branch(outputs[ectx.tree.leader]["f"], report.rounds, report.total_words)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +401,8 @@ def _window_table(ectx: EvalContext) -> dict[int, Branch]:
     last, or its last wave's last arrival exceeds 8d.  f is the largest
     eccentricity over [i, last].  Failing rows are replayed by ``_replay``,
     in candidate order, so the first failing branch raises the error
-    ``_check_arrivals`` names.  The cleanup reversal mirrors the forward
-    pass, so every row's rounds and words are doubled.
+    ``_check_arrivals`` names.  A row's rounds and words are those of the
+    forward pass.
     """
     num, d, base = ectx.numbering, ectx.d, ectx.base
     k = len(num.first_visits)
@@ -431,10 +431,10 @@ def _window_table(ectx: EvalContext) -> dict[int, Branch]:
     for i in sorted(np.flatnonzero(bad).tolist(), key=num.first_visits.__getitem__):
         taup = (unrolled[i : last[i] + 1] - pos[i]).tolist()
         order = num.first_visits[i:] + num.first_visits[:i]
-        # raises, unless the row's offsets are out of tour order and still pass
+        # raises: the replay sees the same consecutive pairs and 8d bound
         _replay(ectx, order[0], dict(zip(order, taup)), int(sends[i]))
     # tuple.__new__ skips Branch.__new__, a Python call per row
-    rows = zip(f.tolist(), [2 * ectx.total_rounds] * k, (2 * words).tolist())
+    rows = zip(f.tolist(), [ectx.total_rounds] * k, words.tolist())
     return dict(zip(num.first_visits, map(functools.partial(tuple.__new__, Branch), rows)))
 
 
@@ -473,7 +473,7 @@ def _replay(ectx: EvalContext, u0: int, taup: dict[int, int], sends: int) -> Bra
         _check_arrivals(ectx, u0, waves, tau)
     # each wave crosses every edge once each way; every non-root reports once
     words = sends + len(waves) * 2 * ectx.g.m + ectx.g.n - 1
-    return _with_cleanup(int((arrive - 2 * tau).max()), ectx.total_rounds, words)
+    return Branch(int((arrive - 2 * tau).max()), ectx.total_rounds, words)
 
 
 def _check_arrivals(ectx: EvalContext, u0: int, waves: list[int], tau: np.ndarray) -> None:
@@ -521,8 +521,8 @@ def _check_arrivals(ectx: EvalContext, u0: int, waves: list[int], tau: np.ndarra
 
 def evaluation_procedure(ectx: EvalContext, u0: int) -> Branch:
     """Compute f(u0) = max eccentricity over the DFS window of u0: the
-    branch's row in the context's window table, whose rounds and words
-    include the mirror-image cost of the cleanup reversal."""
+    branch's row in the context's window table, the forward pass's rounds
+    and words."""
     _check_candidate(u0, ectx.numbering.tau)
     return ectx.branches[u0]
 

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import graphs
+from . import graphs, procedures
 from .diameter import (
     DiameterResult,
     approx_diameter,
@@ -76,7 +76,7 @@ class ExperimentConfig:
     delta: float | None = None  # None: 1/n^2 per instance
     master_seed: int = 0
     jobs: int = 1
-    trace_dir: str | None = None  # dumps election word traces per task
+    trace_dir: str | None = None  # dumps an election word trace per graph
 
     def __post_init__(self) -> None:
         if not self.families:
@@ -110,16 +110,21 @@ class ExperimentConfig:
 
 
 @functools.lru_cache(maxsize=1)
-def _instance(family_spec: str, n: int, seed: int) -> tuple[graphs.Graph, int]:
-    """The graph and its brute-force diameter.  Consecutive rows of a grid
-    share a graph, so one entry saves every repeated generation and oracle
-    run, and hands the algorithms one graph object, whose preparation they
-    then share (``diameter._init_phases``).  A miss first releases the
+def _instance(family_spec: str, n: int, seed: int, trace: str | None) -> tuple[graphs.Graph, int]:
+    """The graph and its brute-force diameter; the election's word trace goes
+    to directory ``trace`` unless that is None.  Consecutive rows of a grid
+    share a graph, so one entry saves every repeated generation, oracle run
+    and trace, and hands the algorithms one graph object, whose preparation
+    they then share (``diameter._init_phases``).  A miss first releases the
     previous graph's preparation, so its matrix is not held while the next
     graph and its oracle are built."""
     release_preparation()
     family, p = parse_family(family_spec)
     g = graphs.generate(family, n, seed=seed, p=p)
+    if trace is not None and n >= 3:
+        Path(trace).mkdir(parents=True, exist_ok=True)
+        path = Path(trace) / f"{family}-{n}-{seed}-election.jsonl"
+        procedures.elect_on_engine(g, trace_path=str(path))
     return g, graphs.diameter_bruteforce(g)
 
 
@@ -127,14 +132,7 @@ def run_one(
     family_spec: str, n: int, seed: int, algo: str, algo_seed: int,
     delta: float | None, trace_dir: str | None = None,
 ) -> dict:
-    g, d_true = _instance(family_spec, n, seed)
-    if trace_dir is not None and n >= 3:
-        from .procedures import elect_on_engine
-
-        family, _ = parse_family(family_spec)
-        Path(trace_dir).mkdir(parents=True, exist_ok=True)
-        trace = Path(trace_dir) / f"{family}-{n}-{seed}-election.jsonl"
-        elect_on_engine(g, trace_path=str(trace))
+    g, d_true = _instance(family_spec, n, seed, trace_dir)
     if algo == "exact":
         result: DiameterResult = exact_diameter(g, seed=algo_seed, delta=delta)
         ok = result.d_out == d_true
@@ -193,7 +191,8 @@ def read_csv(path: str | Path) -> list[dict]:
     """The rows of a CSV that ``write_csv`` wrote.  Raises ``ValueError``
     naming the file when its header lacks any of ``CSV_COLUMNS`` (an empty
     file lacks them all), a row's field count differs from the header's, or
-    an integer column holds something else (naming the line and column)."""
+    an integer column holds something else or n is below 3 (naming the line
+    and column)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
     missing = [c for c in CSV_COLUMNS if c not in header]
@@ -216,6 +215,8 @@ def read_csv(path: str | Path) -> list[dict]:
                 raise ValueError(
                     f"{path}: line {number} column {key}: {row[key]!r} is not an integer"
                 ) from None
+        if row["n"] < 3:
+            raise ValueError(f"{path}: line {number} column n: {row['n']} is below 3")
         rows.append(row)
     return rows
 

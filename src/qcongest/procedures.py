@@ -798,11 +798,9 @@ def pipelined_arrivals(
     return 2 * delta + gap < np.maximum(delta, 1), 2 * offsets + ecc
 
 
-def simple_eval_table(
-    g: Graph, tree: BfsTreeState, dist: np.ndarray
-) -> tuple[tuple[int, int, int], ...]:
-    """Every branch of the simple evaluation at once: row u0 holds
-    (ecc(u0), forward rounds, forward words) of ``SimpleEvalProgram(u0)``.
+def simple_eval_table(g: Graph, tree: BfsTreeState, dist: np.ndarray) -> tuple[Branch, ...]:
+    """Every branch of the simple evaluation at once: row u0 is the
+    ``Branch`` (ecc(u0), rounds, words) of ``SimpleEvalProgram(u0)``.
 
     The rows follow from the program's event times.  Node v learns its
     distance in round dist[v] and reports once that is known and every tree
@@ -821,7 +819,7 @@ def simple_eval_table(
 
     No round limit applies: the leader halts by round
     ecc(u0) + ecc(leader) + 1, and every read of a row checks the stricter
-    bound of ``_simple_eval_result``.
+    bound of ``_checked_simple_eval``.
     """
     _require_size(g)
     n, leader = g.n, tree.leader
@@ -841,21 +839,17 @@ def simple_eval_table(
     rounds = halt + (halt == dist[leader])
     words = 2 * g.m + (n - 1) - merged.sum(axis=0)
     ecc = dist.max(axis=0)
-    return tuple(zip(ecc.tolist(), rounds.tolist(), words.tolist()))
+    return tuple(map(Branch._make, zip(ecc.tolist(), rounds.tolist(), words.tolist())))
 
 
 class Branch(NamedTuple):
-    """An evaluation branch as the search reads it: the value at u0, and rounds
-    and words with the cleanup reversal.  Its registers do not depend on u0."""
+    """An evaluation branch as the search reads it: the value at u0, and the
+    rounds and words of the forward pass.  The search charges the cleanup
+    reversal, which mirrors that pass.  Its registers do not depend on u0."""
 
     value: int
     rounds: int
     words: int
-
-
-def _with_cleanup(value: int, rounds: int, words: int) -> Branch:
-    """A branch from its forward pass; the cleanup reversal mirrors it, doubling the costs."""
-    return Branch(value, 2 * rounds, 2 * words)
 
 
 def _check_branch_peaks(report: CostReport, charged: Sequence[int]) -> None:
@@ -875,16 +869,14 @@ def _check_candidate(u0: int, candidates: Container[int]) -> None:
 
 
 def eccentricity_simple_eval(
-    g: Graph, tree: BfsTreeState, u0: int, table: Sequence[tuple[int, int, int]]
+    g: Graph, tree: BfsTreeState, u0: int, table: Sequence[Branch]
 ) -> Branch:
-    """Compute ecc(u0) at the leader; cost doubled for the cleanup reversal.
-
-    The branch is read from row u0 of ``table`` (from ``simple_eval_table``),
-    and the forward pass's bound of 2*ecc(u0) + ecc(leader) + 4 rounds is
-    checked on every call.
+    """Compute ecc(u0) at the leader: row u0 of ``table`` (from
+    ``simple_eval_table``), on which the forward pass's bound of
+    2*ecc(u0) + ecc(leader) + 4 rounds is checked on every call.
     """
     _check_candidate(u0, range(g.n))
-    return _simple_eval_result(tree, u0, *table[u0])
+    return _checked_simple_eval(tree, u0, table[u0])
 
 
 def simple_eval_on_engine(g: Graph, tree: BfsTreeState, u0: int) -> Branch:
@@ -895,18 +887,19 @@ def simple_eval_on_engine(g: Graph, tree: BfsTreeState, u0: int) -> Branch:
     # the leader halts by forward round ecc(u0) + ecc(leader) + 1 <= 2n - 1
     outputs, report = run(g, SimpleEvalProgram(g.n, u0, tree), max_rounds=4 * g.n + 16)
     _check_branch_peaks(report, [simple_eval_register_bits(g.n)] * g.n)
-    return _simple_eval_result(tree, u0, outputs[tree.leader], report.rounds, report.total_words)
+    row = Branch(outputs[tree.leader], report.rounds, report.total_words)
+    return _checked_simple_eval(tree, u0, row)
 
 
-def _simple_eval_result(tree: BfsTreeState, u0: int, value: int, rounds: int, words: int) -> Branch:
-    """Check the forward pass's bound of 2*ecc(u0) + ecc(leader) + 4 rounds,
-    then add the cleanup reversal."""
-    if rounds > 2 * value + tree.ecc_leader + 4:
+def _checked_simple_eval(tree: BfsTreeState, u0: int, row: Branch) -> Branch:
+    """``row``, once its rounds are checked against the forward pass's bound
+    of 2*ecc(u0) + ecc(leader) + 4."""
+    if row.rounds > 2 * row.value + tree.ecc_leader + 4:
         raise EngineError(
-            f"simple evaluation of {u0} took {rounds} forward rounds, "
-            f"exceeding 2*{value}+{tree.ecc_leader}+4"
+            f"simple evaluation of {u0} took {row.rounds} forward rounds, "
+            f"exceeding 2*{row.value}+{tree.ecc_leader}+4"
         )
-    return _with_cleanup(value, rounds, words)
+    return row
 
 
 # ---------------------------------------------------------------------------

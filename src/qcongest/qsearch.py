@@ -27,7 +27,8 @@ verified against.
 Cost accounting: one amplification iteration applies the evaluation (the
 marking oracle), its inverse, and the setup reflection (setup + inverse
 setup); measuring restarts from a fresh setup.  Branches share rounds, so a
-run over the network charges T0 + (#calls) * max(T_setup, T_eval) rounds.
+run over the network charges T0 + (#calls) * max(T_setup, T_eval) rounds,
+T_eval being a branch's forward pass and its reversal (``diameter._search``).
 The iteration schedule is the randomized growing-threshold one (counts
 uniform in [0, m), m growing by 6/5 up to ceil(1/sqrt(eps))), repeated
 ceil(log2(1/delta)) times per decision, which meets the declared worst-case

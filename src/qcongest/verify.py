@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import graphs
+from . import diameter, graphs
 from .evaluation import evaluate_on_engine, evaluation_procedure, make_eval_context
 from .gadgets import DisjInput, build_reduction_instance
 from .procedures import (
@@ -221,8 +221,8 @@ def check_evaluation() -> tuple[bool, str]:
                 return False, f"table and engine rows differ at u0={u0}"
             if table.value != expected:
                 return False, f"evaluation({u0}) = {table.value}, oracle {expected}"
-            if table.rounds > 18 * d + 8:
-                return False, f"evaluation rounds {table.rounds} > 18d+8"
+            if 2 * table.rounds > 18 * d + diameter.EVAL_ROUND_SLACK:  # with the reversal
+                return False, f"charged rounds {2 * table.rounds} > 18d+{diameter.EVAL_ROUND_SLACK}"
     return True, "window table and engine equal the window-max oracle with identical rows"
 
 

@@ -172,7 +172,7 @@ def _evaluation_with_rounds(monkeypatch, rounds_of):
 def test_branch_dependent_evaluation_cost_is_refused(algo, monkeypatch):
     g = generate("path", 30, seed=2)
     assert algo(g, seed=1).details.get("r_size", g.n) >= 2
-    _evaluation_with_rounds(monkeypatch, lambda ectx, k: 2 * ectx.total_rounds + (k == 0))
+    _evaluation_with_rounds(monkeypatch, lambda ectx, k: ectx.total_rounds + (k == 0))
     with pytest.raises(AlgorithmError, match="evaluation cost must be branch-uniform"):
         algo(g, seed=1)
 
@@ -180,10 +180,11 @@ def test_branch_dependent_evaluation_cost_is_refused(algo, monkeypatch):
 @pytest.mark.parametrize("algo", [exact_diameter, approx_diameter])
 def test_evaluation_cost_beyond_the_declared_bound_is_refused(algo, monkeypatch):
     g = generate("path", 30, seed=2)
+    # a call is charged twice the row's forward rounds; the bound is even
     bound = lambda ectx: 18 * ectx.tree.ecc_leader + diameter.EVAL_ROUND_SLACK
-    _evaluation_with_rounds(monkeypatch, lambda ectx, k: bound(ectx))
+    _evaluation_with_rounds(monkeypatch, lambda ectx, k: bound(ectx) // 2)
     algo(g, seed=1)  # the bound itself is allowed
-    _evaluation_with_rounds(monkeypatch, lambda ectx, k: bound(ectx) + 1)
+    _evaluation_with_rounds(monkeypatch, lambda ectx, k: bound(ectx) // 2 + 1)
     with pytest.raises(AlgorithmError, match=r"rounds, exceeding 18\*\d+\+8"):
         algo(g, seed=1)
 
@@ -279,6 +280,34 @@ def test_each_run_reads_every_candidate_once_in_ascending_order(family, n, p, mo
         assert reads == candidates
         assert bool(simple) == (algo is exact_diameter_simple)
         assert len(searches) == 1
+
+
+@pytest.mark.parametrize("algo", [exact_diameter, exact_diameter_simple, approx_diameter])
+def test_each_call_is_charged_its_cleanup_reversal_once(algo, monkeypatch):
+    # rows are forward passes; the search alone charges the reversal that
+    # mirrors each one
+    corpus = [
+        generate("path", 12, seed=0),
+        generate("cycle", 9, seed=2),
+        generate("star", 8, seed=3),
+        generate("lollipop", 11, seed=5),
+        generate("random", 16, seed=4, p=0.3),
+    ]
+    for g in corpus:
+        rows = []
+
+        def recording(read):
+            return lambda *args: rows.append(read(*args)) or rows[-1]
+
+        with monkeypatch.context() as patch:
+            for name in ("evaluation_procedure", "eccentricity_simple_eval"):
+                patch.setattr(diameter, name, recording(getattr(diameter, name)))
+            charged = _recording(patch, "distributed_cost")
+            result = algo(g, seed=1)
+        ((prep, *_),) = charged
+        assert rows and result.t_eval == 2 * max(row.rounds for row in rows)
+        words = result.search.total_calls * 2 * max(row.words for row in rows)
+        assert result.report.total_words == prep.total_words + words
 
 
 def test_procedure_reports_name_no_leader():

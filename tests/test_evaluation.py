@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcongest import evaluation, graphs
+from qcongest import diameter, evaluation, graphs, verify
 from qcongest.diameter import approx_diameter, approx_guarantee_holds, exact_diameter
 from qcongest.engine import EngineError
 from qcongest.evaluation import (
@@ -102,7 +102,18 @@ def test_round_cost_is_branch_uniform_and_bounded(spec):
     ectx = context(g, tree)
     rounds = {evaluation_procedure(ectx, u0).rounds for u0 in range(g.n)}
     assert len(rounds) == 1
-    assert rounds.pop() <= 18 * d + 8
+    assert 2 * rounds.pop() <= 18 * d + 8  # charged with the cleanup reversal
+
+
+@pytest.mark.parametrize("slack, verdict", [(2, "PASS"), (1, "FAIL")])
+def test_verify_checks_the_charged_evaluation_rounds(slack, verdict, monkeypatch, capsys):
+    # every row runs 9d+1 forward rounds, so a call is charged 18d+2
+    monkeypatch.setattr(diameter, "EVAL_ROUND_SLACK", slack)
+    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c[0] == "evaluation"])
+    assert verify.run_all() == (verdict == "PASS")
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"{verdict}  evaluation")
+    assert ("charged rounds" in line) == (verdict == "FAIL")
 
 
 def test_window_distance_bound_on_offsets():
@@ -193,7 +204,7 @@ def assert_table_matches_engine(ectx):
     for u0 in candidates:
         engine = evaluate_on_engine(ectx, u0)
         assert evaluation_procedure(ectx, u0) == engine
-        assert engine.rounds == 2 * ectx.total_rounds
+        assert engine.rounds == ectx.total_rounds
 
 
 @pytest.mark.parametrize("spec", CORPUS, ids=[f"{s[0]}-{s[1]}" for s in CORPUS])

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from qcongest import cli, diameter, graphs, harness
+from qcongest import cli, diameter, graphs, harness, procedures
 from qcongest.cli import main as cli_main
 from qcongest.harness import (
     CSV_COLUMNS,
@@ -295,8 +295,11 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, monkeypatch, t
             rows_to_csv([]) + "path,8,7,exact,7,x,9,4,0,1\n",
             "line 2 column rounds: 'x' is not an integer",
         ),
+        # below the smallest size a run takes: no scaling ratio is defined
+        (rows_to_csv([]) + "path,1,0,exact,0,0,0,0,0,1\n", "line 2 column n: 1 is below 3"),
+        (rows_to_csv([]) + "path,-4,3,exact,3,9,9,4,0,1\n", "line 2 column n: -4 is below 3"),
     ],
-    ids=["empty", "no-result-columns", "short-row", "not-an-integer"],
+    ids=["empty", "no-result-columns", "short-row", "not-an-integer", "n-one", "n-negative"],
 )
 def test_cli_scaling_reports_a_csv_it_cannot_read_in_one_line(text, message, capsys, tmp_path):
     path = tmp_path / "rows.csv"
@@ -333,6 +336,23 @@ def test_cli_trace_dump(tmp_path):
     assert files, "expected an election trace per task"
     first = json.loads(files[0].read_text().splitlines()[0])
     assert set(first) == {"round", "edge", "hex", "bits"}
+
+
+def test_trace_runs_the_engine_election_once_per_graph(monkeypatch, tmp_path):
+    traced = []
+    elect = procedures.elect_on_engine
+
+    def counting(g, trace_path):
+        traced.append(trace_path)
+        return elect(g, trace_path=trace_path)
+
+    monkeypatch.setattr(procedures, "elect_on_engine", counting)
+    harness._instance.cache_clear()
+    algos = ("exact", "simple", "approx")
+    run_grid(small_config(sizes=(8,), algos=algos, trace_dir=str(tmp_path)))
+    # two families, two seeds: four graphs, each traced once for three rows
+    assert len(traced) == len(set(traced)) == 4
+    assert sorted(str(p) for p in tmp_path.iterdir()) == sorted(traced)
 
 
 def test_cli_verify_passes_every_check(capsys):

@@ -1,12 +1,16 @@
-"""Output pin: the exact CSV of a small fixed grid and each run's accounting.
+"""Output pins: the exact CSV of a small fixed grid and each run's accounting,
+and the sha256 of the CSV of a whole grid (every family and algorithm at
+n = 16, 64 and 256).
 
-The grid is the criterion-10 determinism config.  A refactor or a
+The small grid is the criterion-10 determinism config.  A refactor or a
 performance change must leave every byte and every count below unchanged;
 re-pin only in a change whose purpose is to change outputs, and say so in
 CHANGES.md.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from qcongest import harness
 from qcongest.harness import ExperimentConfig, rows_to_csv, run_grid
@@ -74,3 +78,19 @@ def test_criterion_10_grid_output_is_pinned(monkeypatch):
         monkeypatch.setattr(harness, name, capture(getattr(harness, name)))
     assert rows_to_csv(run_grid(config)) == PINNED_CSV
     assert [(r.t0, r.t_eval, r.search.total_calls) for r in results] == PINNED_ACCOUNTING
+
+
+# the sha256 of the CSV of every family at three sizes with every algorithm
+PINNED_WHOLE_GRID_SHA256 = "0cd3b7068b02d9babafb2b17a8252df2770fd65045cc9033e8483c2140ab0408"
+
+
+def test_whole_grid_output_is_pinned():
+    config = ExperimentConfig(
+        families=("path", "cycle", "star", "grid", "lollipop", "random:0.05", "random:0.2"),
+        sizes=(16, 64, 256),
+        seeds=(0, 1),
+        algos=("exact", "simple", "approx"),
+        master_seed=0,
+    )
+    text = rows_to_csv(run_grid(config))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WHOLE_GRID_SHA256

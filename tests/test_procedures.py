@@ -430,7 +430,7 @@ def test_simple_eval_matches_oracle_with_round_bound():
             branch = eccentricity_simple_eval(g, tree, u0, table)
             ecc = graphs.eccentricity(g, u0)
             assert branch.value == ecc
-            assert branch.rounds <= 2 * (2 * ecc + d + 4)  # doubled for reversal
+            assert branch.rounds <= 2 * ecc + d + 4
 
 
 def assert_matrix_matches_bfs(g):
@@ -535,8 +535,7 @@ def test_simple_eval_checks_the_declared_round_bound():
     g = graphs.path_graph(4)
     tree = make_tree(g)
     table = list(simple_table(g, tree))
-    ecc, _, words = table[0]
-    table[0] = (ecc, 2 * ecc + tree.ecc_leader + 5, words)
+    table[0] = table[0]._replace(rounds=2 * table[0].value + tree.ecc_leader + 5)
     with pytest.raises(EngineError, match="forward rounds"):
         eccentricity_simple_eval(g, tree, 0, table)
 
