@@ -93,6 +93,8 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         s = gadget_size(args.n)
         k = s * s
         if args.random is not None:
+            if args.x is not None or args.y is not None:
+                raise InputError("give --x and --y bit strings or --random, not both")
             inp = DisjInput.random(k, random.Random(args.seed))
         elif args.x is None or args.y is None:
             raise InputError("provide --x and --y bit strings, or --random")

@@ -13,13 +13,14 @@ charged.  That call builds the run's report, the only one that names a
 ``leader``: the search's coordinator, which is the elected leader for the
 exact algorithms and the node w for the approximation.
 
-Every phase reads one all-sources distance matrix, built once per graph by
-``_init_phases`` and shared, with the election and the leader tree, by
-consecutive runs on that graph: the classical procedures (election, BFS
-trees, and the approximation's multi-source BFS and argmax) take their
-results and cost reports in closed form from it, the evaluation tables are
-filled from it, and the approximation reads the landmark eccentricities and
-ecc(w) off it.
+Every phase reads one all-sources distance matrix, held with the election
+and the leader tree by the graph's ``Prepared`` value: ``prepare(g)`` builds
+it, and each algorithm takes either a ``Prepared``, which runs on one graph
+share, or a ``Graph``, which it prepares for that run alone.  The classical
+procedures (election, BFS trees, and the approximation's multi-source BFS
+and argmax) take their results and cost reports in closed form from the
+matrix, the evaluation tables are filled from it, and the approximation
+reads the landmark eccentricities and ecc(w) off it.
 A run makes no word-level engine call: the engine programs behind those
 closed forms are the references they are tested against.
 """
@@ -39,7 +40,6 @@ from .graphs import Graph
 from .procedures import (
     BfsTreeState,
     Branch,
-    _adjacency_memo,
     all_sources_distances,
     argmax_convergecast,
     build_bfs_tree,
@@ -84,43 +84,41 @@ def _poly_delta(n: int) -> float:
     return 1.0 / max(4, n * n)
 
 
-# One-slot memo of _init_phases: [graph, (tree, merged election and tree
-# report, dist)] for the last graph prepared, or empty.
-_prepared: list = []
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """A graph's classical preparation, which every algorithm starts with:
+    its all-sources distance matrix ``dist`` (read-only), which every later
+    phase reads, the elected leader's BFS tree ``tree`` (the leader and its
+    eccentricity are ``tree.leader`` and ``tree.ecc_leader``), and
+    ``report``, the cost of the election and the tree.  Runs on one
+    ``Prepared`` share it; none changes it or keeps a reference to it."""
+
+    g: Graph
+    dist: np.ndarray
+    tree: BfsTreeState
+    report: CostReport
+
+    @property
+    def n(self) -> int:
+        return self.g.n
 
 
-def release_preparation() -> None:
-    """Drop the memo's entry and the graph's CSR arrays
-    (``procedures._adjacency``), freeing its matrix before another graph is
-    built."""
-    _prepared.clear()
-    _adjacency_memo.clear()
+def prepare(g: Graph) -> Prepared:
+    """Elect the minimum-id leader with its eccentricity and build its BFS
+    tree, on the graph's distance matrix."""
+    dist = all_sources_distances(g)
+    dist.flags.writeable = False
+    leader, _, rep_elect = elect_leader_and_ecc(g, dist)
+    tree, rep_bfs = build_bfs_tree(g, leader, dist)
+    return Prepared(g, dist, tree, rep_elect.merge(rep_bfs))
 
 
-def _init_phases(g: Graph) -> tuple[BfsTreeState, CostReport, np.ndarray]:
-    """The leader's BFS tree, the report of the election and the tree, and
-    the graph's all-sources distance matrix, which every later phase reads.
-    The elected leader and its eccentricity are ``tree.leader`` and
-    ``tree.ecc_leader``.
-
-    Consecutive runs on one graph share them through a one-slot memo.  A
-    miss drops the previous graph's entry before building the new one, so
-    at most one matrix is alive.  The matrix is read-only, and every call
-    gets its own copy of the merged preparation report.
-    """
-    if not _prepared or _prepared[0] != g:
-        _prepared.clear()
-        dist = all_sources_distances(g)
-        dist.flags.writeable = False
-        leader, _, rep_elect = elect_leader_and_ecc(g, dist)
-        tree, rep_bfs = build_bfs_tree(g, leader, dist)
-        _prepared[:] = [g, (tree, rep_elect.merge(rep_bfs), dist)]
-    tree, prep, dist = _prepared[1]
-    return tree, prep.merge(CostReport()), dist  # a merge with nothing is a copy
+def _preparation(network: Graph | Prepared) -> Prepared:
+    return network if isinstance(network, Prepared) else prepare(network)
 
 
-def _trivial_result(g: Graph) -> DiameterResult:
-    d = 0 if g.n == 1 else 1
+def _trivial_result(n: int) -> DiameterResult:
+    d = 0 if n == 1 else 1
     report = CostReport(rounds=0, leader=0)
     return DiameterResult(
         d_out=d, report=report, search=SearchCost(), t0=0, t_setup=0, t_eval=0,
@@ -199,34 +197,38 @@ def _windowed_evaluation(
 
 
 def exact_diameter_simple(
-    g: Graph, seed: int = 0, delta: float | None = None
+    network: Graph | Prepared, seed: int = 0, delta: float | None = None
 ) -> DiameterResult:
     """Maximize plain eccentricity over all nodes: O(sqrt(n) * D) rounds."""
-    if g.n <= 2:
-        return _trivial_result(g)
-    tree, rep0, dist = _init_phases(g)
-    table = simple_eval_table(g, tree, dist)
+    if network.n <= 2:
+        return _trivial_result(network.n)
+    prep = _preparation(network)
+    g, tree = prep.g, prep.tree
+    table = simple_eval_table(g, tree, prep.dist)
     return _search(
         tree, range(g.n), lambda u0: eccentricity_simple_eval(g, tree, u0, table), max,
-        [simple_eval_register_bits(g.n)] * g.n, rep0, rep0.rounds,
+        [simple_eval_register_bits(g.n)] * g.n, prep.report, prep.report.rounds,
         epsilon=1.0 / g.n, delta=delta, seed=seed, details={"leader": tree.leader},
     )
 
 
-def exact_diameter(g: Graph, seed: int = 0, delta: float | None = None) -> DiameterResult:
+def exact_diameter(
+    network: Graph | Prepared, seed: int = 0, delta: float | None = None
+) -> DiameterResult:
     """Exact diameter in O(sqrt(n*D)) charged rounds.
 
     Maximizes f(u0) = max eccentricity over the DFS window of u0; the window
     width 2*ecc(leader) puts probability mass at least d/2n on maximizing
     candidates, which sets the amplification schedule.
     """
-    if g.n <= 2:
-        return _trivial_result(g)
-    tree, rep0, dist = _init_phases(g)
-    support = frozenset(range(g.n))
+    if network.n <= 2:
+        return _trivial_result(network.n)
+    prep = _preparation(network)
+    tree, support = prep.tree, frozenset(range(prep.n))
     return _search(
-        tree, support, *_windowed_evaluation(g, tree, dist, support), rep0, rep0.rounds,
-        epsilon=min(1.0, tree.ecc_leader / (2.0 * g.n)), delta=delta, seed=seed,
+        tree, support, *_windowed_evaluation(prep.g, tree, prep.dist, support),
+        prep.report, prep.report.rounds,
+        epsilon=min(1.0, tree.ecc_leader / (2.0 * prep.n)), delta=delta, seed=seed,
         details={"leader": tree.leader},
     )
 
@@ -236,7 +238,9 @@ def _sample_landmarks(n: int, s: int, rng: random.Random) -> list[int]:
     return [v for v in range(n) if rng.random() < p]
 
 
-def approx_diameter(g: Graph, seed: int = 0, delta: float | None = None) -> DiameterResult:
+def approx_diameter(
+    network: Graph | Prepared, seed: int = 0, delta: float | None = None
+) -> DiameterResult:
     """3/2-approximation: returns D_bar with D_bar <= D <= ceil(3*D_bar/2).
 
     Classical preparation (landmark sampling, landmark BFS trees with their
@@ -246,10 +250,10 @@ def approx_diameter(g: Graph, seed: int = 0, delta: float | None = None) -> Diam
     the maximum eccentricity computed anywhere: over the landmarks, at w,
     and by the quantum phase over R.
     """
-    if g.n <= 2:
-        return _trivial_result(g)
-    n = g.n
-    tree_leader, rep0, dist = _init_phases(g)
+    if network.n <= 2:
+        return _trivial_result(network.n)
+    prep = _preparation(network)
+    g, dist, tree_leader, n = prep.g, prep.dist, prep.tree, prep.n
     d_leader = tree_leader.ecc_leader
 
     s = max(1, min(n, math.ceil(n ** (2 / 3) / max(1, d_leader) ** (1 / 3))))
@@ -277,11 +281,11 @@ def approx_diameter(g: Graph, seed: int = 0, delta: float | None = None) -> Diam
     r_set = frozenset(np.argsort(dist[w], kind="stable")[:s].tolist())
     # the |R| closest nodes form a parent-closed subtree: a parent is
     # strictly closer to w, hence ranked strictly earlier
-    prep = rep0.merge(rep_ms).merge(rep_ag).merge(rep_w)
-    t0 = prep.rounds + (len(landmarks) + 2 * d_leader) + (s + d)
+    report = prep.report.merge(rep_ms).merge(rep_ag).merge(rep_w)
+    t0 = report.rounds + (len(landmarks) + 2 * d_leader) + (s + d)
 
     result = _search(
-        tree_w, r_set, *_windowed_evaluation(g, tree_w, dist, r_set), prep, t0,
+        tree_w, r_set, *_windowed_evaluation(g, tree_w, dist, r_set), report, t0,
         epsilon=min(1.0, d / (2.0 * len(r_set))), delta=delta, seed=seed,
         details={
             "leader": tree_leader.leader,

@@ -183,10 +183,6 @@ def star_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(0, i) for i in range(1, n)])
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def grid_graph(n: int) -> Graph:
     """Row-major grid on n nodes, last row possibly partial."""
     cols = max(1, int(n**0.5))

@@ -17,11 +17,12 @@ from pathlib import Path
 from . import graphs, procedures
 from .diameter import (
     DiameterResult,
+    Prepared,
     approx_diameter,
     approx_guarantee_holds,
     exact_diameter,
     exact_diameter_simple,
-    release_preparation,
+    prepare,
 )
 
 CSV_COLUMNS = (
@@ -110,37 +111,36 @@ class ExperimentConfig:
 
 
 @functools.lru_cache(maxsize=1)
-def _instance(family_spec: str, n: int, seed: int, trace: str | None) -> tuple[graphs.Graph, int]:
-    """The graph and its brute-force diameter; the election's word trace goes
-    to directory ``trace`` unless that is None.  Consecutive rows of a grid
-    share a graph, so one entry saves every repeated generation, oracle run
-    and trace, and hands the algorithms one graph object, whose preparation
-    they then share (``diameter._init_phases``).  A miss first releases the
-    previous graph's preparation, so its matrix is not held while the next
-    graph and its oracle are built."""
-    release_preparation()
+def _instance(family_spec: str, n: int, seed: int, trace: str | None) -> tuple[Prepared, int]:
+    """The graph's preparation and its brute-force diameter; the election's
+    word trace goes to directory ``trace`` unless that is None.  Consecutive
+    rows of a grid share a graph, so one entry saves every repeated
+    generation, preparation, oracle run and trace.  A miss first drops the
+    previous entry, so its matrix is not held while the next graph, its
+    matrix and its oracle are built."""
+    _instance.cache_clear()
     family, p = parse_family(family_spec)
     g = graphs.generate(family, n, seed=seed, p=p)
     if trace is not None and n >= 3:
         Path(trace).mkdir(parents=True, exist_ok=True)
         path = Path(trace) / f"{family}-{n}-{seed}-election.jsonl"
         procedures.elect_on_engine(g, trace_path=str(path))
-    return g, graphs.diameter_bruteforce(g)
+    return prepare(g), graphs.diameter_bruteforce(g)
 
 
 def run_one(
     family_spec: str, n: int, seed: int, algo: str, algo_seed: int,
     delta: float | None, trace_dir: str | None = None,
 ) -> dict:
-    g, d_true = _instance(family_spec, n, seed, trace_dir)
+    prep, d_true = _instance(family_spec, n, seed, trace_dir)
     if algo == "exact":
-        result: DiameterResult = exact_diameter(g, seed=algo_seed, delta=delta)
+        result: DiameterResult = exact_diameter(prep, seed=algo_seed, delta=delta)
         ok = result.d_out == d_true
     elif algo == "simple":
-        result = exact_diameter_simple(g, seed=algo_seed, delta=delta)
+        result = exact_diameter_simple(prep, seed=algo_seed, delta=delta)
         ok = result.d_out == d_true
     else:
-        result = approx_diameter(g, seed=algo_seed, delta=delta)
+        result = approx_diameter(prep, seed=algo_seed, delta=delta)
         ok = approx_guarantee_holds(result.d_out, d_true)
     leader = result.report.leader
     return {
@@ -191,8 +191,8 @@ def read_csv(path: str | Path) -> list[dict]:
     """The rows of a CSV that ``write_csv`` wrote.  Raises ``ValueError``
     naming the file when its header lacks any of ``CSV_COLUMNS`` (an empty
     file lacks them all), a row's field count differs from the header's, or
-    an integer column holds something else or n is below 3 (naming the line
-    and column)."""
+    an integer column holds something else, n is below 3, algo is not one of
+    ``ALGORITHMS`` or ok is not 0 or 1 (naming the line and column)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
     missing = [c for c in CSV_COLUMNS if c not in header]
@@ -217,6 +217,10 @@ def read_csv(path: str | Path) -> list[dict]:
                 ) from None
         if row["n"] < 3:
             raise ValueError(f"{path}: line {number} column n: {row['n']} is below 3")
+        if row["algo"] not in ALGORITHMS:
+            raise ValueError(f"{path}: line {number} column algo: unknown algorithm {row['algo']!r}")
+        if row["ok"] not in (0, 1):
+            raise ValueError(f"{path}: line {number} column ok: {row['ok']} is not 0 or 1")
         rows.append(row)
     return rows
 

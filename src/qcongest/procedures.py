@@ -101,7 +101,7 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # One-slot memo of _adjacency: [graph, its read-only CSR arrays] for the
-# last graph read, or empty.  ``diameter.release_preparation`` clears it.
+# last graph read, or empty; O(n + m), so the next graph's arrays replace it.
 _adjacency_memo: list = []
 
 

@@ -24,7 +24,6 @@ from . import diameter, graphs
 from .evaluation import evaluate_on_engine, evaluation_procedure, make_eval_context
 from .gadgets import DisjInput, build_reduction_instance
 from .procedures import (
-    BfsTreeState,
     all_sources_distances,
     argmax_convergecast,
     argmax_on_engine,
@@ -109,13 +108,6 @@ def check_ecc_relations() -> tuple[bool, str]:
     return True, "all-sources oracle equals per-node BFS; ecc(v) <= D <= 2*ecc(v) on the corpus"
 
 
-def _leader_tree(g: graphs.Graph) -> tuple[np.ndarray, BfsTreeState]:
-    """The run's distance matrix and the leader's BFS tree, in closed form."""
-    dist = all_sources_distances(g)
-    leader, _, _ = elect_leader_and_ecc(g, dist)
-    return dist, build_bfs_tree(g, leader, dist)[0]
-
-
 def check_election() -> tuple[bool, str]:
     for g in _corpus():
         leader, ecc, rep = elect_on_engine(g)
@@ -174,7 +166,7 @@ def check_closed_forms() -> tuple[bool, str]:
 
 def check_dfs_numbering() -> tuple[bool, str]:
     for g in _corpus():
-        _, tree = _leader_tree(g)
+        tree = diameter.prepare(g).tree
         closest = sorted(range(g.n), key=lambda v: (tree.dist[v], v))
         # the full tree, and the parent-closed set of the closest half
         for restrict in (None, frozenset(closest[: (g.n + 1) // 2])):
@@ -197,7 +189,7 @@ def check_dfs_numbering() -> tuple[bool, str]:
 
 def check_window_coverage() -> tuple[bool, str]:
     for g in _corpus():
-        _, tree = _leader_tree(g)
+        tree = diameter.prepare(g).tree
         d = tree.ecc_leader
         num = dfs_numbering(tree)
         for v in range(g.n):
@@ -209,11 +201,12 @@ def check_window_coverage() -> tuple[bool, str]:
 
 def check_evaluation() -> tuple[bool, str]:
     for g in _corpus():
-        dist, tree = _leader_tree(g)
+        prep = diameter.prepare(g)
+        tree = prep.tree
         d = tree.ecc_leader
         num = dfs_numbering(tree)
         eccs = graphs.all_eccentricities(g)
-        ectx = make_eval_context(g, tree, dist)
+        ectx = make_eval_context(g, tree, prep.dist)
         for u0 in range(g.n):
             expected = max(eccs[v] for v in set_S(u0, d, num))
             table = evaluation_procedure(ectx, u0)
@@ -228,7 +221,7 @@ def check_evaluation() -> tuple[bool, str]:
 
 def check_window_distances() -> tuple[bool, str]:
     for g in _corpus():
-        _, tree = _leader_tree(g)
+        tree = diameter.prepare(g).tree
         d = tree.ecc_leader
         num = dfs_numbering(tree)
         for u0 in range(0, g.n, 2):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import gc
 import itertools
 import math
 import weakref
@@ -15,12 +18,13 @@ from qcongest.diameter import (
     exact_diameter,
     exact_diameter_simple,
 )
+from qcongest.engine import CostReport
 from qcongest.graphs import generate
 from qcongest.procedures import id_bits
 
 
 def test_exact_on_clique():
-    g = graphs.complete_graph(4)
+    g = generate("random", 4, seed=0, p=1.0)
     assert exact_diameter(g, seed=1).d_out == 1
     assert exact_diameter_simple(g, seed=1).d_out == 1
 
@@ -190,25 +194,28 @@ def test_evaluation_cost_beyond_the_declared_bound_is_refused(algo, monkeypatch)
 
 
 def test_consecutive_runs_on_one_graph_share_one_preparation(monkeypatch):
-    built, alive_at_build, last = [], [], []
+    built = []
 
     def counting(g):
-        alive_at_build.append(bool(last) and last[0]() is not None)
-        dist = procedures.all_sources_distances(g)
         built.append(g)
-        last[:] = [weakref.ref(dist)]
-        return dist
+        return procedures.all_sources_distances(g)
 
     monkeypatch.setattr(diameter, "all_sources_distances", counting)
+    algos = (exact_diameter, approx_diameter, exact_diameter_simple)
     g = generate("random", 24, seed=1, p=0.2)
-    for algo in (exact_diameter, approx_diameter, exact_diameter_simple):
-        algo(g, seed=1)
-    exact_diameter(generate("random", 24, seed=1, p=0.2), seed=2)  # an equal graph
+    prep = diameter.prepare(g)
+    shared = [algo(prep, seed=1) for algo in algos]
     assert built == [g]
-    exact_diameter(generate("random", 24, seed=2, p=0.2), seed=1)
-    assert len(built) == 2 and built[1] != g
-    # the previous graph's matrix was freed before the next one was built
-    assert alive_at_build == [False, False]
+    # a graph is prepared inside each run, for that run alone
+    assert [algo(g, seed=1) for algo in algos] == shared
+    assert built == [g] * 4
+    other = diameter.prepare(generate("random", 24, seed=2, p=0.2))
+    assert len(built) == 5 and built[4] is other.g and other.g != g
+    # the results, still held, keep neither the preparation nor its matrix
+    matrix = weakref.ref(prep.dist)
+    del prep
+    gc.collect()
+    assert matrix() is None and len(shared) == 3
 
 
 def test_runs_on_one_graph_build_its_adjacency_arrays_once(monkeypatch):
@@ -221,36 +228,40 @@ def test_runs_on_one_graph_build_its_adjacency_arrays_once(monkeypatch):
     csr = procedures._csr
     monkeypatch.setattr(procedures, "_csr", counting)
     g = generate("random", 24, seed=3, p=0.2)
-    # the matrix, the election, the leader tree and approx's tree of w
-    for algo in (exact_diameter, exact_diameter_simple, approx_diameter):
-        algo(g, seed=1)
+    # the matrix, the election, the leader tree and approx's tree of w, in
+    # runs that share one preparation and in runs that each prepare the graph
+    prep = diameter.prepare(g)
+    for network in (prep, g):
+        for algo in (exact_diameter, exact_diameter_simple, approx_diameter):
+            algo(network, seed=1)
     assert len(built) == 1 and built[0] is g
     arrays = procedures._adjacency(g)
     for got, expected in zip(arrays, csr(g)):
         assert got.tolist() == expected.tolist()
         with pytest.raises(ValueError, match="read-only"):
             got[0] = 0
-    diameter.release_preparation()
-    assert procedures._adjacency_memo == []
-    procedures._adjacency(g)
+    # the arrays are keyed by the graph object: an equal graph builds its own
+    procedures._adjacency(generate("random", 24, seed=3, p=0.2))
     assert len(built) == 2
 
 
 @pytest.mark.parametrize("algo", [exact_diameter, exact_diameter_simple, approx_diameter])
 def test_a_run_cannot_change_the_shared_preparation(algo):
     g = generate("random", 24, seed=4, p=0.2)
-    first = algo(g, seed=2)
-    _, prep, dist = diameter._init_phases(g)
+    prep = diameter.prepare(g)
+    report = copy.deepcopy(prep.report)
+    first = algo(prep, seed=2)
     with pytest.raises(ValueError, match="read-only"):
-        dist[0, 1] = 0
-    prep.rounds += 100
-    prep.per_node_peak_bits[0] += 100
+        prep.dist[0, 1] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prep.report = CostReport()
     leader = first.report.leader
     first.report.rounds += 100
+    first.report.total_words += 100
+    first.report.per_node_peak_bits[leader] += 100
     first.report.per_node_peak_qubits[leader] += 100
-    warm = algo(g, seed=2)
-    diameter.release_preparation()
-    assert warm == algo(g, seed=2)
+    assert prep.report == report
+    assert algo(prep, seed=2) == algo(g, seed=2)
 
 
 def _recording(patch, name):

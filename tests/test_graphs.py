@@ -90,7 +90,7 @@ def test_eccentricity_matches_floyd_warshall(g):
 
 def test_diameter_trivia():
     assert diameter_bruteforce(graphs.cycle_graph(6)) == 3
-    assert diameter_bruteforce(graphs.complete_graph(5)) == 1
+    assert diameter_bruteforce(graphs.generate("random", 5, seed=0, p=1.0)) == 1
 
 
 @given(seeded_graph)

@@ -269,12 +269,16 @@ def test_cli_gadget(capsys):
         (["scaling", "missing.csv"], "No such file or directory: 'missing.csv'"),
         (["gadget", "--n", "7"], "gadget needs n = 4s+2 with s >= 1, got n=7"),
         (["gadget", "--n", "10", "--x", "0000"], "provide --x and --y bit strings, or --random"),
+        (
+            ["gadget", "--n", "10", "--random", "--x", "0000", "--y", "0000"],
+            "give --x and --y bit strings or --random, not both",
+        ),
         (["run", "--families", "path:"], "family spec 'path:': only random takes"),
         (["run", "--families", "random:abc"], "'random:abc': edge probability 'abc' is not a number"),
         (["run", "--families", "random:0.5:1"], "'random:0.5:1': edge probability '0.5:1' is not"),
     ],
     ids=[
-        "run-seeds", "run-family", "scaling", "gadget-size", "gadget-bits",
+        "run-seeds", "run-family", "scaling", "gadget-size", "gadget-bits", "gadget-random-and-bits",
         "run-family-empty-p", "run-family-text-p", "run-family-two-p",
     ],
 )
@@ -298,8 +302,16 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, monkeypatch, t
         # below the smallest size a run takes: no scaling ratio is defined
         (rows_to_csv([]) + "path,1,0,exact,0,0,0,0,0,1\n", "line 2 column n: 1 is below 3"),
         (rows_to_csv([]) + "path,-4,3,exact,3,9,9,4,0,1\n", "line 2 column n: -4 is below 3"),
+        (
+            rows_to_csv([]) + "path,8,7,bogus,7,9,9,4,0,1\n",
+            "line 2 column algo: unknown algorithm 'bogus'",
+        ),
+        (rows_to_csv([]) + "path,8,7,exact,7,9,9,4,0,2\n", "line 2 column ok: 2 is not 0 or 1"),
     ],
-    ids=["empty", "no-result-columns", "short-row", "not-an-integer", "n-one", "n-negative"],
+    ids=[
+        "empty", "no-result-columns", "short-row", "not-an-integer", "n-one", "n-negative",
+        "unknown-algo", "ok-not-a-flag",
+    ],
 )
 def test_cli_scaling_reports_a_csv_it_cannot_read_in_one_line(text, message, capsys, tmp_path):
     path = tmp_path / "rows.csv"

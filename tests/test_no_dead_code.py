@@ -20,8 +20,6 @@ ALLOWED = {
     # the two-party cost of the reduction, waiting for a caller that
     # charges a lower-bound protocol (ROADMAP item 10)
     "reduction_protocol_cost",
-    # a test-graph builder next to the other families' builders
-    "complete_graph",
 }
 
 

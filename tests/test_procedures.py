@@ -85,7 +85,7 @@ def test_election_on_cycle_c4():
 
 def test_election_on_k3():
     for election in (elect, elect_on_engine):
-        leader, ecc, _ = election(graphs.complete_graph(3))
+        leader, ecc, _ = election(generate("random", 3, seed=0, p=1.0))
         assert (leader, ecc) == (0, 1)
 
 
@@ -590,7 +590,7 @@ def assert_closed_forms_match_engine(g, root, seed):
 
 
 def test_closed_forms_match_engine_on_corpus():
-    for g in corpus() + [generate("path", 3, seed=0), graphs.complete_graph(5)]:
+    for g in corpus() + [generate("path", 3, seed=0), generate("random", 5, seed=0, p=1.0)]:
         for root in (0, g.n // 2, g.n - 1):
             assert_closed_forms_match_engine(g, root, seed=root)
 
