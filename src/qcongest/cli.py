@@ -95,7 +95,9 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         if args.random is not None:
             if args.x is not None or args.y is not None:
                 raise InputError("give --x and --y bit strings or --random, not both")
-            inp = DisjInput.random(k, random.Random(args.seed))
+            inp = DisjInput.random(k, random.Random(args.seed or 0))
+        elif args.seed is not None:
+            raise InputError("--seed needs --random")
         elif args.x is None or args.y is None:
             raise InputError("provide --x and --y bit strings, or --random")
         else:
@@ -144,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gad.add_argument("--y", default=None)
     p_gad.add_argument("--random", action="store_const", const=True, default=None,
                        help="draw random inputs of length s^2")
-    p_gad.add_argument("--seed", type=int, default=0)
+    p_gad.add_argument("--seed", type=int, default=None, help="seed of --random (default 0)")
     p_gad.set_defaults(fn=cmd_gadget)
     return parser
 

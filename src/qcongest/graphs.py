@@ -205,20 +205,23 @@ def lollipop_graph(n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _random_connected_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
-    """Edges of a uniform random spanning tree (Pruefer) plus a G(n, p)
-    overlay: the tree's, then each row's overlay.  Pair (i, j), i < j, draws
-    one number unless it is a tree edge, in row-major order.
+def _random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
+    """A uniform random spanning tree (Pruefer) plus a G(n, p) overlay, in
+    canonical labels.  After the tree's draws, pair (i, j), i < j, draws one
+    number in row-major order unless it is a tree edge, which draws none.
 
     Pure rejection-sampled G(n, p) is essentially never connected at the
     sparse densities used in the experiment grids, so connectivity is
-    guaranteed by construction instead.
+    guaranteed by construction instead.  Every row is a filter of
+    ``range(i + 1, n)`` visited once, so no edge is out of range, a loop or
+    a repeat; row i gets its lower neighbours (appended as their rows are
+    built) before its upper ones, so each list is ascending.
     """
     if not (0.0 <= p <= 1.0):
         raise GraphError(f"edge probability {p} outside [0, 1]")
-    above: list[set[int]] = [set() for _ in range(n)]  # row i: tree neighbours j > i
+    above: list[list[int]] = [[] for _ in range(n)]  # row i: tree neighbours j > i
     if n == 2:
-        above[0].add(1)
+        above[0].append(1)
     elif n > 2:
         pruefer = [rng.randrange(n) for _ in range(n - 2)]
         degree = [1] * n
@@ -228,18 +231,28 @@ def _random_connected_edges(n: int, p: float, rng: random.Random) -> list[tuple[
         heapq.heapify(leaves)
         for x in pruefer:
             leaf = heapq.heappop(leaves)
-            above[min(leaf, x)].add(max(leaf, x))
+            above[min(leaf, x)].append(max(leaf, x))
             degree[x] -= 1
             if degree[x] == 1:
                 heapq.heappush(leaves, x)
         u, v = sorted(leaves[:2])
-        above[u].add(v)
-    edges = [(i, j) for i in range(n) for j in above[i]]
+        above[u].append(v)
+    adj: list[list[int]] = [[] for _ in range(n)]
     draw = rng.random
     for i in range(n):
-        tree_i = above[i]
-        edges += [(i, j) for j in range(i + 1, n) if j not in tree_i and draw() < p]
-    return edges
+        row = adj[i]
+        lower = len(row)
+        start = i + 1
+        for t in sorted(above[i]):
+            row += [j for j in range(start, t) if draw() < p]
+            row.append(t)
+            start = t + 1
+        row += [j for j in range(start, n) if draw() < p]
+        for j in row[lower:]:
+            adj[j].append(i)
+    g = Graph(n, tuple(map(tuple, adj)))
+    bfs_distances(g, 0)  # raises naming the unreachable node
+    return g
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -270,11 +283,7 @@ def generate(family: str, n: int, seed: int = 0, p: float | None = None) -> Grap
     elif family == "random":
         if p is None:
             raise GraphError("random family requires an edge probability p")
-        edges = _random_connected_edges(n, p, rng)
-        # one build, on the relabelled edges
-        perm = list(range(n))
-        rng.shuffle(perm)
-        return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        g = _random_connected_graph(n, p, rng)
     else:
         raise GraphError(f"unknown family {family!r} (choose from {FAMILIES})")
     perm = list(range(n))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,6 +169,9 @@ def run_grid(config: ExperimentConfig) -> list[dict]:
     tasks = [(config, i, task) for i, task in enumerate(config.tasks())]
     if config.jobs == 1:
         return [_run_task(task) for task in tasks]
+    # imported here: a serial run, or a cold import, pays nothing for the pool
+    from concurrent.futures import ProcessPoolExecutor
+
     # tasks run algorithm-innermost: a chunk of len(algos) tasks is one
     # graph, so a worker generates and prepares each graph once
     with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -192,7 +194,9 @@ def read_csv(path: str | Path) -> list[dict]:
     naming the file when its header lacks any of ``CSV_COLUMNS`` (an empty
     file lacks them all), a row's field count differs from the header's, or
     an integer column holds something else, n is below 3, algo is not one of
-    ``ALGORITHMS`` or ok is not 0 or 1 (naming the line and column)."""
+    ``ALGORITHMS``, ok is not 0 or 1, rounds, words, leader_qubits or D_out is
+    below 0, D_true is below 1, or D_true or D_out is above n - 1 (naming the
+    line and column)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
     missing = [c for c in CSV_COLUMNS if c not in header]
@@ -221,6 +225,15 @@ def read_csv(path: str | Path) -> list[dict]:
             raise ValueError(f"{path}: line {number} column algo: unknown algorithm {row['algo']!r}")
         if row["ok"] not in (0, 1):
             raise ValueError(f"{path}: line {number} column ok: {row['ok']} is not 0 or 1")
+        lows = (("rounds", 0), ("words", 0), ("leader_qubits", 0), ("D_out", 0), ("D_true", 1))
+        for key, low in lows:
+            if row[key] < low:
+                raise ValueError(f"{path}: line {number} column {key}: {row[key]} is below {low}")
+        for key in ("D_true", "D_out"):
+            if row[key] > row["n"] - 1:
+                raise ValueError(
+                    f"{path}: line {number} column {key}: {row[key]} is above n - 1 = {row['n'] - 1}"
+                )
         rows.append(row)
     return rows
 

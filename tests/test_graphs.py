@@ -247,6 +247,21 @@ def test_procedures_import_neither_the_evaluation_nor_the_algorithms():
         assert "evaluation" not in parts and "diameter" not in parts, parts
 
 
+@pytest.mark.parametrize(
+    ("family", "p"),
+    [(family, None) for family in graphs.FAMILIES if family != "random"]
+    + [("random", p) for p in (0, 0.05, 0.2, 1)],
+)
+def test_generated_adjacency_is_what_the_checked_build_makes_of_its_edges(family, p):
+    # from_edges checks range and loops, drops repeats and sorts each list:
+    # a generated graph equal to its rebuild is sorted, symmetric, loop-free
+    # and repeats no neighbour
+    for n in (3, 10, 48, 80, 128, 256):
+        for seed in range(3):
+            g = generate(family, n, seed, p)
+            assert g == Graph.from_edges(n, g.edges())
+
+
 @pytest.mark.parametrize("family", graphs.FAMILIES)
 def test_relabel_equals_rebuilding_from_the_edges(family):
     p = 0.2 if family == "random" else None
@@ -274,6 +289,10 @@ RANDOM_GRAPH_DIGESTS = {
     (80, 0.05): ("e44f4dcf2b21a2f6", "2bfa3aa7981dd8e5", "fc5f52d1b0449779"),
     (80, 0.2): ("ad27660228994c50", "6875801196e26e61", "a48250afa0a0c316"),
     (80, 1): ("003015c252003994", "003015c252003994", "003015c252003994"),
+    (128, 0): ("b709d145bba1bf96", "a7383ca0693a7e1f", "e87c33281ecc7211"),
+    (128, 0.05): ("a44f88c8922aad77", "dfe7e023f3fcfe55", "5f6bb52de79bf432"),
+    (128, 0.2): ("8b3c6fabd7921529", "dba4347c855edbac", "ca241366a0703d3f"),
+    (128, 1): ("c487d3fd7e244811", "c487d3fd7e244811", "c487d3fd7e244811"),
     (256, 0): ("4dbb609d25d3a8be", "dbdcfe41ab1d2a7e", "ef9997a60c4b09fb"),
     (256, 0.05): ("f459eb0c67fbcba8", "8d927003efcad534", "cb71f27b170e8f88"),
     (256, 0.2): ("d043a470cf3b3b03", "86e7e3a2df24c2fc", "be773fc10226672a"),

@@ -261,6 +261,13 @@ def test_cli_gadget(capsys):
     assert "DISJ=1" in printed and "delta=2" in printed
 
 
+def test_cli_gadget_random_without_a_seed_draws_with_seed_0(capsys):
+    assert cli_main(["gadget", "--n", "10", "--random"]) == 0
+    unseeded = capsys.readouterr().out
+    assert cli_main(["gadget", "--n", "10", "--random", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == unseeded
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -276,10 +283,14 @@ def test_cli_gadget(capsys):
         (["run", "--families", "path:"], "family spec 'path:': only random takes"),
         (["run", "--families", "random:abc"], "'random:abc': edge probability 'abc' is not a number"),
         (["run", "--families", "random:0.5:1"], "'random:0.5:1': edge probability '0.5:1' is not"),
+        (
+            ["gadget", "--n", "10", "--x", "0000", "--y", "0000", "--seed", "5"],
+            "--seed needs --random",
+        ),
     ],
     ids=[
         "run-seeds", "run-family", "scaling", "gadget-size", "gadget-bits", "gadget-random-and-bits",
-        "run-family-empty-p", "run-family-text-p", "run-family-two-p",
+        "run-family-empty-p", "run-family-text-p", "run-family-two-p", "gadget-seed-without-random",
     ],
 )
 def test_cli_reports_bad_input_in_one_line(argv, message, capsys, monkeypatch, tmp_path):
@@ -307,10 +318,27 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, monkeypatch, t
             "line 2 column algo: unknown algorithm 'bogus'",
         ),
         (rows_to_csv([]) + "path,8,7,exact,7,9,9,4,0,2\n", "line 2 column ok: 2 is not 0 or 1"),
+        (rows_to_csv([]) + "path,8,7,exact,7,-9,9,4,0,1\n", "line 2 column rounds: -9 is below 0"),
+        (rows_to_csv([]) + "path,8,7,exact,7,9,-1,4,0,1\n", "line 2 column words: -1 is below 0"),
+        (
+            rows_to_csv([]) + "path,8,7,exact,7,9,9,-4,0,1\n",
+            "line 2 column leader_qubits: -4 is below 0",
+        ),
+        (rows_to_csv([]) + "path,8,7,exact,-7,9,9,4,0,1\n", "line 2 column D_out: -7 is below 0"),
+        (rows_to_csv([]) + "path,8,0,exact,0,9,9,4,0,1\n", "line 2 column D_true: 0 is below 1"),
+        (
+            rows_to_csv([]) + "path,8,8,exact,7,9,9,4,0,1\n",
+            "line 2 column D_true: 8 is above n - 1 = 7",
+        ),
+        (
+            rows_to_csv([]) + "path,8,7,exact,9,9,9,4,0,0\n",
+            "line 2 column D_out: 9 is above n - 1 = 7",
+        ),
     ],
     ids=[
         "empty", "no-result-columns", "short-row", "not-an-integer", "n-one", "n-negative",
-        "unknown-algo", "ok-not-a-flag",
+        "unknown-algo", "ok-not-a-flag", "rounds-negative", "words-negative",
+        "qubits-negative", "d-out-negative", "d-true-zero", "d-true-above-n", "d-out-above-n",
     ],
 )
 def test_cli_scaling_reports_a_csv_it_cannot_read_in_one_line(text, message, capsys, tmp_path):
