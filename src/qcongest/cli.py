@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--delta", type=float, default=None, help="failure probability; default 1/n^2")
     p_run.add_argument("--seed", type=int, default=0, help="master seed")
     p_run.add_argument("--out", default="results.csv")
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per graph")
     p_run.add_argument("--trace", default=None, help="directory for engine word traces")
     p_run.set_defaults(fn=cmd_run)
 

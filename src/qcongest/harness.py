@@ -3,12 +3,13 @@
 Determinism contract: a config fully determines the task list; each task's
 algorithm RNG seed is derived from the master seed and the task index by a
 splitmix64 step, so neither the parallelism degree nor scheduling order can
-change any output byte.
+change any output byte.  Rows are built graph by graph: a graph is
+generated, traced, prepared and judged by the oracle once, runs under every
+algorithm, and is dropped before the next graph is built.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,7 @@ from .diameter import (
     exact_diameter_simple,
     prepare,
 )
+from .qsearch import valid_delta
 
 CSV_COLUMNS = (
     "family",
@@ -89,8 +91,8 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if not self.algos:
             raise ValueError("need at least one algorithm")
-        if self.delta is not None and not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if self.delta is not None and not valid_delta(self.delta):
+            raise ValueError(f"delta must be in (0, 1) with 1/delta finite, got {self.delta}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for a in self.algos:
@@ -99,39 +101,22 @@ class ExperimentConfig:
         for f in self.families:
             parse_family(f)
 
-    def tasks(self) -> list[tuple[str, int, int, str]]:
+    def graphs(self) -> list[tuple[str, int, int]]:
         return [
-            (family, n, seed, algo)
+            (family, n, seed)
             for family in self.families
             for n in self.sizes
             for seed in self.seeds
-            for algo in self.algos
         ]
 
-
-@functools.lru_cache(maxsize=1)
-def _instance(family_spec: str, n: int, seed: int, trace: str | None) -> tuple[Prepared, int]:
-    """The graph's preparation and its brute-force diameter; the election's
-    word trace goes to directory ``trace`` unless that is None.  Consecutive
-    rows of a grid share a graph, so one entry saves every repeated
-    generation, preparation, oracle run and trace.  A miss first drops the
-    previous entry, so its matrix is not held while the next graph, its
-    matrix and its oracle are built."""
-    _instance.cache_clear()
-    family, p = parse_family(family_spec)
-    g = graphs.generate(family, n, seed=seed, p=p)
-    if trace is not None and n >= 3:
-        Path(trace).mkdir(parents=True, exist_ok=True)
-        path = Path(trace) / f"{family}-{n}-{seed}-election.jsonl"
-        procedures.elect_on_engine(g, trace_path=str(path))
-    return prepare(g), graphs.diameter_bruteforce(g)
+    def tasks(self) -> list[tuple[str, int, int, str]]:
+        return [(*graph, algo) for graph in self.graphs() for algo in self.algos]
 
 
 def run_one(
-    family_spec: str, n: int, seed: int, algo: str, algo_seed: int,
-    delta: float | None, trace_dir: str | None = None,
+    prep: Prepared, d_true: int, family_spec: str, seed: int, algo: str,
+    algo_seed: int, delta: float | None,
 ) -> dict:
-    prep, d_true = _instance(family_spec, n, seed, trace_dir)
     if algo == "exact":
         result: DiameterResult = exact_diameter(prep, seed=algo_seed, delta=delta)
         ok = result.d_out == d_true
@@ -144,7 +129,7 @@ def run_one(
     leader = result.report.leader
     return {
         "family": family_spec,
-        "n": n,
+        "n": prep.n,
         "D_true": d_true,
         "algo": algo,
         "D_out": result.d_out,
@@ -156,26 +141,38 @@ def run_one(
     }
 
 
-def _run_task(args: tuple[ExperimentConfig, int, tuple[str, int, int, str]]) -> dict:
-    config, index, (family_spec, n, seed, algo) = args
-    algo_seed = splitmix64(config.master_seed * 0x9E3779B97F4A7C15 + index)
-    return run_one(
-        family_spec, n, seed, algo, algo_seed, config.delta, config.trace_dir
-    )
+def _run_graph(args: tuple[ExperimentConfig, int, tuple[str, int, int]]) -> list[dict]:
+    """The rows of one graph, one per algorithm, whose task indices (and so
+    seeds) count up from ``first``; the election's word trace goes to the
+    config's ``trace_dir`` unless that is None."""
+    config, first, (family_spec, n, seed) = args
+    family, p = parse_family(family_spec)
+    g = graphs.generate(family, n, seed=seed, p=p)
+    if config.trace_dir is not None:
+        trace = Path(config.trace_dir)
+        trace.mkdir(parents=True, exist_ok=True)
+        procedures.elect_on_engine(g, trace_path=str(trace / f"{family}-{n}-{seed}-election.jsonl"))
+    prep, d_true = prepare(g), graphs.diameter_bruteforce(g)
+    return [
+        run_one(
+            prep, d_true, family_spec, seed, algo,
+            splitmix64(config.master_seed * 0x9E3779B97F4A7C15 + first + i), config.delta,
+        )
+        for i, algo in enumerate(config.algos)
+    ]
 
 
 def run_grid(config: ExperimentConfig) -> list[dict]:
     """One row per (family, n, seed, algo), in task order."""
-    tasks = [(config, i, task) for i, task in enumerate(config.tasks())]
-    if config.jobs == 1:
-        return [_run_task(task) for task in tasks]
+    work = [(config, i * len(config.algos), graph) for i, graph in enumerate(config.graphs())]
+    workers = min(config.jobs, len(work))
+    if workers == 1:
+        return [row for item in work for row in _run_graph(item)]
     # imported here: a serial run, or a cold import, pays nothing for the pool
     from concurrent.futures import ProcessPoolExecutor
 
-    # tasks run algorithm-innermost: a chunk of len(algos) tasks is one
-    # graph, so a worker generates and prepares each graph once
-    with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-        return list(pool.map(_run_task, tasks, chunksize=max(1, len(config.algos))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [row for rows in pool.map(_run_graph, work) for row in rows]
 
 
 def rows_to_csv(rows: list[dict]) -> str:

@@ -158,8 +158,15 @@ class QOptConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon <= 1.0):
             raise SearchError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if not (0.0 < self.delta < 1.0):
-            raise SearchError(f"delta must be in (0, 1), got {self.delta}")
+        if not valid_delta(self.delta):
+            raise SearchError(f"delta must be in (0, 1) with 1/delta finite, got {self.delta}")
+
+
+def valid_delta(delta: float) -> bool:
+    """Whether a search can be run at failure probability ``delta``: it must
+    lie in (0, 1), and 1/delta must be finite, since the call budget and the
+    repetition count grow with log(1/delta)."""
+    return 0.0 < delta < 1.0 and math.isfinite(1.0 / delta)
 
 
 def decide_call_budget(epsilon: float, delta: float) -> int:
@@ -222,7 +229,7 @@ def amplitude_amplify_decide(
     ``random()`` that picks the branch.
     """
     mask = _marks(state0, marked)
-    if not (0.0 < epsilon <= 1.0) or not (0.0 < delta < 1.0):
+    if not (0.0 < epsilon <= 1.0) or not valid_delta(delta):
         raise SearchError("invalid epsilon or delta")
     m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
     if m_cap > _TWO32:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import weakref
 
 import pytest
 
-from qcongest import cli, diameter, graphs, harness, procedures
+from qcongest import cli, diameter, graphs, procedures
 from qcongest.cli import main as cli_main
 from qcongest.harness import (
     CSV_COLUMNS,
@@ -111,12 +112,16 @@ def test_config_rejects_an_empty_family_list(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, float("nan")])
-def test_config_rejects_a_delta_outside_the_unit_interval(delta, monkeypatch, tmp_path, capsys):
+def _refuse_to_run(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a graph was built for an invalid config")
+        raise AssertionError("a graph was built")
 
     monkeypatch.setattr(graphs, "generate", refuse)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, float("nan"), 1e-320])
+def test_config_rejects_a_delta_outside_the_unit_interval(delta, monkeypatch, tmp_path, capsys):
+    _refuse_to_run(monkeypatch)
     with pytest.raises(ValueError, match="delta"):
         small_config(delta=delta)
     assert cli_main(["run", "--families", "path", "--sizes", "8", "--delta", str(delta),
@@ -124,13 +129,6 @@ def test_config_rejects_a_delta_outside_the_unit_interval(delta, monkeypatch, tm
     assert_one_line_error(capsys, "delta must be in (0, 1)")
     assert not (tmp_path / "out.csv").exists()
     assert small_config(delta=0.5).delta == 0.5
-
-
-def _refuse_to_run(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a task ran")
-
-    monkeypatch.setattr(harness, "run_one", refuse)
 
 
 @pytest.mark.parametrize("jobs", [0, -2])
@@ -187,24 +185,60 @@ def test_jobs_do_not_change_output():
 
 
 def test_next_graph_is_built_after_the_previous_matrix_is_freed(monkeypatch):
-    alive_at_generate, last = [], []
-    build, generate = diameter.all_sources_distances, graphs.generate
+    alive_at_generate, matrices, judged = [], [], []
+    build, generate, oracle = (
+        diameter.all_sources_distances, graphs.generate, graphs.diameter_bruteforce
+    )
 
     def building(g):
         dist = build(g)
-        last[:] = [weakref.ref(dist)]
+        matrices.append(weakref.ref(dist))
         return dist
 
     def generating(*args, **kwargs):
-        alive_at_generate.append(bool(last) and last[0]() is not None)
+        alive_at_generate.append(any(ref() is not None for ref in matrices))
         return generate(*args, **kwargs)
 
+    def judging(g):
+        judged.append(g.n)
+        return oracle(g)
+
     monkeypatch.setattr(diameter, "all_sources_distances", building)
-    monkeypatch.setattr(harness.graphs, "generate", generating)
-    harness._instance.cache_clear()
+    monkeypatch.setattr(graphs, "generate", generating)
+    monkeypatch.setattr(graphs, "diameter_bruteforce", judging)
     run_grid(small_config(families=("random:0.3",), sizes=(12,), algos=("exact", "approx")))
-    # two graphs; the first one's matrix was gone when the second was built
-    assert alive_at_generate == [False, False] and last[0]() is not None
+    # two graphs, each prepared and judged once for its two rows; the first
+    # one's matrix was gone when the second was built, and none outlives the grid
+    assert alive_at_generate == [False, False]
+    assert len(matrices) == len(judged) == 2
+    assert all(ref() is None for ref in matrices)
+
+
+def test_grid_forks_no_more_workers_than_graphs(monkeypatch):
+    workers = []
+
+    class InProcessPool:
+        """Records its size and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    rows = run_grid(small_config(jobs=64))
+    assert workers == [8]
+    assert rows == run_grid(small_config())
+    # a one-graph grid runs serially whatever --jobs says
+    run_grid(small_config(families=("path",), sizes=(8,), seeds=(0,), jobs=4))
+    assert workers == [8]
 
 
 def test_csv_roundtrip(tmp_path):
@@ -387,7 +421,6 @@ def test_trace_runs_the_engine_election_once_per_graph(monkeypatch, tmp_path):
         return elect(g, trace_path=trace_path)
 
     monkeypatch.setattr(procedures, "elect_on_engine", counting)
-    harness._instance.cache_clear()
     algos = ("exact", "simple", "approx")
     run_grid(small_config(sizes=(8,), algos=algos, trace_dir=str(tmp_path)))
     # two families, two seeds: four graphs, each traced once for three rows

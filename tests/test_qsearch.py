@@ -255,6 +255,10 @@ def test_config_validation():
         QOptConfig(0.0, 0.1)
     with pytest.raises(SearchError):
         QOptConfig(0.5, 1.0)
+    with pytest.raises(SearchError, match="1/delta finite"):
+        QOptConfig(0.5, 1e-320)  # in (0, 1), but 1/delta overflows
+    with pytest.raises(SearchError, match="invalid epsilon or delta"):
+        amplitude_amplify_decide(setup_uniform(4), np.ones(4, bool), 0.5, 1e-320, 0)
 
 
 @given(st.integers(0, 500))
