@@ -256,13 +256,25 @@ def _random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Return g with node i renamed to perm[i]."""
-    if sorted(perm) != list(range(g.n)):
-        raise GraphError(f"relabelling is not a permutation of range({g.n})")
-    adj: list[tuple[int, ...]] = [()] * g.n
-    for u, neighbors in enumerate(g.adj):
-        adj[perm[u]] = tuple(sorted([perm[v] for v in neighbors]))
-    return Graph(g.n, tuple(adj))
+    """Return g with node i renamed to perm[i].
+
+    Walking the new labels in ascending order and appending each to its
+    neighbours' new rows leaves every row sorted without a sort.
+    """
+    n = g.n
+    old = [-1] * n  # old[perm[i]] = i
+    for u, a in enumerate(perm):
+        if not (isinstance(a, int) and 0 <= a < n) or old[a] >= 0:
+            break  # so some label stays unfilled, unless perm is too long
+        old[a] = u
+    if len(perm) != n or -1 in old:
+        raise GraphError(f"relabelling is not a permutation of range({n})")
+    rows: list[list[int]] = [[] for _ in range(n)]
+    new_row = [rows[a] for a in perm]  # indexed by old label
+    for a, u in enumerate(old):
+        for v in g.adj[u]:
+            new_row[v].append(a)
+    return Graph(n, tuple(map(tuple, rows)))
 
 
 def generate(family: str, n: int, seed: int = 0, p: float | None = None) -> Graph:
@@ -270,7 +282,15 @@ def generate(family: str, n: int, seed: int = 0, p: float | None = None) -> Grap
     if n < 1:
         raise GraphError("n must be positive")
     rng = random.Random(f"qcongest-gen:{family}:{n}:{seed}")
-    if family == "path":
+    if family == "random":
+        if p is None:
+            raise GraphError("random family requires an edge probability p")
+        g = _random_connected_graph(n, p, rng)
+    elif family not in FAMILIES:
+        raise GraphError(f"unknown family {family!r} (choose from {FAMILIES})")
+    elif p is not None:
+        raise GraphError(f"family {family!r} takes no edge probability, got p={p}")
+    elif family == "path":
         g = path_graph(n)
     elif family == "cycle":
         g = cycle_graph(n)
@@ -278,14 +298,8 @@ def generate(family: str, n: int, seed: int = 0, p: float | None = None) -> Grap
         g = star_graph(n)
     elif family == "grid":
         g = grid_graph(n)
-    elif family == "lollipop":
-        g = lollipop_graph(n)
-    elif family == "random":
-        if p is None:
-            raise GraphError("random family requires an edge probability p")
-        g = _random_connected_graph(n, p, rng)
     else:
-        raise GraphError(f"unknown family {family!r} (choose from {FAMILIES})")
+        g = lollipop_graph(n)
     perm = list(range(n))
     rng.shuffle(perm)
     return relabel(g, perm)

@@ -334,10 +334,12 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     than every id closer to v (ties by id), and holds it until its next
     adoption.  Record (v, b) is keyed by its flat index v*n + b, and its
     pair with a neighbor w by w*n + b, which keys both dist(b, w) (the
-    matrix is symmetric) and w's record for b, so every pair is read with
-    flat gathers.  v's parent for b is its smallest neighbor one level
-    closer to b, which adopts b in round k - 1; these links make the
-    adoption records a forest whose roots are the round-0 records.  Two
+    matrix is symmetric) and whether w adopts b (the flat adoption mask),
+    so every pair is read with flat gathers.  v's parent for b is its
+    smallest neighbor one level closer to b, which adopts b in round
+    k - 1, and a search over the sorted record keys finds that adoption's
+    record; these links make the adoption records a forest whose roots are
+    the round-0 records, record 0 (node 0's) among them.  Two
     aggregates over each record's subtree give the echoes:
     - v's echo for b is ready in round E, the latest arrival of a non-parent
       neighbor's b-wave (dist(b, w) + 1) or of a child's echo (E_c + 1), so
@@ -368,12 +370,12 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     closest = np.minimum.accumulate(dist, axis=1)
     adopts = np.ones((n, n), dtype=bool)
     adopts[:, 1:] = dist[:, 1:] < closest[:, :-1]
+    del closest
+    adopts = adopts.ravel()
     key = np.flatnonzero(adopts)
     rv, rb = np.divmod(key, n)
     rk = flat_dist.take(key)
     size = len(key)
-    record = np.full(n * n, -1, dtype=np.int32)
-    record[key] = np.arange(size, dtype=np.int32)
     next_round = np.full(size, np.iinfo(rk.dtype).max, dtype=rk.dtype)
     same = rv[1:] == rv[:-1]
     next_round[1:][same] = rk[:-1][same]
@@ -386,11 +388,11 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     wb = w * n + np.repeat(rb, count)
     dw = flat_dist.take(wb)
     parent = np.minimum.reduceat(np.where(dw == np.repeat(rk - 1, count), w, n), first)
-    echoes = np.logical_and.reduceat(record.take(wb) >= 0, first)
+    echoes = np.logical_and.reduceat(adopts.take(wb), first)
     ready = np.maximum.reduceat(dw, first) + 1
     adoption = rk > 0
     up = np.arange(size, dtype=np.int32)  # round-0 records are the roots
-    up[adoption] = record.take(parent[adoption] * n + rb[adoption])
+    up[adoption] = key.searchsorted(parent[adoption] * n + rb[adoption])
 
     # the two subtree aggregates (a root's own echo is never read)
     steps = _doubling_steps(up, rk)
@@ -401,7 +403,7 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     echoes = _subtree_fold(np.minimum, echoes, steps).view(bool)
 
     words = int(count.sum()) + 2 * g.m + int((echoes & adoption & (ready > rk)).sum())
-    rounds = int(ready[record[0]]) + int(dist[0].max()) + 1
+    rounds = int(ready[0]) + int(dist[0].max()) + 1
     bits = NodePeaks((8 * L + 1,) + (9 * L + 1,) * (n - 1))  # the leader has no parent
     return CostReport(rounds, words, bits, NodePeaks.uniform(n, 0))
 

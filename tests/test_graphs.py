@@ -141,6 +141,12 @@ def test_generate_random_needs_p():
         generate("random", 10, seed=0)
 
 
+@pytest.mark.parametrize("family", [f for f in graphs.FAMILIES if f != "random"])
+def test_generate_refuses_p_for_a_family_without_one(family):
+    with pytest.raises(GraphError, match=f"family {family!r} takes no edge probability"):
+        generate(family, 16, seed=0, p=0.3)
+
+
 def test_generate_seeds_differ():
     assert generate("random", 20, seed=0, p=0.2) != generate("random", 20, seed=1, p=0.2)
 
@@ -265,7 +271,7 @@ def test_generated_adjacency_is_what_the_checked_build_makes_of_its_edges(family
 @pytest.mark.parametrize("family", graphs.FAMILIES)
 def test_relabel_equals_rebuilding_from_the_edges(family):
     p = 0.2 if family == "random" else None
-    for n in (3, 8, 21):
+    for n in (3, 8, 21, 256):
         g = generate(family, n, seed=5, p=p)
         perm = list(range(n))
         random.Random(n).shuffle(perm)
@@ -310,7 +316,7 @@ def test_random_graphs_are_pinned(n, p):
     assert digests == RANDOM_GRAPH_DIGESTS[n, p]
 
 
-@pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 2, 3], [1, 2, 3]])
+@pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1], [0, 1, 2, 3], [1, 2, 3], [-3, 1, 2]])
 def test_relabel_rejects_a_non_permutation(perm):
     with pytest.raises(GraphError, match="not a permutation"):
         relabel(graphs.path_graph(3), perm)
