@@ -278,7 +278,7 @@ def approx_diameter(
 
     tree_w, rep_w = build_bfs_tree(g, w, dist)
     d = tree_w.ecc_leader
-    r_set = frozenset(np.argsort(dist[w], kind="stable")[:s].tolist())
+    r_set = frozenset(dist[w].argsort(kind="stable")[:s].tolist())
     # the |R| closest nodes form a parent-closed subtree: a parent is
     # strictly closer to w, hence ranked strictly earlier
     report = prep.report.merge(rep_ms).merge(rep_ag).merge(rep_w)

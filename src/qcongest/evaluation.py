@@ -428,7 +428,7 @@ def _window_table(ectx: EvalContext) -> dict[int, Branch]:
         2 * d + 2 * (unrolled[last] - pos) + ecc[last] > ectx.s2_last_send
     )
 
-    for i in sorted(np.flatnonzero(bad).tolist(), key=num.first_visits.__getitem__):
+    for i in sorted(bad.nonzero()[0].tolist(), key=num.first_visits.__getitem__):
         taup = (unrolled[i : last[i] + 1] - pos[i]).tolist()
         order = num.first_visits[i:] + num.first_visits[:i]
         # raises: the replay sees the same consecutive pairs and 8d bound
@@ -446,14 +446,14 @@ def _check_windows(
     offsets tau' are all at most 2d.  A failing row, in candidate order,
     builds its own window and checks it against ``set_S``."""
     num, d, k = ectx.numbering, ectx.d, len(count)
-    size = count.clip(1, k)
+    size = np.minimum(np.maximum(count, 1), k)
     last = np.arange(k) + size - 1
     fits = (
         (count == size)
         & (unrolled[last] - pos <= 2 * d)
         & ((count == k) | (unrolled[last + 1] - pos > 2 * d))
     )
-    for i in sorted(np.flatnonzero(~fits).tolist(), key=num.first_visits.__getitem__):
+    for i in sorted((~fits).nonzero()[0].tolist(), key=num.first_visits.__getitem__):
         order = num.first_visits[i:] + num.first_visits[:i]
         _check_window(ectx, order[0], frozenset(order[: count[i]]))
         raise EvaluationInvariantError(
@@ -481,18 +481,18 @@ def _check_arrivals(ectx: EvalContext, u0: int, waves: list[int], tau: np.ndarra
     full arrival matrix, as the engine sees them, and raise for the earliest
     violation."""
     arrival = 2 * ectx.d + 2 * tau[:, None] + ectx.dist[waves]
-    n = ectx.g.n
-    order = np.argsort(arrival, axis=0, kind="stable")
-    rounds = np.take_along_axis(arrival, order, axis=0)
+    nodes = np.arange(ectx.g.n)
+    order = arrival.argsort(axis=0, kind="stable")
+    rounds = arrival[order, nodes]
     taus = tau[order]
-    own = np.asarray(waves)[order] == np.arange(n)
+    own = np.asarray(waves)[order] == nodes
     ahead = np.maximum.accumulate(taus, axis=0)  # largest tau' seen so far
-    overtaken = np.zeros_like(own)
+    overtaken = np.zeros(own.shape, dtype=bool)
     overtaken[1:] = ~own[1:] & (taus[1:] <= ahead[:-1])
     lag = rounds - taus
-    late = np.zeros_like(own)
+    late = np.zeros(own.shape, dtype=bool)
     late[1:] = ~overtaken[1:] & (lag[1:] < lag[:-1])
-    clash = np.zeros_like(own)
+    clash = np.zeros(own.shape, dtype=bool)
     clash[1:] = rounds[1:] == rounds[:-1]
     own_clash = clash.copy()
     own_clash[1:] &= own[1:] | own[:-1]
@@ -509,7 +509,7 @@ def _check_arrivals(ectx: EvalContext, u0: int, waves: list[int], tau: np.ndarra
     _, kind, v = min(
         (int(rounds[k, v]), kind, int(v))
         for kind, (_, mask) in enumerate(kinds)
-        for k, v in zip(*np.nonzero(mask))
+        for k, v in zip(*mask.nonzero())
     )
     raise EvaluationInvariantError(kinds[kind][0].format(f"node {v} on branch u0={u0}"))
 

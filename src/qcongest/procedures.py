@@ -66,6 +66,7 @@ from .graphs import Graph
 
 
 MIN_PROCEDURE_N = 3  # message layouts need ceil(log2 n) >= 2 at bandwidth 4*ceil(log2 n)
+_NEVER = 2**31 - 1  # a round later than any: int32's largest, the distance dtype
 
 
 def _require_size(g: Graph) -> None:
@@ -97,7 +98,7 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and that array (ascending ids per node): ``g.adj`` in CSR form."""
     deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=g.n)
     neighbors = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=int(deg.sum()))
-    return deg, np.cumsum(deg) - deg, neighbors
+    return deg, deg.cumsum() - deg, neighbors
 
 
 # One-slot memo of _adjacency: [graph, its read-only CSR arrays] for the
@@ -305,7 +306,7 @@ def _doubling_steps(up: np.ndarray, depth: np.ndarray) -> list[tuple[np.ndarray,
     steps in all."""
     steps = []
     anc = up
-    live = np.flatnonzero(depth > 0)
+    live = (depth > 0).nonzero()[0]
     hop = 1
     while live.size:
         steps.append((live, anc[live]))
@@ -368,26 +369,28 @@ def _election_report(g: Graph, dist: np.ndarray) -> CostReport:
     # records (v, b) of v adopting b, round 0 counting as adopting v itself;
     # per v, b ascends and the adoption round descends
     closest = np.minimum.accumulate(dist, axis=1)
-    adopts = np.ones((n, n), dtype=bool)
+    adopts = np.empty((n, n), dtype=bool)
+    adopts[:, 0] = True
     adopts[:, 1:] = dist[:, 1:] < closest[:, :-1]
     del closest
     adopts = adopts.ravel()
-    key = np.flatnonzero(adopts)
+    key = adopts.nonzero()[0]
     rv, rb = np.divmod(key, n)
     rk = flat_dist.take(key)
     size = len(key)
-    next_round = np.full(size, np.iinfo(rk.dtype).max, dtype=rk.dtype)
+    next_round = np.empty(size, dtype=rk.dtype)
+    next_round.fill(_NEVER)
     same = rv[1:] == rv[:-1]
     next_round[1:][same] = rk[:-1][same]
 
     # one entry per (record, neighbor w of its node), keyed by w*n + b
     count = deg.take(rv)
-    first = np.cumsum(count) - count
-    slot = np.arange(int(count.sum())) - np.repeat(first - starts.take(rv), count)
+    first = count.cumsum() - count
+    slot = np.arange(int(count.sum())) - (first - starts.take(rv)).repeat(count)
     w = neighbors.take(slot)
-    wb = w * n + np.repeat(rb, count)
+    wb = w * n + rb.repeat(count)
     dw = flat_dist.take(wb)
-    parent = np.minimum.reduceat(np.where(dw == np.repeat(rk - 1, count), w, n), first)
+    parent = np.minimum.reduceat(np.where(dw == (rk - 1).repeat(count), w, n), first)
     echoes = np.logical_and.reduceat(adopts.take(wb), first)
     ready = np.maximum.reduceat(dw, first) + 1
     adoption = rk > 0
@@ -500,7 +503,7 @@ def build_bfs_tree(
     ecc_leader = int(row.max())
     L = id_bits(g.n)
     deg, starts, neighbors = _adjacency(g)
-    below = np.repeat(row - 1, deg) == row[neighbors]
+    below = (row - 1).repeat(deg) == row[neighbors]
     parent = np.minimum.reduceat(np.where(below, neighbors, g.n), starts)
     parent[leader] = leader
     _check_register("BFS tree", int(max(parent.max(), ecc_leader)), L)
@@ -762,7 +765,7 @@ def all_sources_distances(g: Graph) -> np.ndarray:
             break
         unseen ^= frontier
         if level == 1 << len(planes):
-            planes.append(np.zeros_like(frontier))
+            planes.append(np.zeros(frontier.shape, dtype=frontier.dtype))
         for k, plane in enumerate(planes):
             if level >> k & 1:
                 plane |= frontier
@@ -1083,9 +1086,9 @@ def argmax_convergecast(
         raise SchemaViolationError(f"argmax input does not fit {L} bits")
     _check_register("argmax", g.n - 1, L)
     _check_word(min(set(range(g.n)).difference(tree.parent)), 2 + 2 * L, g.n)  # smallest leaf
-    node = int(np.argmax(inputs))  # the first maximum: ties to the smallest id
+    node = inputs.index(max(inputs))  # the first maximum: ties to the smallest id
     row = dist[tree.leader]
-    farthest = np.flatnonzero(row == row.max()).tolist()
+    farthest = (row == row.max()).nonzero()[0].tolist()
     rounds = max(tree.dist) + int(row.max()) + int(any(g.degree(v) > 1 for v in farthest))
     report = CostReport(
         rounds, 2 * g.m, NodePeaks.uniform(g.n, 5 * L + 1), NodePeaks.uniform(g.n, 0)

@@ -88,7 +88,7 @@ class AmplitudeState:
                 f"amplitudes of shape {self.amps.shape} do not match the setup's {self.setup_amps.shape}"
             )
         for arr in (self.amps, self.setup_amps):
-            norm = float(np.sum(np.abs(arr) ** 2))
+            norm = float(np.add.reduce(np.abs(arr) ** 2, axis=None))
             if not abs(norm - 1.0) <= _NORM_TOL:
                 raise SearchError(f"state not normalized: |psi|^2 = {norm}")
 
@@ -249,15 +249,15 @@ def amplitude_amplify_decide(
         m = min(m * 6.0 / 5.0, m_cap)
         bounds.append(int(m))
     reps = max(1, math.ceil(math.log2(1.0 / delta)))
-    js = rng.integers(0, np.tile(bounds, reps))
-    hits = np.flatnonzero(rng.random(js.size) < np.sin((2 * js + 1) * theta) ** 2)
+    js = rng.integers(0, np.array(bounds * reps))
+    hits = (rng.random(js.size) < np.sin((2 * js + 1) * theta) ** 2).nonzero()[0]
     if hits.size == 0:
         return None, _decision_cost(js.size, int(js.sum()))
     tries = int(hits[0]) + 1
-    branches = np.flatnonzero(mask)
-    cdf = np.cumsum(w[branches])
+    branches = mask.nonzero()[0]
+    cdf = w[branches].cumsum()
     cdf /= cdf[-1]
-    found = int(branches[np.searchsorted(cdf, rng.random(), side="right")])
+    found = int(branches[cdf.searchsorted(rng.random(), side="right")])
     return found, _decision_cost(tries, int(js[:tries].sum()))
 
 
@@ -293,7 +293,7 @@ def quantum_maximize(
     rng = _generator(config.seed)
     cost = SearchCost()
     support = np.abs(state0.setup_amps) > 0.0
-    best = int(np.flatnonzero(support)[0])  # fixed start: the first support index
+    best = int(support.nonzero()[0][0])  # fixed start: the first support index
     cost.eval_calls += 1
     budget = maximize_call_budget(config.epsilon, config.delta)
     while True:

@@ -274,6 +274,7 @@ CORRUPTIONS = [
     # wave 5 reaches node 2 a round after node 2 starts its own wave at
     # offset 6; a lockstep simulation drops it there without an error
     (0, 2, 4, "wave overtaken at node 2 on branch u0=0: a later wave arrived first"),
+    (0, 5, 6, "node 5 on branch u0=0 starts its wave after the walk's 2d steps"),
 ]
 
 
