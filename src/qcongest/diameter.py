@@ -51,13 +51,6 @@ from .procedures import (
 )
 from .qsearch import QOptConfig, SearchCost, distributed_cost, quantum_maximize, setup_subset
 
-# Declared bound constants, asserted on every run (see acceptance suite):
-# a windowed evaluation call, reversal included, costs at most 18*ecc(leader)
-# + EVAL_ROUND_SLACK rounds, and the coordinator's peak quantum memory stays
-# below LEADER_QUBIT_C2 * ceil(log2 n)^2.
-EVAL_ROUND_SLACK = 8
-LEADER_QUBIT_C2 = 16
-
 APPROX_MAX_RETRIES = 20
 
 
@@ -126,20 +119,26 @@ def _trivial_result(n: int) -> DiameterResult:
     )
 
 
-def _check_leader_memory(report: CostReport) -> None:
-    leader_qubits = report.per_node_peak_qubits[report.leader]
-    limit = LEADER_QUBIT_C2 * id_bits(len(report.per_node_peak_qubits)) ** 2
-    if leader_qubits > limit:
-        raise AlgorithmError(
-            f"leader peak {leader_qubits} qubits exceeds {limit} = C2*log2(n)^2"
-        )
+def _check_node_memory(report: CostReport) -> None:
+    """Every node's peak qubits against (6L + 9)(L + 1), L = ceil(log2 n),
+    the bound the register formulas imply: a node's branch register is at
+    most 5L + 9 qubits (``_eval_field_bits``; the simple evaluation's is
+    4L), and the coordinator holds it and its L-qubit index once per
+    threshold phase, ceil(log2(1/eps)) <= L + 1 times, since every
+    algorithm searches with eps >= 1/(2n)."""
+    qubits = report.per_node_peak_qubits
+    L = id_bits(len(qubits))
+    limit = (6 * L + 9) * (L + 1)
+    if max(qubits) > limit:
+        v = next(v for v, held in enumerate(qubits) if held > limit)
+        raise AlgorithmError(f"node {v} peak {qubits[v]} qubits exceeds {limit} = (6L+9)(L+1)")
 
 
 def _search(
     tree: BfsTreeState,
     candidates: Collection[int],
     read: Callable[[int], Branch],
-    t_eval_of: Callable[[set[int]], int],
+    t_eval: int,
     node_qubits: Sequence[int],
     prep: CostReport,
     t0: int,
@@ -151,10 +150,10 @@ def _search(
     """The search phase every algorithm ends in, coordinated by the root of
     ``tree``: read each candidate's branch row once, in ascending order,
     with ``read``, maximize over the candidates, charge each oracle call
-    its forward pass and the cleanup reversal that mirrors it, T_eval =
-    ``t_eval_of`` of the rows' doubled rounds and twice their most words,
-    and check the coordinator's memory.  Node v holds ``node_qubits[v]``
-    qubits in a branch; ``prep`` is the preparation, ending at round ``t0``."""
+    its forward pass and the cleanup reversal that mirrors it, ``t_eval``
+    rounds and twice the rows' most words, and check every node's memory.
+    Node v holds ``node_qubits[v]`` qubits in a branch; ``prep`` is the
+    preparation, ending at round ``t0``."""
     n, d = tree.n, tree.ecc_leader
     rows = {u0: read(u0) for u0 in sorted(candidates)}
     values = [0] * n  # entries outside the candidates are never read
@@ -164,12 +163,11 @@ def _search(
     best, cost = quantum_maximize(
         values, setup_subset(n, candidates), QOptConfig(epsilon, delta, seed)
     )
-    t_eval = t_eval_of({2 * row.rounds for row in rows.values()})
     words_eval = 2 * max(row.words for row in rows.values())
     report = distributed_cost(
         prep, t0, d, t_eval, words_eval, cost, node_qubits, epsilon, tree.leader
     )
-    _check_leader_memory(report)
+    _check_node_memory(report)
     return DiameterResult(
         values[best], report, cost, t0, d, t_eval, d, epsilon, details=details
     )
@@ -177,23 +175,22 @@ def _search(
 
 def _windowed_evaluation(
     g: Graph, tree: BfsTreeState, dist: np.ndarray, support: frozenset[int]
-) -> tuple[Callable[[int], Branch], Callable[[set[int]], int], tuple[int, ...]]:
+) -> tuple[Callable[[int], Branch], int, tuple[int, ...]]:
     """The windowed evaluation over ``support`` as ``_search`` reads it: the
-    branch reader, T_eval of the charged rounds, which must be branch-uniform
-    and at most 18*ecc(root) + EVAL_ROUND_SLACK, and the qubits per node."""
+    branch reader, which refuses a row off the 9d + 1 forward rounds of the
+    schedule, T_eval = 2(9d + 1) with the reversal, and the qubits per node."""
     ectx = make_eval_context(g, tree, dist, support)
+    schedule = ectx.total_rounds
 
-    def t_eval_of(rounds: set[int]) -> int:
-        if len(rounds) != 1:
-            raise AlgorithmError(f"evaluation cost must be branch-uniform, got {rounds}")
-        t_eval = rounds.pop()
-        if t_eval > 18 * tree.ecc_leader + EVAL_ROUND_SLACK:
+    def read(u0: int) -> Branch:
+        row = evaluation_procedure(ectx, u0)
+        if row.rounds != schedule:
             raise AlgorithmError(
-                f"evaluation took {t_eval} rounds, exceeding 18*{tree.ecc_leader}+{EVAL_ROUND_SLACK}"
+                f"evaluation of u0={u0} ran {row.rounds} rounds, off the 9d+1 schedule"
             )
-        return t_eval
+        return row
 
-    return (lambda u0: evaluation_procedure(ectx, u0)), t_eval_of, ectx.quantum_bits
+    return read, 2 * schedule, ectx.quantum_bits
 
 
 def exact_diameter_simple(
@@ -206,7 +203,8 @@ def exact_diameter_simple(
     g, tree = prep.g, prep.tree
     table = simple_eval_table(g, tree, prep.dist)
     return _search(
-        tree, range(g.n), lambda u0: eccentricity_simple_eval(g, tree, u0, table), max,
+        tree, range(g.n), lambda u0: eccentricity_simple_eval(g, tree, u0, table),
+        2 * max(row.rounds for row in table),
         [simple_eval_register_bits(g.n)] * g.n, prep.report, prep.report.rounds,
         epsilon=1.0 / g.n, delta=delta, seed=seed, details={"leader": tree.leader},
     )

@@ -191,8 +191,8 @@ class NodePeaks(list):
 class CostReport:
     """Per-execution accounting of rounds, words, and per-node peak memory.
 
-    ``leader`` is the run's coordinator, the node whose peak qubits the
-    search's memory bound limits.  Only a run's report names one (built by
+    ``leader`` is the run's coordinator, the node that also holds the
+    search's index and outcomes.  Only a run's report names one (built by
     ``qsearch.distributed_cost``, or directly for n <= 2); a procedure's
     report, and a merge of reports, leaves it None.
     """

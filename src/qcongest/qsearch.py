@@ -328,7 +328,8 @@ def distributed_cost(
     is charged once at the slower of setup and evaluation, and sends
     ``words_per_call`` words.  Node v holds ``node_qubits[v]`` qubits; the
     coordinator additionally stores one amplification outcome per threshold
-    phase, so its peak is (max(node_qubits) + log|X|) * log(1/eps).
+    phase, so its peak is (max(node_qubits) + log|X|) * log(1/eps); no lemma
+    is cited yet for charging its whole register ceil(log2(1/eps)) times.
     Classical peaks are those of ``prep``.  The report names ``leader`` as
     the run's coordinator.
     """

@@ -11,7 +11,6 @@ import pytest
 
 from qcongest import diameter, evaluation, graphs, procedures
 from qcongest.diameter import (
-    LEADER_QUBIT_C2,
     AlgorithmError,
     approx_diameter,
     approx_guarantee_holds,
@@ -103,13 +102,25 @@ def test_cost_identity_rounds():
     assert res.report.rounds == res.t0 + res.search.total_calls * per_call
 
 
+def node_qubit_bound(n):
+    """(6L + 9)(L + 1), the qubits the register formulas allow any node."""
+    L = id_bits(n)
+    return (6 * L + 9) * (L + 1)
+
+
 def test_leader_memory_within_declared_constant():
     for fam, n, p in [("path", 32, None), ("random", 32, 0.2), ("lollipop", 21, None)]:
         g = generate(fam, n, seed=1, p=p)
-        res = exact_diameter(g, seed=1)
-        leader = res.report.leader
-        peak = res.report.per_node_peak_qubits[leader]
-        assert peak <= LEADER_QUBIT_C2 * id_bits(n) ** 2
+        for algo in (exact_diameter, exact_diameter_simple, approx_diameter):
+            assert max(algo(g, seed=1).report.per_node_peak_qubits) <= node_qubit_bound(n)
+
+
+def test_node_memory_bound_is_reached_at_n4():
+    # a star centred on the coordinator, L = 2 and eps = 1/8: its branch
+    # register is 5L + 9 = 19 qubits, held with its index L + 1 = 3 times
+    res = exact_diameter(generate("random", 4, seed=2, p=0.05), seed=2)
+    assert list(res.report.per_node_peak_qubits) == [63, 18, 18, 18]
+    assert node_qubit_bound(4) == 63
 
 
 def test_node_memory_smaller_than_leader():
@@ -153,44 +164,69 @@ def test_approx_engine_backend_agrees_when_the_walk_wraps(monkeypatch):
     )
 
 
+def widen_registers(monkeypatch, extra):
+    """Every branch register of a run, windowed or simple, holds ``extra(n)``
+    more qubits than its formula."""
+    field, simple = evaluation._eval_field_bits, procedures.simple_eval_register_bits
+    monkeypatch.setattr(evaluation, "_eval_field_bits", lambda n, deg: field(n, deg) + extra(n))
+    monkeypatch.setattr(diameter, "simple_eval_register_bits", lambda n: simple(n) + extra(n))
+
+
 @pytest.mark.parametrize("algo", [exact_diameter, exact_diameter_simple, approx_diameter])
 def test_leader_memory_bound_is_checked(algo, monkeypatch):
-    monkeypatch.setattr(diameter, "LEADER_QUBIT_C2", 1)
-    with pytest.raises(AlgorithmError, match="leader peak"):
-        algo(generate("random", 16, seed=3, p=0.3), seed=3)
+    # 2n more qubits per register: only the coordinator, which holds its
+    # register ceil(log2(1/eps)) >= 3 times, exceeds (6L + 9)(L + 1) = 165
+    g = generate("random", 16, seed=3, p=0.3)
+    coordinator = algo(g, seed=3).report.leader
+    widen_registers(monkeypatch, lambda n: 2 * n)
+    with pytest.raises(AlgorithmError, match=rf"^node {coordinator} peak \d+ qubits exceeds 165 "):
+        algo(g, seed=3)
+
+
+@pytest.mark.parametrize("algo", [exact_diameter, exact_diameter_simple, approx_diameter])
+def test_every_nodes_memory_bound_is_checked(algo, monkeypatch):
+    # n^2 more qubits per register: every node exceeds the bound, node 0 first,
+    # also where the coordinator is another node
+    g = generate("random", 16, seed=3, p=0.3)
+    assert (algo is approx_diameter) == (algo(g, seed=3).report.leader != 0)
+    widen_registers(monkeypatch, lambda n: n * n)
+    with pytest.raises(AlgorithmError, match=r"^node 0 peak \d+ qubits exceeds 165 "):
+        algo(g, seed=3)
 
 
 def _evaluation_with_rounds(monkeypatch, rounds_of):
     """Patch the windowed search's reader so that its k-th call reports
-    ``rounds_of(ectx, k)`` rounds."""
+    ``rounds_of(ectx, k)`` rounds; returns the list of the u0 it reads."""
     calls = itertools.count()
+    read = []
 
     def reader(ectx, u0):
+        read.append(u0)
         branch = evaluation.evaluation_procedure(ectx, u0)
         return branch._replace(rounds=rounds_of(ectx, next(calls)))
 
     monkeypatch.setattr(diameter, "evaluation_procedure", reader)
+    return read
 
 
 @pytest.mark.parametrize("algo", [exact_diameter, approx_diameter])
-def test_branch_dependent_evaluation_cost_is_refused(algo, monkeypatch):
+@pytest.mark.parametrize(
+    "off_schedule",
+    [
+        lambda ectx, k: ectx.total_rounds + (k == 0),  # one row, one round late
+        lambda ectx, k: 9 * ectx.d + 4,  # every row at the former 18d + 8 bound
+    ],
+    ids=["one-row", "every-row"],
+)
+def test_evaluation_off_the_schedule_is_refused(algo, off_schedule, monkeypatch):
     g = generate("path", 30, seed=2)
     assert algo(g, seed=1).details.get("r_size", g.n) >= 2
-    _evaluation_with_rounds(monkeypatch, lambda ectx, k: ectx.total_rounds + (k == 0))
-    with pytest.raises(AlgorithmError, match="evaluation cost must be branch-uniform"):
+    _evaluation_with_rounds(monkeypatch, lambda ectx, k: ectx.total_rounds)
+    algo(g, seed=1)  # the schedule itself is allowed
+    read = _evaluation_with_rounds(monkeypatch, off_schedule)
+    with pytest.raises(AlgorithmError, match=r"rounds, off the 9d\+1 schedule$") as refused:
         algo(g, seed=1)
-
-
-@pytest.mark.parametrize("algo", [exact_diameter, approx_diameter])
-def test_evaluation_cost_beyond_the_declared_bound_is_refused(algo, monkeypatch):
-    g = generate("path", 30, seed=2)
-    # a call is charged twice the row's forward rounds; the bound is even
-    bound = lambda ectx: 18 * ectx.tree.ecc_leader + diameter.EVAL_ROUND_SLACK
-    _evaluation_with_rounds(monkeypatch, lambda ectx, k: bound(ectx) // 2)
-    algo(g, seed=1)  # the bound itself is allowed
-    _evaluation_with_rounds(monkeypatch, lambda ectx, k: bound(ectx) // 2 + 1)
-    with pytest.raises(AlgorithmError, match=r"rounds, exceeding 18\*\d+\+8"):
-        algo(g, seed=1)
+    assert str(refused.value).startswith(f"evaluation of u0={read[0]} ran ")
 
 
 def test_consecutive_runs_on_one_graph_share_one_preparation(monkeypatch):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qcongest import diameter, evaluation, graphs, verify
+from qcongest import evaluation, graphs, verify
 from qcongest.diameter import approx_diameter, approx_guarantee_holds, exact_diameter
-from qcongest.engine import EngineError
+from qcongest.engine import EngineError, id_bits
 from qcongest.evaluation import (
     EvaluationInvariantError,
     evaluate_on_engine,
@@ -97,23 +97,39 @@ def test_matches_oracle_both_backends(spec):
 
 @pytest.mark.parametrize("spec", CORPUS[:4], ids=[f"{s[0]}-{s[1]}" for s in CORPUS[:4]])
 def test_round_cost_is_branch_uniform_and_bounded(spec):
+    # every row runs the schedule, so a call is charged 2(9d + 1) with the reversal
     g, tree = prepared(spec)
-    d = tree.ecc_leader
     ectx = context(g, tree)
-    rounds = {evaluation_procedure(ectx, u0).rounds for u0 in range(g.n)}
-    assert len(rounds) == 1
-    assert 2 * rounds.pop() <= 18 * d + 8  # charged with the cleanup reversal
+    rounds = {2 * evaluation_procedure(ectx, u0).rounds for u0 in range(g.n)}
+    assert rounds == {2 * ectx.total_rounds} == {2 * (9 * tree.ecc_leader + 1)}
 
 
-@pytest.mark.parametrize("slack, verdict", [(2, "PASS"), (1, "FAIL")])
-def test_verify_checks_the_charged_evaluation_rounds(slack, verdict, monkeypatch, capsys):
-    # every row runs 9d+1 forward rounds, so a call is charged 18d+2
-    monkeypatch.setattr(diameter, "EVAL_ROUND_SLACK", slack)
+@pytest.mark.parametrize("late, verdict", [(0, "PASS"), (1, "FAIL")])
+def test_verify_checks_the_charged_evaluation_rounds(late, verdict, monkeypatch, capsys):
+    # row u0 = 1 runs ``late`` rounds past the schedule, on the table and the
+    # engine alike, so only the schedule check can tell
+    def off_schedule(read):
+        def row(ectx, u0):
+            branch = read(ectx, u0)
+            return branch._replace(rounds=branch.rounds + late * (u0 == 1))
+
+        return row
+
+    for name in ("evaluation_procedure", "evaluate_on_engine"):
+        monkeypatch.setattr(verify, name, off_schedule(getattr(verify, name)))
     monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c[0] == "evaluation"])
     assert verify.run_all() == (verdict == "PASS")
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith(f"{verdict}  evaluation")
-    assert ("charged rounds" in line) == (verdict == "FAIL")
+    assert ("evaluation(1) ran" in line and "off the schedule" in line) == (verdict == "FAIL")
+
+
+def test_eval_field_bits_are_at_most_5L_plus_9():
+    # (2n).bit_length() <= L + 2 and (deg + 1).bit_length() <= L + 1
+    for n in range(3, 4097):
+        for deg in (1, n - 1):
+            assert evaluation._eval_field_bits(n, deg) <= 5 * id_bits(n) + 9, (n, deg)
+    assert evaluation._eval_field_bits(4, 3) == 5 * id_bits(4) + 9
 
 
 def test_window_distance_bound_on_offsets():
