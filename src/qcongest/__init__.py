@@ -16,7 +16,6 @@ from .qsearch import (
     QOptConfig,
     SearchCost,
     amplitude_amplify_decide,
-    distributed_cost,
     grover_iterate,
     quantum_maximize,
     setup_subset,
@@ -47,7 +46,6 @@ __all__ = [
     "QOptConfig",
     "SearchCost",
     "amplitude_amplify_decide",
-    "distributed_cost",
     "grover_iterate",
     "quantum_maximize",
     "setup_subset",

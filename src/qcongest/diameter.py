@@ -4,14 +4,16 @@
 All three elect the minimum-id leader and build its BFS tree, then end in
 one search phase, ``_search``: it reads every candidate's branch once, in
 ascending order, as a ``Branch`` row (value, rounds, words) of the forward
-pass from a table that fills all candidates together; maximizes over those
-values with the amplitude-level search layer (Durr-Hoyer maximum finding);
-and charges each oracle call, through ``distributed_cost``, at the network
-cost of one branch: its forward pass and the cleanup reversal that mirrors
-it, twice the row's rounds and words, the one place the reversal is
-charged.  That call builds the run's report, the only one that names a
-``leader``: the search's coordinator, which is the elected leader for the
-exact algorithms and the node w for the approximation.
+pass from a table that fills all candidates together, and maximizes over
+those values with the amplitude-level search layer (Durr-Hoyer maximum
+finding).  ``_search`` is the one place that charges a run.  Branches share
+rounds (they run in superposition), so after the preparation's T0 rounds
+each oracle call is charged once at max(T_setup, T_eval): T_setup = d, the
+coordinator's eccentricity, and T_eval the network cost of one branch, its
+forward pass and the cleanup reversal that mirrors it, twice the rows' most
+rounds; each call sends twice the rows' most words.  Its report is the only
+one that names a ``leader``: the search's coordinator, which is the elected
+leader for the exact algorithms and the node w for the approximation.
 
 Every phase reads one all-sources distance matrix, held with the election
 and the leader tree by the graph's ``Prepared`` value: ``prepare(g)`` builds
@@ -34,7 +36,7 @@ from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .engine import CostReport, EngineError, id_bits
+from .engine import CostReport, EngineError, NodePeaks, id_bits
 from .evaluation import evaluation_procedure, make_eval_context
 from .graphs import Graph
 from .procedures import (
@@ -49,7 +51,14 @@ from .procedures import (
     simple_eval_register_bits,
     simple_eval_table,
 )
-from .qsearch import QOptConfig, SearchCost, distributed_cost, quantum_maximize, setup_subset
+from .qsearch import (
+    QOptConfig,
+    SearchCost,
+    SearchError,
+    quantum_maximize,
+    setup_subset,
+    valid_delta,
+)
 
 APPROX_MAX_RETRIES = 20
 
@@ -68,13 +77,18 @@ class DiameterResult:
     t0: int
     t_setup: int
     t_eval: int
-    d: int
     epsilon: float
     details: dict = field(default_factory=dict)
 
 
 def _poly_delta(n: int) -> float:
     return 1.0 / max(4, n * n)
+
+
+def _check_delta(delta: float | None) -> None:
+    """Refuse, before any work, a ``delta`` no search can run at."""
+    if delta is not None and not valid_delta(delta):
+        raise SearchError(f"delta must be in (0, 1) with 1/delta finite, got {delta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +129,7 @@ def _trivial_result(n: int) -> DiameterResult:
     report = CostReport(rounds=0, leader=0)
     return DiameterResult(
         d_out=d, report=report, search=SearchCost(), t0=0, t_setup=0, t_eval=0,
-        d=d, epsilon=1.0,
+        epsilon=1.0,
     )
 
 
@@ -138,23 +152,26 @@ def _search(
     tree: BfsTreeState,
     candidates: Collection[int],
     read: Callable[[int], Branch],
-    t_eval: int,
     node_qubits: Sequence[int],
     prep: CostReport,
-    t0: int,
     epsilon: float,
     delta: float | None,
     seed: int,
     details: dict,
 ) -> DiameterResult:
     """The search phase every algorithm ends in, coordinated by the root of
-    ``tree``: read each candidate's branch row once, in ascending order,
-    with ``read``, maximize over the candidates, charge each oracle call
-    its forward pass and the cleanup reversal that mirrors it, ``t_eval``
-    rounds and twice the rows' most words, and check every node's memory.
-    Node v holds ``node_qubits[v]`` qubits in a branch; ``prep`` is the
-    preparation, ending at round ``t0``."""
-    n, d = tree.n, tree.ecc_leader
+    ``tree``, and the run's report: read each candidate's branch row once,
+    in ascending order, with ``read``, maximize over the candidates, and
+    charge the run after the preparation ``prep``.  Each oracle call costs
+    max(T_setup, T_eval) rounds, T_setup = d being the root's eccentricity
+    and T_eval = 2 * max(row.rounds), and 2 * max(row.words) words, over the
+    rows read.  Node v holds ``node_qubits[v]`` qubits in a branch; the
+    coordinator also stores one amplification outcome per threshold phase,
+    so its peak is (max(node_qubits) + log|X|) * log(1/eps); no lemma is
+    cited yet for charging its whole register ceil(log2(1/eps)) times.
+    Classical peaks are copies of ``prep``'s.  Every node's memory is then
+    checked."""
+    n, d, leader = tree.n, tree.ecc_leader, tree.leader
     rows = {u0: read(u0) for u0 in sorted(candidates)}
     values = [0] * n  # entries outside the candidates are never read
     for u0, row in rows.items():
@@ -163,22 +180,29 @@ def _search(
     best, cost = quantum_maximize(
         values, setup_subset(n, candidates), QOptConfig(epsilon, delta, seed)
     )
-    words_eval = 2 * max(row.words for row in rows.values())
-    report = distributed_cost(
-        prep, t0, d, t_eval, words_eval, cost, node_qubits, epsilon, tree.leader
+    t_eval = 2 * max(row.rounds for row in rows.values())
+    words_per_call = 2 * max(row.words for row in rows.values())
+    qubits = NodePeaks(node_qubits)
+    qubits[leader] = (max(node_qubits) + id_bits(n)) * max(1, math.ceil(math.log2(1.0 / epsilon)))
+    report = CostReport(
+        rounds=prep.rounds + cost.total_calls * max(d, t_eval),
+        total_words=prep.total_words + cost.total_calls * words_per_call,
+        per_node_peak_bits=NodePeaks(prep.per_node_peak_bits),
+        per_node_peak_qubits=qubits,
+        leader=leader,
     )
     _check_node_memory(report)
     return DiameterResult(
-        values[best], report, cost, t0, d, t_eval, d, epsilon, details=details
+        values[best], report, cost, prep.rounds, d, t_eval, epsilon, details=details
     )
 
 
 def _windowed_evaluation(
     g: Graph, tree: BfsTreeState, dist: np.ndarray, support: frozenset[int]
-) -> tuple[Callable[[int], Branch], int, tuple[int, ...]]:
+) -> tuple[Callable[[int], Branch], tuple[int, ...]]:
     """The windowed evaluation over ``support`` as ``_search`` reads it: the
     branch reader, which refuses a row off the 9d + 1 forward rounds of the
-    schedule, T_eval = 2(9d + 1) with the reversal, and the qubits per node."""
+    schedule, and the qubits per node."""
     ectx = make_eval_context(g, tree, dist, support)
     schedule = ectx.total_rounds
 
@@ -190,13 +214,14 @@ def _windowed_evaluation(
             )
         return row
 
-    return read, 2 * schedule, ectx.quantum_bits
+    return read, ectx.quantum_bits
 
 
 def exact_diameter_simple(
     network: Graph | Prepared, seed: int = 0, delta: float | None = None
 ) -> DiameterResult:
     """Maximize plain eccentricity over all nodes: O(sqrt(n) * D) rounds."""
+    _check_delta(delta)
     if network.n <= 2:
         return _trivial_result(network.n)
     prep = _preparation(network)
@@ -204,8 +229,7 @@ def exact_diameter_simple(
     table = simple_eval_table(g, tree, prep.dist)
     return _search(
         tree, range(g.n), lambda u0: eccentricity_simple_eval(g, tree, u0, table),
-        2 * max(row.rounds for row in table),
-        [simple_eval_register_bits(g.n)] * g.n, prep.report, prep.report.rounds,
+        [simple_eval_register_bits(g.n)] * g.n, prep.report,
         epsilon=1.0 / g.n, delta=delta, seed=seed, details={"leader": tree.leader},
     )
 
@@ -219,13 +243,13 @@ def exact_diameter(
     width 2*ecc(leader) puts probability mass at least d/2n on maximizing
     candidates, which sets the amplification schedule.
     """
+    _check_delta(delta)
     if network.n <= 2:
         return _trivial_result(network.n)
     prep = _preparation(network)
     tree, support = prep.tree, frozenset(range(prep.n))
     return _search(
-        tree, support, *_windowed_evaluation(prep.g, tree, prep.dist, support),
-        prep.report, prep.report.rounds,
+        tree, support, *_windowed_evaluation(prep.g, tree, prep.dist, support), prep.report,
         epsilon=min(1.0, tree.ecc_leader / (2.0 * prep.n)), delta=delta, seed=seed,
         details={"leader": tree.leader},
     )
@@ -248,6 +272,7 @@ def approx_diameter(
     the maximum eccentricity computed anywhere: over the landmarks, at w,
     and by the quantum phase over R.
     """
+    _check_delta(delta)
     if network.n <= 2:
         return _trivial_result(network.n)
     prep = _preparation(network)
@@ -273,17 +298,19 @@ def approx_diameter(
     # the landmark BFS trees give every landmark its eccentricity; their
     # pipelined cost is |S| + 2*ecc(leader) rounds on top of the flood above
     ecc_landmarks = int(dist[landmarks].max())
+    rep_landmarks = CostReport(rounds=len(landmarks) + 2 * d_leader)
 
     tree_w, rep_w = build_bfs_tree(g, w, dist)
     d = tree_w.ecc_leader
     r_set = frozenset(dist[w].argsort(kind="stable")[:s].tolist())
     # the |R| closest nodes form a parent-closed subtree: a parent is
-    # strictly closer to w, hence ranked strictly earlier
-    report = prep.report.merge(rep_ms).merge(rep_ag).merge(rep_w)
-    t0 = report.rounds + (len(landmarks) + 2 * d_leader) + (s + d)
+    # strictly closer to w, hence ranked strictly earlier; selecting them
+    # costs s + d rounds
+    rep_r = CostReport(rounds=s + d)
+    report = prep.report.merge(rep_ms).merge(rep_ag).merge(rep_landmarks).merge(rep_w).merge(rep_r)
 
     result = _search(
-        tree_w, r_set, *_windowed_evaluation(g, tree_w, dist, r_set), report, t0,
+        tree_w, r_set, *_windowed_evaluation(g, tree_w, dist, r_set), report,
         epsilon=min(1.0, d / (2.0 * len(r_set))), delta=delta, seed=seed,
         details={
             "leader": tree_leader.leader,

@@ -193,8 +193,8 @@ class CostReport:
 
     ``leader`` is the run's coordinator, the node that also holds the
     search's index and outcomes.  Only a run's report names one (built by
-    ``qsearch.distributed_cost``, or directly for n <= 2); a procedure's
-    report, and a merge of reports, leaves it None.
+    ``diameter._search``, or by ``diameter._trivial_result`` for n <= 2); a
+    procedure's report, and a merge of reports, leaves it None.
     """
 
     rounds: int = 0

@@ -1,5 +1,6 @@
 """Exact simulation of the search layer: amplitude amplification, maximum
-finding, and the distributed round/memory accounting that goes with them.
+finding, and their oracle-call budgets.  What a call costs the network is
+charged by the caller (``diameter._search``).
 
 Exactness argument, stated once here: in every algorithm of this repo the
 registers outside the coordinator's index register hold a fixed classical
@@ -24,15 +25,13 @@ setup mass to pick the branch.  ``grover_iterate`` (the two reflections
 applied to the amplitude vector) is the one reference that law is tested and
 verified against.
 
-Cost accounting: one amplification iteration applies the evaluation (the
+Call accounting: one amplification iteration applies the evaluation (the
 marking oracle), its inverse, and the setup reflection (setup + inverse
-setup); measuring restarts from a fresh setup.  Branches share rounds, so a
-run over the network charges T0 + (#calls) * max(T_setup, T_eval) rounds,
-T_eval being a branch's forward pass and its reversal (``diameter._search``).
-The iteration schedule is the randomized growing-threshold one (counts
-uniform in [0, m), m growing by 6/5 up to ceil(1/sqrt(eps))), repeated
-ceil(log2(1/delta)) times per decision, which meets the declared worst-case
-call budget CALL_BUDGET_C1 * sqrt(ln(1/delta)/eps) per decision.
+setup); measuring restarts from a fresh setup.  The iteration schedule is
+the randomized growing-threshold one (counts uniform in [0, m), m growing
+by 6/5 up to ceil(1/sqrt(eps))), repeated ceil(log2(1/delta)) times per
+decision, which meets the declared worst-case call budget
+CALL_BUDGET_C1 * sqrt(ln(1/delta)/eps) per decision.
 
 Maximum finding follows Durr-Hoyer: per threshold a it runs one decision at
 the target eps for {x : f(x) > a}, raises a to the value found on success,
@@ -50,8 +49,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .engine import CostReport, NodePeaks, id_bits
 
 # Declared engineering constants (empirically validated, see tests):
 # worst-case Setup+Evaluation+inverse calls per amplification decision is
@@ -307,39 +304,3 @@ def quantum_maximize(
         if cost.total_calls > budget:
             break  # abort: too many resources used, output the current value
     return best, cost
-
-
-def distributed_cost(
-    prep: CostReport,
-    t0: int,
-    t_setup: int,
-    t_eval: int,
-    words_per_call: int,
-    calls: SearchCost,
-    node_qubits: Sequence[int],
-    epsilon: float,
-    leader: int,
-) -> CostReport:
-    """The complete network cost of a run: classical preparation ``prep``
-    (ending at round ``t0``) followed by a maximization over one candidate
-    per node.
-
-    Branches share rounds (they run in superposition), so each oracle call
-    is charged once at the slower of setup and evaluation, and sends
-    ``words_per_call`` words.  Node v holds ``node_qubits[v]`` qubits; the
-    coordinator additionally stores one amplification outcome per threshold
-    phase, so its peak is (max(node_qubits) + log|X|) * log(1/eps); no lemma
-    is cited yet for charging its whole register ceil(log2(1/eps)) times.
-    Classical peaks are those of ``prep``.  The report names ``leader`` as
-    the run's coordinator.
-    """
-    log_eps = max(1, math.ceil(math.log2(1.0 / epsilon)))
-    qubits = NodePeaks(node_qubits)
-    qubits[leader] = (max(node_qubits) + id_bits(len(node_qubits))) * log_eps
-    return CostReport(
-        rounds=t0 + calls.total_calls * max(t_setup, t_eval),
-        total_words=prep.total_words + calls.total_calls * words_per_call,
-        per_node_peak_bits=NodePeaks(prep.per_node_peak_bits),
-        per_node_peak_qubits=qubits,
-        leader=leader,
-    )

@@ -119,7 +119,7 @@ def test_criterion_03_evaluation_round_bound(grid):
     charged = 0
     for r in records:
         for res in (r.exact, r.approx):
-            assert res.t_eval == 2 * (9 * res.d + 1), (r.family, r.n, r.seed)
+            assert res.t_eval == 2 * (9 * res.t_setup + 1), (r.family, r.n, r.seed)
             charged += 1
     _announce(
         3,

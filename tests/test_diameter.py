@@ -19,7 +19,8 @@ from qcongest.diameter import (
 )
 from qcongest.engine import CostReport
 from qcongest.graphs import generate
-from qcongest.procedures import id_bits
+from qcongest.procedures import Branch, id_bits
+from qcongest.qsearch import SearchCost, SearchError
 
 
 def test_exact_on_clique():
@@ -102,6 +103,47 @@ def test_cost_identity_rounds():
     assert res.report.rounds == res.t0 + res.search.total_calls * per_call
 
 
+def _calls(k):
+    return SearchCost(setup_calls=k, eval_calls=k, inverse_calls=k)
+
+
+def _search_over_every_node(prep, tree, rows, node_qubits, epsilon):
+    """``diameter._search`` coordinated by the root of ``tree``, reading
+    ``rows[u0]`` for every node u0, after the preparation ``prep``."""
+    return diameter._search(
+        tree, range(prep.n), rows.__getitem__, node_qubits, prep.report,
+        epsilon=epsilon, delta=None, seed=1, details={},
+    )
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_the_search_charges_each_call_at_the_slower_of_setup_and_evaluation(k, monkeypatch):
+    # rows of 0 rounds, so T_setup = d wins the max; with 0 calls the run
+    # costs its preparation alone
+    prep = diameter.prepare(generate("lollipop", 11, seed=5))
+    d = prep.tree.ecc_leader
+    monkeypatch.setattr(diameter, "quantum_maximize", lambda values, state, config: (0, _calls(k)))
+    rows = [Branch(u0 % 3, 0, 9 - u0 % 4) for u0 in range(prep.n)]
+    result = _search_over_every_node(prep, prep.tree, rows, [4] * prep.n, 0.5)
+    assert (result.t0, result.t_setup, result.t_eval) == (prep.report.rounds, d, 0) and d > 0
+    assert result.report.rounds == prep.report.rounds + 3 * k * d
+    assert result.report.total_words == prep.report.total_words + 3 * k * 2 * 9
+    assert result.report.per_node_peak_bits == prep.report.per_node_peak_bits
+    assert result.search == _calls(k)  # the call counts are not touched
+
+
+def test_the_search_charges_its_coordinator_every_threshold_phase():
+    g = generate("random", 128, seed=1, p=0.1)
+    prep = diameter.prepare(g)
+    tree, _ = procedures.build_bfs_tree(g, 3, prep.dist)  # coordinated by node 3
+    node_qubits = [20 - v % 3 for v in range(g.n)]
+    rows = [Branch(0, 1, 1)] * g.n
+    report = _search_over_every_node(prep, tree, rows, node_qubits, 1 / 64).report
+    # the coordinator: (max node qubits + 7 index bits) * log2(64)
+    assert report.per_node_peak_qubits == node_qubits[:3] + [20 * 6 + 7 * 6] + node_qubits[4:]
+    assert report.leader == 3
+
+
 def node_qubit_bound(n):
     """(6L + 9)(L + 1), the qubits the register formulas allow any node."""
     L = id_bits(n)
@@ -139,6 +181,18 @@ def test_trivial_sizes():
     assert approx_diameter(two).d_out == 1
 
 
+@pytest.mark.parametrize("algo", [exact_diameter, exact_diameter_simple, approx_diameter])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_bad_delta_is_refused_before_any_work(algo, n, monkeypatch):
+    g = graphs.path_graph(n) if n > 1 else graphs.Graph.from_edges(1, [])
+    assert algo(g, delta=0.5).d_out == n - 1
+    monkeypatch.setattr(diameter, "all_sources_distances", None)  # no matrix is built
+    for delta in (5.0, 1.0, 0.0, 1e-320):
+        refused = rf"^delta must be in \(0, 1\) with 1/delta finite, got {delta}$"
+        with pytest.raises(SearchError, match=refused):
+            algo(g, delta=delta)
+
+
 def test_determinism_same_seed():
     g = generate("grid", 20, seed=7)
     a = exact_diameter(g, seed=9)
@@ -155,7 +209,7 @@ def test_approx_engine_backend_agrees_when_the_walk_wraps(monkeypatch):
     g = generate("path", 12, seed=0)
     fast = approx_diameter(g, seed=1)
     engine = on_engine(approx_diameter, g, 1, monkeypatch)
-    assert fast.details["r_size"] <= fast.d
+    assert fast.details["r_size"] <= fast.t_setup
     assert (engine.d_out, engine.report, engine.search, engine.t_eval) == (
         fast.d_out,
         fast.report,
@@ -304,7 +358,9 @@ def _recording(patch, name):
     """Wrap ``diameter.<name>`` so that each call's arguments are recorded."""
     calls = []
     inner = getattr(diameter, name)
-    patch.setattr(diameter, name, lambda *args: calls.append(args) or inner(*args))
+    patch.setattr(
+        diameter, name, lambda *args, **kwargs: calls.append(args) or inner(*args, **kwargs)
+    )
     return calls
 
 
@@ -349,9 +405,9 @@ def test_each_call_is_charged_its_cleanup_reversal_once(algo, monkeypatch):
         with monkeypatch.context() as patch:
             for name in ("evaluation_procedure", "eccentricity_simple_eval"):
                 patch.setattr(diameter, name, recording(getattr(diameter, name)))
-            charged = _recording(patch, "distributed_cost")
+            searches = _recording(patch, "_search")
             result = algo(g, seed=1)
-        ((prep, *_),) = charged
+        ((*_, prep),) = searches  # _search(tree, candidates, read, node_qubits, prep, ...)
         assert rows and result.t_eval == 2 * max(row.rounds for row in rows)
         words = result.search.total_calls * 2 * max(row.words for row in rows)
         assert result.report.total_words == prep.total_words + words

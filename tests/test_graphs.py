@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from qcongest import graphs, procedures
+from qcongest import graphs, procedures, qsearch
 from qcongest.graphs import (
     Graph,
     GraphError,
@@ -244,6 +244,13 @@ def _imported_names(module):
 def test_oracles_import_neither_numpy_nor_the_procedures():
     for parts in _imported_names(graphs):
         assert "numpy" not in parts and "procedures" not in parts, parts
+
+
+def test_the_search_layer_imports_nothing_from_the_engine():
+    # qsearch holds the search law and its call budgets; the network cost
+    # of a call is charged by the algorithms
+    for parts in _imported_names(qsearch):
+        assert "engine" not in parts, parts
 
 
 def test_procedures_import_neither_the_evaluation_nor_the_algorithms():

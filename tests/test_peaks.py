@@ -13,6 +13,7 @@ from qcongest import diameter, evaluation, graphs, procedures
 from qcongest.engine import CostReport, EngineError, EngineTimeout, NodePeaks, RegisterSchema, run
 from qcongest.evaluation import evaluate_on_engine, evaluation_procedure, make_eval_context
 from qcongest.procedures import (
+    Branch,
     ElectionProgram,
     SimpleEvalProgram,
     all_sources_distances,
@@ -25,7 +26,6 @@ from qcongest.procedures import (
     simple_eval_on_engine,
     simple_eval_table,
 )
-from qcongest.qsearch import SearchCost, distributed_cost
 
 
 def assert_peaks(report: CostReport, n: int) -> None:
@@ -67,12 +67,23 @@ def test_closed_forms_report_compact_peaks(prepared):
     assert_peaks(argmax_convergecast(g, tree, dict.fromkeys(range(g.n), 1), dist)[2], g.n)
 
 
+def _search_report(prep, tree, node_qubits):
+    """The report of ``diameter._search`` over every node of ``prep``,
+    coordinated by the root of ``tree``."""
+    return diameter._search(
+        tree, range(prep.n), lambda u0: Branch(u0, 1, 1), node_qubits, prep.report,
+        epsilon=0.5, delta=None, seed=1, details={},
+    ).report
+
+
 def test_reports_sharing_values_stay_independent(prepared):
-    g, dist, tree = prepared
-    _, first = build_bfs_tree(g, tree.leader, dist)
-    report = distributed_cost(first, 0, 1, 1, 1, SearchCost(1, 1, 1), [4] * g.n, 0.5, 0)
+    g, _, _ = prepared
+    prep = diameter.prepare(g)
+    bits = list(prep.report.per_node_peak_bits)
+    report = _search_report(prep, prep.tree, [4] * g.n)
+    assert report.per_node_peak_bits == bits
     report.per_node_peak_bits[1] = 10**6
-    assert first.per_node_peak_bits[1] == 2 * id_bits(g.n)
+    assert prep.report.per_node_peak_bits == bits
 
 
 def test_references_check_the_charged_branch_registers(prepared, monkeypatch):
@@ -114,7 +125,7 @@ def test_the_evaluation_reference_checks_its_qubits_apart_from_its_bits(prepared
         evaluate_on_engine(ectx, 3)
 
 
-def test_merge_and_distributed_cost_report_compact_peaks():
+def test_merge_and_search_report_compact_peaks():
     a = CostReport(1, 2, NodePeaks([3, 1, 4]), NodePeaks([0, 5, 0]))
     b = CostReport(1, 2, NodePeaks([2, 7]), NodePeaks([1, 1, 1]), leader=1)
     merged = a.merge(b)
@@ -123,15 +134,19 @@ def test_merge_and_distributed_cost_report_compact_peaks():
     assert merged.per_node_peak_qubits == [1, 5, 1]
     assert b.merge(a).per_node_peak_bits == [3, 7, 4]
     assert a.merge(CostReport()).per_node_peak_bits == a.per_node_peak_bits
-    report = distributed_cost(merged, 0, 1, 1, 1, SearchCost(1, 1, 1), [4, 5, 6], 0.5, 2)
+    g = graphs.path_graph(3)
+    prep = diameter.prepare(g)
+    report = _search_report(prep, build_bfs_tree(g, 2, prep.dist)[0], [4, 5, 6])
     assert_peaks(report, 3)
-    assert report.per_node_peak_bits == merged.per_node_peak_bits
+    assert report.per_node_peak_bits == prep.report.per_node_peak_bits
     assert report.per_node_peak_qubits == [4, 5, (6 + 2) * 1]
 
 
 def test_algorithm_results_report_compact_peaks():
     for n in (1, 2):
-        report = diameter._trivial_result(graphs.path_graph(n)).report
+        result = diameter._trivial_result(n)
+        assert result.d_out == n - 1
+        report = result.report
         assert type(report.per_node_peak_bits) is NodePeaks
         assert type(report.per_node_peak_qubits) is NodePeaks
         assert len(report.per_node_peak_qubits) == 0

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcongest import diameter, graphs, qsearch
-from qcongest.engine import CostReport, NodePeaks
 from qcongest.qsearch import (
     AmplitudeState,
     QOptConfig,
@@ -15,7 +14,6 @@ from qcongest.qsearch import (
     SearchError,
     amplitude_amplify_decide,
     decide_call_budget,
-    distributed_cost,
     grover_iterate,
     maximize_call_budget,
     quantum_maximize,
@@ -207,30 +205,6 @@ def test_maximize_stops_after_one_decision_at_target_epsilon():
     )
     assert best == 0 and found is None
     assert cost.total_calls == 1 + decide.total_calls
-
-
-def test_distributed_cost_formula():
-    prep = CostReport(rounds=10, total_words=100, per_node_peak_bits=NodePeaks([5, 6]))
-    zero = distributed_cost(prep, 10, 3, 5, 9, _cost(0, 0, 0), [4, 4], 0.5, 0)
-    assert (zero.rounds, zero.total_words) == (10, 100)
-    twelve = distributed_cost(prep, 10, 7, 6, 9, _cost(4, 4, 4), [4, 4], 0.5, 0)
-    assert twelve.rounds == 10 + 12 * 7  # = 94: calls charged at max(T_setup, T_eval)
-    assert twelve.total_words == 100 + 12 * 9
-    assert twelve.per_node_peak_bits == prep.per_node_peak_bits
-
-
-def _cost(s, e, i):
-    return SearchCost(setup_calls=s, eval_calls=e, inverse_calls=i)
-
-
-def test_distributed_cost_memory_charges():
-    cost = _cost(1, 1, 1)
-    node_qubits = [20 - v % 3 for v in range(128)]
-    report = distributed_cost(CostReport(), 0, 1, 1, 1, cost, node_qubits, 1 / 64, 3)
-    # the leader: (max node qubits + 7 index bits) * log2(64)
-    assert report.per_node_peak_qubits == node_qubits[:3] + [20 * 6 + 7 * 6] + node_qubits[4:]
-    assert report.leader == 3
-    assert cost == _cost(1, 1, 1)  # the call counts are not touched
 
 
 def test_maximize_rejects_values_not_one_per_candidate():
