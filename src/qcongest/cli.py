@@ -103,13 +103,12 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         else:
             inp = DisjInput(k, args.x, args.y)
         inst = build_reduction_instance(args.n, inp, stretch_d=args.d)
-    gap_ok = (inst.delta <= 2 + args.d) == (inst.disj == 1)
     print(f"n={args.n} s={s} k={k} stretch_d={args.d}")
     print(f"x={inst.inp.x}")
     print(f"y={inst.inp.y}")
     print(f"DISJ={inst.disj}  delta={inst.delta}  diameter={inst.diameter}")
-    print(f"gap verdict: {'consistent' if gap_ok else 'VIOLATED'}")
-    return 0 if gap_ok else 1
+    print(f"gap verdict: {'consistent' if inst.gap_holds else 'VIOLATED'}")
+    return 0 if inst.gap_holds else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -40,6 +40,7 @@ from .engine import CostReport, EngineError, NodePeaks, id_bits
 from .evaluation import evaluation_procedure, make_eval_context
 from .graphs import Graph
 from .procedures import (
+    MIN_PROCEDURE_N,
     BfsTreeState,
     Branch,
     all_sources_distances,
@@ -54,10 +55,9 @@ from .procedures import (
 from .qsearch import (
     QOptConfig,
     SearchCost,
-    SearchError,
+    check_delta,
     quantum_maximize,
     setup_subset,
-    valid_delta,
 )
 
 APPROX_MAX_RETRIES = 20
@@ -79,16 +79,6 @@ class DiameterResult:
     t_eval: int
     epsilon: float
     details: dict = field(default_factory=dict)
-
-
-def _poly_delta(n: int) -> float:
-    return 1.0 / max(4, n * n)
-
-
-def _check_delta(delta: float | None) -> None:
-    """Refuse, before any work, a ``delta`` no search can run at."""
-    if delta is not None and not valid_delta(delta):
-        raise SearchError(f"delta must be in (0, 1) with 1/delta finite, got {delta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,21 +152,19 @@ def _search(
     """The search phase every algorithm ends in, coordinated by the root of
     ``tree``, and the run's report: read each candidate's branch row once,
     in ascending order, with ``read``, maximize over the candidates, and
-    charge the run after the preparation ``prep``.  Each oracle call costs
-    max(T_setup, T_eval) rounds, T_setup = d being the root's eccentricity
-    and T_eval = 2 * max(row.rounds), and 2 * max(row.words) words, over the
-    rows read.  Node v holds ``node_qubits[v]`` qubits in a branch; the
-    coordinator also stores one amplification outcome per threshold phase,
-    so its peak is (max(node_qubits) + log|X|) * log(1/eps); no lemma is
-    cited yet for charging its whole register ceil(log2(1/eps)) times.
-    Classical peaks are copies of ``prep``'s.  Every node's memory is then
-    checked."""
+    charge the run after the preparation ``prep`` as the module docstring
+    states, over the rows read.  Node v holds ``node_qubits[v]`` qubits in a
+    branch; the coordinator also stores one amplification outcome per
+    threshold phase, so its peak is (max(node_qubits) + log|X|) * log(1/eps);
+    no lemma is cited yet for charging its whole register ceil(log2(1/eps))
+    times.  Classical peaks are copies of ``prep``'s.  Every node's memory
+    is then checked."""
     n, d, leader = tree.n, tree.ecc_leader, tree.leader
     rows = {u0: read(u0) for u0 in sorted(candidates)}
     values = [0] * n  # entries outside the candidates are never read
     for u0, row in rows.items():
         values[u0] = row.value
-    delta = _poly_delta(n) if delta is None else delta
+    delta = 1.0 / max(4, n * n) if delta is None else delta  # 1/n^2, at most 1/4
     best, cost = quantum_maximize(
         values, setup_subset(n, candidates), QOptConfig(epsilon, delta, seed)
     )
@@ -221,8 +209,9 @@ def exact_diameter_simple(
     network: Graph | Prepared, seed: int = 0, delta: float | None = None
 ) -> DiameterResult:
     """Maximize plain eccentricity over all nodes: O(sqrt(n) * D) rounds."""
-    _check_delta(delta)
-    if network.n <= 2:
+    if delta is not None:
+        check_delta(delta)  # before any work
+    if network.n < MIN_PROCEDURE_N:
         return _trivial_result(network.n)
     prep = _preparation(network)
     g, tree = prep.g, prep.tree
@@ -243,8 +232,9 @@ def exact_diameter(
     width 2*ecc(leader) puts probability mass at least d/2n on maximizing
     candidates, which sets the amplification schedule.
     """
-    _check_delta(delta)
-    if network.n <= 2:
+    if delta is not None:
+        check_delta(delta)  # before any work
+    if network.n < MIN_PROCEDURE_N:
         return _trivial_result(network.n)
     prep = _preparation(network)
     tree, support = prep.tree, frozenset(range(prep.n))
@@ -272,8 +262,9 @@ def approx_diameter(
     the maximum eccentricity computed anywhere: over the landmarks, at w,
     and by the quantum phase over R.
     """
-    _check_delta(delta)
-    if network.n <= 2:
+    if delta is not None:
+        check_delta(delta)  # before any work
+    if network.n < MIN_PROCEDURE_N:
         return _trivial_result(network.n)
     prep = _preparation(network)
     g, dist, tree_leader, n = prep.g, prep.dist, prep.tree, prep.n

@@ -193,7 +193,8 @@ class CostReport:
 
     ``leader`` is the run's coordinator, the node that also holds the
     search's index and outcomes.  Only a run's report names one (built by
-    ``diameter._search``, or by ``diameter._trivial_result`` for n <= 2); a
+    ``diameter._search``, or by ``diameter._trivial_result`` below
+    ``procedures.MIN_PROCEDURE_N`` nodes); a
     procedure's report, and a merge of reports, leaves it None.
     """
 

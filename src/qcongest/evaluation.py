@@ -145,8 +145,9 @@ def make_eval_context(
 ) -> EvalContext:
     """The branch-independent context over the candidates ``restrict`` (all
     nodes when None); ``dist`` is the graph's all-sources distance matrix.
-    Like every procedure, the evaluation requires n >= 3, so neither the
-    window table nor ``evaluate_on_engine`` runs on a smaller network."""
+    Like every procedure, the evaluation requires n >= ``MIN_PROCEDURE_N``,
+    so neither the window table nor ``evaluate_on_engine`` runs on a smaller
+    network."""
     _require_size(g)
     numbering = dfs_numbering(tree, restrict)
     degrees = _adjacency(g)[0].tolist()

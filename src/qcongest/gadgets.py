@@ -163,6 +163,11 @@ class ReductionInstance:
     def disj(self) -> int:
         return self.inp.disj()
 
+    @property
+    def gap_holds(self) -> bool:
+        """The reduction's gap: DISJ = 1 exactly when delta is at most 2 + stretch_d."""
+        return (self.delta <= 2 + self.stretch_d) == (self.disj == 1)
+
 
 def build_reduction_instance(
     n: int, inp: DisjInput, stretch_d: int = 0

@@ -217,8 +217,6 @@ def _random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
     a repeat; row i gets its lower neighbours (appended as their rows are
     built) before its upper ones, so each list is ascending.
     """
-    if not (0.0 <= p <= 1.0):
-        raise GraphError(f"edge probability {p} outside [0, 1]")
     above: list[list[int]] = [[] for _ in range(n)]  # row i: tree neighbours j > i
     if n == 2:
         above[0].append(1)
@@ -277,29 +275,31 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(n, tuple(map(tuple, rows)))
 
 
+def check_family(family: str, p: float | None) -> None:
+    """Refuse a (family, edge probability p) pair ``generate`` cannot build:
+    a family not in ``FAMILIES``, random without p in [0, 1], or p on another."""
+    if family not in FAMILIES:
+        raise GraphError(f"unknown family {family!r} (choose from {FAMILIES})")
+    if family == "random":
+        if p is None or not (0.0 <= p <= 1.0):
+            raise GraphError(f"random needs an edge probability in [0, 1], got p={p}")
+    elif p is not None:
+        raise GraphError(f"family {family!r} takes no edge probability, got p={p}")
+
+
 def generate(family: str, n: int, seed: int = 0, p: float | None = None) -> Graph:
-    """Build a connected graph of the given family, deterministic per seed."""
+    """Build a connected graph of the given family, deterministic per seed,
+    once ``check_family`` has accepted (family, p)."""
+    check_family(family, p)
     if n < 1:
         raise GraphError("n must be positive")
     rng = random.Random(f"qcongest-gen:{family}:{n}:{seed}")
     if family == "random":
-        if p is None:
-            raise GraphError("random family requires an edge probability p")
         g = _random_connected_graph(n, p, rng)
-    elif family not in FAMILIES:
-        raise GraphError(f"unknown family {family!r} (choose from {FAMILIES})")
-    elif p is not None:
-        raise GraphError(f"family {family!r} takes no edge probability, got p={p}")
-    elif family == "path":
-        g = path_graph(n)
-    elif family == "cycle":
-        g = cycle_graph(n)
-    elif family == "star":
-        g = star_graph(n)
-    elif family == "grid":
-        g = grid_graph(n)
     else:
-        g = lollipop_graph(n)
+        build = {"path": path_graph, "cycle": cycle_graph, "star": star_graph,
+                 "grid": grid_graph, "lollipop": lollipop_graph}[family]
+        g = build(n)
     perm = list(range(n))
     rng.shuffle(perm)
     return relabel(g, perm)

@@ -24,7 +24,8 @@ from .diameter import (
     exact_diameter_simple,
     prepare,
 )
-from .qsearch import valid_delta
+from .procedures import MIN_PROCEDURE_N
+from .qsearch import check_delta
 
 CSV_COLUMNS = (
     "family",
@@ -50,22 +51,18 @@ def splitmix64(x: int) -> int:
 
 
 def parse_family(spec: str) -> tuple[str, float | None]:
-    """Family spec strings: "path", "cycle", ..., "random:0.05".  The name
-    must be one of ``graphs.FAMILIES``; "random", and no other family,
-    takes an edge probability p in [0, 1]."""
+    """Family spec strings: "path", "cycle", ..., "random:0.05": a family
+    name, then, after a colon, an edge probability, which must parse as a
+    number.  ``graphs.check_family`` then judges the pair, so a spec is
+    refused exactly as ``graphs.generate`` refuses its pair."""
     fam, sep, arg = spec.partition(":")
-    if fam not in graphs.FAMILIES:
-        raise ValueError(f"unknown family {fam!r} (choose from {graphs.FAMILIES})")
-    if fam != "random" and sep:
-        raise ValueError(f"family spec {spec!r}: only random takes an edge probability")
     try:
         p = float(arg) if sep else None
     except ValueError:
         raise ValueError(
             f"family spec {spec!r}: edge probability {arg!r} is not a number"
         ) from None
-    if fam == "random" and not (p is not None and 0.0 <= p <= 1.0):
-        raise ValueError(f"family spec {spec!r}: random needs an edge probability in [0, 1]")
+    graphs.check_family(fam, p)
     return fam, p
 
 
@@ -85,14 +82,14 @@ class ExperimentConfig:
             raise ValueError("need at least one family")
         if not self.sizes:
             raise ValueError("need at least one size")
-        if any(n < 3 for n in self.sizes):
-            raise ValueError("sizes must be >= 3")
+        if any(n < MIN_PROCEDURE_N for n in self.sizes):
+            raise ValueError(f"sizes must be >= {MIN_PROCEDURE_N}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if not self.algos:
             raise ValueError("need at least one algorithm")
-        if self.delta is not None and not valid_delta(self.delta):
-            raise ValueError(f"delta must be in (0, 1) with 1/delta finite, got {self.delta}")
+        if self.delta is not None:
+            check_delta(self.delta)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for a in self.algos:
@@ -190,10 +187,10 @@ def read_csv(path: str | Path) -> list[dict]:
     """The rows of a CSV that ``write_csv`` wrote.  Raises ``ValueError``
     naming the file when its header lacks any of ``CSV_COLUMNS`` (an empty
     file lacks them all), a row's field count differs from the header's, or
-    an integer column holds something else, n is below 3, algo is not one of
-    ``ALGORITHMS``, ok is not 0 or 1, rounds, words, leader_qubits or D_out is
-    below 0, D_true is below 1, or D_true or D_out is above n - 1 (naming the
-    line and column)."""
+    an integer column holds something else, n is below ``MIN_PROCEDURE_N``,
+    algo is not one of ``ALGORITHMS``, ok is not 0 or 1, rounds, words,
+    leader_qubits or D_out is below 0, D_true is below 1, or D_true or D_out
+    is above n - 1 (naming the line and column)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
     missing = [c for c in CSV_COLUMNS if c not in header]
@@ -216,8 +213,8 @@ def read_csv(path: str | Path) -> list[dict]:
                 raise ValueError(
                     f"{path}: line {number} column {key}: {row[key]!r} is not an integer"
                 ) from None
-        if row["n"] < 3:
-            raise ValueError(f"{path}: line {number} column n: {row['n']} is below 3")
+        if row["n"] < MIN_PROCEDURE_N:
+            raise ValueError(f"{path}: line {number} column n: {row['n']} is below {MIN_PROCEDURE_N}")
         if row["algo"] not in ALGORITHMS:
             raise ValueError(f"{path}: line {number} column algo: unknown algorithm {row['algo']!r}")
         if row["ok"] not in (0, 1):

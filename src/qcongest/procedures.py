@@ -13,10 +13,10 @@ times on it, keeping the engine's register-width and bandwidth checks:
 ``argmax_convergecast``, and ``simple_eval_table`` (every branch u0 of the
 simple evaluation at once), which ``eccentricity_simple_eval`` reads.
 
-Every procedure, closed form and engine reference alike, requires n >= 3
-(``MIN_PROCEDURE_N``) and raises ``EngineError`` below it: the message
+Every procedure, closed form and engine reference alike, requires
+n >= ``MIN_PROCEDURE_N`` and raises ``EngineError`` below it: the message
 layouts need ceil(log2 n) >= 2 bits per field.  The diameter algorithms
-answer n <= 2 without running any procedure.
+answer smaller networks without running any procedure.
 
 Next to each program sits its reference, which runs it on the word-level
 engine and is what the closed form is tested against: ``elect_on_engine``

@@ -30,8 +30,12 @@ marking oracle), its inverse, and the setup reflection (setup + inverse
 setup); measuring restarts from a fresh setup.  The iteration schedule is
 the randomized growing-threshold one (counts uniform in [0, m), m growing
 by 6/5 up to ceil(1/sqrt(eps))), repeated ceil(log2(1/delta)) times per
-decision, which meets the declared worst-case call budget
-CALL_BUDGET_C1 * sqrt(ln(1/delta)/eps) per decision.
+decision.  A failing decision's worst case, every try drawing m - 1
+iterations, is ceil(log2(1/delta)) * sum over its bounds m of (2 + 4(m - 1))
+calls.  At delta = 1/n^2 it stays within the declared budget
+CALL_BUDGET_C1 * sqrt(ln(1/delta)/eps) for n <= 480 at eps = 1/(2n), the
+exact algorithm's floor, and for n <= 676 at eps = 1/n, the simple
+algorithm's, and exceeds it at many larger sizes (1.04x at n = 1024, 1/n).
 
 Maximum finding follows Durr-Hoyer: per threshold a it runs one decision at
 the target eps for {x : f(x) > a}, raises a to the value found on success,
@@ -50,20 +54,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Declared engineering constants (empirically validated, see tests):
-# worst-case Setup+Evaluation+inverse calls per amplification decision is
-# CALL_BUDGET_C1 * sqrt(ln(1/delta)/eps); a maximization run aborts once
-# CALL_BUDGET_C1 * sqrt(ln(1/delta)/eps) * (ceil(log2(1/eps)) + 2) calls
-# have been spent and returns its current threshold; the log factor covers
-# the expected O(log(1/eps)) threshold raises of a run.  The constant absorbs
-# the ceil(log2(1/delta)) repetition overhead of the randomized iteration
-# schedule at desk scales (delta >= 1/n^2 for n up to a few hundred).
+# Declared engineering constant (empirically validated, see tests): a
+# decision's Setup+Evaluation+inverse call budget is
+# CALL_BUDGET_C1 * sqrt(ln(1/delta)/eps), which covers its worst case only at
+# desk sizes ("Call accounting" above); a maximization run aborts once it
+# has spent ceil(log2(1/eps)) + 2 decision budgets, which covers the
+# expected O(log(1/eps)) threshold raises of a run.
 CALL_BUDGET_C1 = 128.0
 
 MAX_BRANCHES = 1 << 20
 _NORM_TOL = 1e-9
-
-_TWO32 = 1 << 32
 
 
 class SearchError(ValueError):
@@ -145,7 +145,8 @@ class QOptConfig:
     """Parameters of a maximization run.
 
     ``epsilon`` lower-bounds the setup probability mass on maximizing
-    branches; ``delta`` is the admissible failure probability.
+    branches and ``delta`` is the admissible failure probability; both are
+    checked when the config is built (``check_epsilon``, ``check_delta``).
     """
 
     epsilon: float
@@ -153,17 +154,27 @@ class QOptConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon <= 1.0):
-            raise SearchError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        if not valid_delta(self.delta):
-            raise SearchError(f"delta must be in (0, 1) with 1/delta finite, got {self.delta}")
+        check_epsilon(self.epsilon)
+        check_delta(self.delta)
 
 
-def valid_delta(delta: float) -> bool:
-    """Whether a search can be run at failure probability ``delta``: it must
+def check_epsilon(epsilon: float) -> int:
+    """Refuse an ``epsilon`` outside (0, 1] or whose iteration cap
+    ceil(1/sqrt(epsilon)) exceeds 2^32; return the cap."""
+    if not (0.0 < epsilon <= 1.0):
+        raise SearchError(f"epsilon must be in (0, 1], got {epsilon}")
+    m_cap = math.ceil(1.0 / math.sqrt(epsilon))
+    if m_cap > 1 << 32:
+        raise SearchError(f"epsilon {epsilon} needs more than 2^32 iterations")
+    return m_cap
+
+
+def check_delta(delta: float) -> None:
+    """Refuse a failure probability no search can run at: ``delta`` must
     lie in (0, 1), and 1/delta must be finite, since the call budget and the
     repetition count grow with log(1/delta)."""
-    return 0.0 < delta < 1.0 and math.isfinite(1.0 / delta)
+    if not (0.0 < delta < 1.0 and math.isfinite(1.0 / delta)):
+        raise SearchError(f"delta must be in (0, 1) with 1/delta finite, got {delta}")
 
 
 def decide_call_budget(epsilon: float, delta: float) -> int:
@@ -226,11 +237,8 @@ def amplitude_amplify_decide(
     ``random()`` that picks the branch.
     """
     mask = _marks(state0, marked)
-    if not (0.0 < epsilon <= 1.0) or not valid_delta(delta):
-        raise SearchError("invalid epsilon or delta")
-    m_cap = max(1.0, math.ceil(1.0 / math.sqrt(epsilon)))
-    if m_cap > _TWO32:
-        raise SearchError(f"epsilon {epsilon} needs more than 2^32 iterations")
+    m_cap = check_epsilon(epsilon)
+    check_delta(delta)
     rng = _generator(rng)
     w = np.abs(state0.setup_amps) ** 2
     marked_mass = float(w[mask].sum())
@@ -276,15 +284,11 @@ def quantum_maximize(
     """Return an argmax of f over the setup support, w.p. >= 1 - delta.
 
     ``values`` holds f per branch; entries outside the setup support are
-    never read.  Runs the Durr-Hoyer threshold loop from the first support
-    index: per threshold a, one decision at ``config.epsilon`` on the mark
-    support & (values > a); raise a to the value found on success and stop
-    at the first failure.  While a is below the maximum every maximizer is
-    marked, so the marked mass is at least epsilon and the decision's
-    promise holds.  The computation aborts with the current threshold
-    element once the worst-case call budget is spent.  The decisions share
-    one generator made from ``config.seed``: each draws on where the
-    previous one stopped.
+    never read.  Runs the Durr-Hoyer threshold loop (module docstring) from
+    the first support index, on the marks support & (values > a), and
+    aborts with the current threshold element once ``maximize_call_budget``
+    is spent.  The decisions share one generator made from
+    ``config.seed``: each draws on where the previous one stopped.
     """
     vals = _per_branch(state0, values, "values")
     rng = _generator(config.seed)

@@ -106,11 +106,24 @@ def test_criterion_02_approximation_guarantee(grid):
         worst = min(worst, freq)
         if freq < 1.0 - 1.0 / n:
             bad_classes.append((family, n, freq))
+    # the quantum phase on its own: it must find the largest eccentricity
+    # over R, the s nodes closest to w (ties by id); no miss is allowed, as
+    # criterion 1 allows no wrong answer
+    misses, raised = [], 0
+    for r in records:
+        ecc = graphs.all_eccentricities(r.g)
+        dist = graphs.bfs_distances(r.g, r.approx.details["w"])
+        r_set = sorted(range(r.n), key=lambda v: (dist[v], v))[: r.approx.details["s"]]
+        if r.approx.details["d_quantum"] != max(ecc[v] for v in r_set):
+            misses.append((r.family, r.n, r.seed))
+        raised += r.approx.d_out > r.approx.details["d_quantum"]
     _announce(
         2,
-        not bad_classes,
+        not bad_classes and not misses,
         f"d_bar <= D <= ceil(3*d_bar/2) with worst class frequency {worst:.3f} "
-        f"(violating classes: {bad_classes or 'none'})",
+        f"(violating classes: {bad_classes or 'none'}); the quantum phase found "
+        f"the largest eccentricity over R on {len(records) - len(misses)}/{len(records)} "
+        f"pairs (misses: {misses or 'none'}); d_out > d_quantum on {raised} pairs",
     )
 
 

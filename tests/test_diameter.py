@@ -187,7 +187,7 @@ def test_a_bad_delta_is_refused_before_any_work(algo, n, monkeypatch):
     g = graphs.path_graph(n) if n > 1 else graphs.Graph.from_edges(1, [])
     assert algo(g, delta=0.5).d_out == n - 1
     monkeypatch.setattr(diameter, "all_sources_distances", None)  # no matrix is built
-    for delta in (5.0, 1.0, 0.0, 1e-320):
+    for delta in (5.0, 1.0, 0.0, 1e-320, float("nan")):
         refused = rf"^delta must be in \(0, 1\) with 1/delta finite, got {delta}$"
         with pytest.raises(SearchError, match=refused):
             algo(g, delta=delta)

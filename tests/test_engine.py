@@ -259,7 +259,8 @@ def test_two_words_on_one_edge_rejected():
 
 
 def _transcript(trace_path) -> list[dict]:
-    return [json.loads(line) for line in open(trace_path, encoding="utf-8")]
+    with open(trace_path, encoding="utf-8") as f:
+        return [json.loads(line) for line in f]
 
 
 def test_determinism_bit_identical_transcripts(tmp_path):

@@ -86,6 +86,7 @@ def test_gap_exhaustive_n10():
         inp = DisjInput(4, "".join(xb), "".join(yb))
         inst = build_reduction_instance(10, inp)
         assert (inst.delta <= 2) == (brute_disj(inp.x, inp.y) == 1)
+        assert inst.gap_holds
 
 
 def test_gap_random_n14():
@@ -134,6 +135,7 @@ def test_stretch_monotone_and_gap_preserved():
             # measured shape at n=10: stretching shifts both classes by d
             assert inst.delta == d + base_delta
             assert inst.diameter == inst.delta
+            assert inst.gap_holds
 
 
 def test_reduction_protocol_cost_formula():

@@ -141,6 +141,12 @@ def test_generate_random_needs_p():
         generate("random", 10, seed=0)
 
 
+@pytest.mark.parametrize("p", [None, -0.1, 1.5, float("nan")])
+def test_generate_random_needs_p_in_the_unit_interval(p):
+    with pytest.raises(GraphError, match=rf"^random needs an edge probability in \[0, 1\], got p={p}$"):
+        generate("random", 10, seed=0, p=p)
+
+
 @pytest.mark.parametrize("family", [f for f in graphs.FAMILIES if f != "random"])
 def test_generate_refuses_p_for_a_family_without_one(family):
     with pytest.raises(GraphError, match=f"family {family!r} takes no edge probability"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import re
 import weakref
 
 import pytest
@@ -65,8 +66,25 @@ def test_config_rejects_random_without_an_edge_probability():
 
 @pytest.mark.parametrize("spec", ["path:0.3", "grid:0", "star:1"])
 def test_config_rejects_an_edge_probability_on_another_family(spec):
-    with pytest.raises(ValueError, match="only random takes an edge probability"):
+    family = spec.partition(":")[0]
+    with pytest.raises(ValueError, match=f"family {family!r} takes no edge probability"):
         small_config(families=(spec,))
+
+
+@pytest.mark.parametrize("family", [*graphs.FAMILIES, "nope"])
+@pytest.mark.parametrize("p", [None, 0.0, 0.5, 1.0, -0.1, 1.5, float("nan")])
+def test_a_family_spec_is_judged_as_generate_judges_it(family, p):
+    # one rule, graphs.check_family, so a spec and a generate call with the
+    # same pair are refused alike, with the same text
+    spec = family if p is None else f"{family}:{p}"
+    try:
+        graphs.generate(family, 8, seed=0, p=p)
+    except graphs.GraphError as exc:
+        with pytest.raises(graphs.GraphError, match=f"^{re.escape(str(exc))}$"):
+            parse_family(spec)
+    else:
+        got = parse_family(spec)
+        assert got == (family, p)
 
 
 def test_config_validation():
@@ -119,10 +137,11 @@ def _refuse_to_run(monkeypatch):
     monkeypatch.setattr(graphs, "generate", refuse)
 
 
-@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, float("nan"), 1e-320])
+@pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, float("nan"), 1e-320, 5.0])
 def test_config_rejects_a_delta_outside_the_unit_interval(delta, monkeypatch, tmp_path, capsys):
     _refuse_to_run(monkeypatch)
-    with pytest.raises(ValueError, match="delta"):
+    # qsearch.check_delta's text, as every other caller gives it
+    with pytest.raises(ValueError, match=rf"^delta must be in \(0, 1\) with 1/delta finite, got {delta}$"):
         small_config(delta=delta)
     assert cli_main(["run", "--families", "path", "--sizes", "8", "--delta", str(delta),
                      "--out", str(tmp_path / "out.csv")]) == 2
@@ -314,7 +333,9 @@ def test_cli_gadget_random_without_a_seed_draws_with_seed_0(capsys):
             ["gadget", "--n", "10", "--random", "--x", "0000", "--y", "0000"],
             "give --x and --y bit strings or --random, not both",
         ),
-        (["run", "--families", "path:"], "family spec 'path:': only random takes"),
+        (["run", "--families", "path:"], "family spec 'path:': edge probability '' is not a number"),
+        (["run", "--families", "path:0.5"], "family 'path' takes no edge probability, got p=0.5"),
+        (["run", "--families", "random"], "random needs an edge probability in [0, 1], got p=None"),
         (["run", "--families", "random:abc"], "'random:abc': edge probability 'abc' is not a number"),
         (["run", "--families", "random:0.5:1"], "'random:0.5:1': edge probability '0.5:1' is not"),
         (
@@ -324,7 +345,8 @@ def test_cli_gadget_random_without_a_seed_draws_with_seed_0(capsys):
     ],
     ids=[
         "run-seeds", "run-family", "scaling", "gadget-size", "gadget-bits", "gadget-random-and-bits",
-        "run-family-empty-p", "run-family-text-p", "run-family-two-p", "gadget-seed-without-random",
+        "run-family-empty-p", "run-family-p-on-path", "run-family-random-without-p",
+        "run-family-text-p", "run-family-two-p", "gadget-seed-without-random",
     ],
 )
 def test_cli_reports_bad_input_in_one_line(argv, message, capsys, monkeypatch, tmp_path):

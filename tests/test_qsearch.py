@@ -231,8 +231,41 @@ def test_config_validation():
         QOptConfig(0.5, 1.0)
     with pytest.raises(SearchError, match="1/delta finite"):
         QOptConfig(0.5, 1e-320)  # in (0, 1), but 1/delta overflows
-    with pytest.raises(SearchError, match="invalid epsilon or delta"):
+    with pytest.raises(SearchError, match="1/delta finite"):
         amplitude_amplify_decide(setup_uniform(4), np.ones(4, bool), 0.5, 1e-320, 0)
+    with pytest.raises(SearchError, match="2\\^32"):
+        QOptConfig(2.0**-66, 0.5)  # no decision could run it
+    QOptConfig(2.0**-64, 0.5)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.0, 5.0, 1e-320, float("nan")])
+def test_a_bad_delta_is_refused_with_one_text(delta):
+    refused = rf"^delta must be in \(0, 1\) with 1/delta finite, got {delta}$"
+    with pytest.raises(SearchError, match=refused):
+        QOptConfig(0.5, delta)
+    with pytest.raises(SearchError, match=refused):
+        amplitude_amplify_decide(setup_uniform(4), np.ones(4, bool), 0.5, delta, 0)
+
+
+class _LongestTries(np.random.Generator):
+    """Draws every try's largest iteration count j = m - 1."""
+
+    def integers(self, low, high):
+        return np.asarray(high) - 1
+
+
+@pytest.mark.parametrize("scale", [2, 1], ids=["eps=1/2n", "eps=1/n"])
+def test_a_failing_decision_stays_within_its_budget_at_desk_sizes(scale):
+    # the worst case of the decision's own schedule: every try draws m - 1
+    # iterations and fails; the module docstring gives n = 480 as the last
+    # size at which the exact algorithm's floor eps = 1/(2n) is covered
+    state, unmarked = setup_uniform(4), np.zeros(4, bool)
+    for n in range(3, 481):
+        eps, delta = 1.0 / (scale * n), 1.0 / max(4, n * n)
+        rng = _LongestTries(np.random.PCG64(0))
+        found, cost = amplitude_amplify_decide(state, unmarked, eps, delta, rng)
+        assert found is None
+        assert cost.total_calls <= decide_call_budget(eps, delta), n
 
 
 @given(st.integers(0, 500))
