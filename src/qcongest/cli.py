@@ -11,6 +11,7 @@ from pathlib import Path
 from . import verify as verify_mod
 from .gadgets import DisjInput, build_reduction_instance, gadget_size
 from .harness import (
+    ALGORITHMS,
     ExperimentConfig,
     read_csv,
     run_grid,
@@ -123,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--families", default="path,cycle", help="comma-separated, e.g. path,random:0.2")
     p_run.add_argument("--sizes", default="16,32", help="comma-separated node counts")
     p_run.add_argument("--num-seeds", type=int, default=3)
-    p_run.add_argument("--algos", default="exact", help="comma-separated: exact,simple,approx")
+    p_run.add_argument("--algos", default=",".join(ExperimentConfig.algos),
+                       help=f"comma-separated: {','.join(ALGORITHMS)}")
     p_run.add_argument("--delta", type=float, default=None, help="failure probability; default 1/n^2")
     p_run.add_argument("--seed", type=int, default=0, help="master seed")
     p_run.add_argument("--out", default="results.csv")

@@ -11,6 +11,7 @@ algorithm, and is dropped before the next graph is built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +41,21 @@ CSV_COLUMNS = (
     "ok",
 )
 
-ALGORITHMS = ("exact", "simple", "approx")
+# name -> (its function's name here, looked up per run, so a wrapper set on
+# this module is what runs; its verdict on D_out, D_true; its round scale)
+ALGORITHMS = {
+    "exact": ("exact_diameter", operator.eq, lambda n, d: math.sqrt(n * max(1, d))),
+    "simple": ("exact_diameter_simple", operator.eq, lambda n, d: math.sqrt(n) * max(1, d)),
+    "approx": ("approx_diameter", approx_guarantee_holds, lambda n, d: (n * max(1, d)) ** (1 / 3) + d),
+}
+
+
+def algorithm(name: str, where: str = "") -> tuple:
+    """The ``ALGORITHMS`` entry of ``name``; for any other name, a
+    ``ValueError`` whose text ``where`` leads."""
+    if name not in ALGORITHMS:
+        raise ValueError(f"{where}unknown algorithm {name!r}")
+    return ALGORITHMS[name]
 
 
 def splitmix64(x: int) -> int:
@@ -93,8 +108,7 @@ class ExperimentConfig:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for a in self.algos:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
+            algorithm(a)
         for f in self.families:
             parse_family(f)
 
@@ -114,15 +128,8 @@ def run_one(
     prep: Prepared, d_true: int, family_spec: str, seed: int, algo: str,
     algo_seed: int, delta: float | None,
 ) -> dict:
-    if algo == "exact":
-        result: DiameterResult = exact_diameter(prep, seed=algo_seed, delta=delta)
-        ok = result.d_out == d_true
-    elif algo == "simple":
-        result = exact_diameter_simple(prep, seed=algo_seed, delta=delta)
-        ok = result.d_out == d_true
-    else:
-        result = approx_diameter(prep, seed=algo_seed, delta=delta)
-        ok = approx_guarantee_holds(result.d_out, d_true)
+    function, verdict, _ = algorithm(algo)
+    result: DiameterResult = globals()[function](prep, seed=algo_seed, delta=delta)
     leader = result.report.leader
     return {
         "family": family_spec,
@@ -134,7 +141,7 @@ def run_one(
         "words": result.report.total_words,
         "leader_qubits": result.report.per_node_peak_qubits.get(leader, 0),
         "seed": seed,
-        "ok": int(ok),
+        "ok": int(verdict(result.d_out, d_true)),
     }
 
 
@@ -148,7 +155,9 @@ def _run_graph(args: tuple[ExperimentConfig, int, tuple[str, int, int]]) -> list
     if config.trace_dir is not None:
         trace = Path(config.trace_dir)
         trace.mkdir(parents=True, exist_ok=True)
-        procedures.elect_on_engine(g, trace_path=str(trace / f"{family}-{n}-{seed}-election.jsonl"))
+        # the whole spec names the file, so each edge probability has its own
+        name = f"{family_spec.replace(':', '_')}-{n}-{seed}-election.jsonl"
+        procedures.elect_on_engine(g, trace_path=str(trace / name))
     prep, d_true = prepare(g), graphs.diameter_bruteforce(g)
     return [
         run_one(
@@ -186,11 +195,12 @@ def write_csv(rows: list[dict], path: str | Path) -> None:
 def read_csv(path: str | Path) -> list[dict]:
     """The rows of a CSV that ``write_csv`` wrote.  Raises ``ValueError``
     naming the file when its header lacks any of ``CSV_COLUMNS`` (an empty
-    file lacks them all), a row's field count differs from the header's, or
-    an integer column holds something else, n is below ``MIN_PROCEDURE_N``,
-    algo is not one of ``ALGORITHMS``, ok is not 0 or 1, rounds, words,
-    leader_qubits or D_out is below 0, D_true is below 1, or D_true or D_out
-    is above n - 1 (naming the line and column)."""
+    file lacks them all), it holds no data row (every grid has a task, so
+    ``qcongest run`` never writes one), a row's field count differs from the
+    header's, or an integer column holds something else, n is below
+    ``MIN_PROCEDURE_N``, algo is not one of ``ALGORITHMS``, ok is not 0 or 1,
+    rounds, words, leader_qubits or D_out is below 0, D_true is below 1, or
+    D_true or D_out is above n - 1 (naming the line and column)."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",") if lines else []
     missing = [c for c in CSV_COLUMNS if c not in header]
@@ -215,8 +225,7 @@ def read_csv(path: str | Path) -> list[dict]:
                 ) from None
         if row["n"] < MIN_PROCEDURE_N:
             raise ValueError(f"{path}: line {number} column n: {row['n']} is below {MIN_PROCEDURE_N}")
-        if row["algo"] not in ALGORITHMS:
-            raise ValueError(f"{path}: line {number} column algo: unknown algorithm {row['algo']!r}")
+        algorithm(row["algo"], f"{path}: line {number} column algo: ")
         if row["ok"] not in (0, 1):
             raise ValueError(f"{path}: line {number} column ok: {row['ok']} is not 0 or 1")
         lows = (("rounds", 0), ("words", 0), ("leader_qubits", 0), ("D_out", 0), ("D_true", 1))
@@ -229,16 +238,9 @@ def read_csv(path: str | Path) -> list[dict]:
                     f"{path}: line {number} column {key}: {row[key]} is above n - 1 = {row['n'] - 1}"
                 )
         rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no rows")
     return rows
-
-
-def reference_metric(algo: str, n: int, d: int) -> float:
-    """The round-count scale each algorithm is expected to track."""
-    if algo == "exact":
-        return math.sqrt(n * max(1, d))
-    if algo == "simple":
-        return math.sqrt(n) * max(1, d)
-    return (n * max(1, d)) ** (1 / 3) + d
 
 
 def fit_loglog(xs: list[float], ys: list[float]) -> tuple[float | None, float | None]:
@@ -257,12 +259,13 @@ def fit_loglog(xs: list[float], ys: list[float]) -> tuple[float | None, float | 
 
 
 def scaling_summary(rows: list[dict]) -> dict[str, dict]:
-    """Per-algorithm log-log slope against its reference metric, plus the
-    worst ratio rounds / (sqrt(nD) * log2(n)^2)."""
+    """Per-algorithm log-log slope against its round scale in ``ALGORITHMS``,
+    plus the worst ratio rounds / (sqrt(nD) * log2(n)^2)."""
     summary: dict[str, dict] = {}
     for algo in sorted({r["algo"] for r in rows}):
+        *_, scale = algorithm(algo)
         sub = [r for r in rows if r["algo"] == algo]
-        xs = [reference_metric(algo, r["n"], r["D_true"]) for r in sub]
+        xs = [scale(r["n"], r["D_true"]) for r in sub]
         ys = [float(r["rounds"]) for r in sub]
         slope, r2 = fit_loglog(xs, ys)
         ratios = [

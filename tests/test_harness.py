@@ -7,9 +7,10 @@ import weakref
 
 import pytest
 
-from qcongest import cli, diameter, graphs, procedures
+from qcongest import cli, diameter, graphs, harness, procedures
 from qcongest.cli import main as cli_main
 from qcongest.harness import (
+    ALGORITHMS,
     CSV_COLUMNS,
     ExperimentConfig,
     parse_family,
@@ -18,6 +19,7 @@ from qcongest.harness import (
     run_grid,
     scaling_summary,
     splitmix64,
+    run_one,
     write_csv,
 )
 
@@ -390,11 +392,14 @@ def test_cli_reports_bad_input_in_one_line(argv, message, capsys, monkeypatch, t
             rows_to_csv([]) + "path,8,7,exact,9,9,9,4,0,0\n",
             "line 2 column D_out: 9 is above n - 1 = 7",
         ),
+        # a header alone: no run writes it, and there is nothing to fit
+        (rows_to_csv([]), "no rows"),
     ],
     ids=[
         "empty", "no-result-columns", "short-row", "not-an-integer", "n-one", "n-negative",
         "unknown-algo", "ok-not-a-flag", "rounds-negative", "words-negative",
         "qubits-negative", "d-out-negative", "d-true-zero", "d-true-above-n", "d-out-above-n",
+        "no-rows",
     ],
 )
 def test_cli_scaling_reports_a_csv_it_cannot_read_in_one_line(text, message, capsys, tmp_path):
@@ -448,6 +453,62 @@ def test_trace_runs_the_engine_election_once_per_graph(monkeypatch, tmp_path):
     # two families, two seeds: four graphs, each traced once for three rows
     assert len(traced) == len(set(traced)) == 4
     assert sorted(str(p) for p in tmp_path.iterdir()) == sorted(traced)
+
+
+def test_trace_files_of_one_family_at_two_edge_probabilities_are_apart(tmp_path):
+    families = ("random:0.3", "random:0.5")
+    run_grid(small_config(families=families, sizes=(8,), seeds=(0,), trace_dir=str(tmp_path)))
+    # one file per graph, named by the whole family spec
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["random_0.3-8-0-election.jsonl", "random_0.5-8-0-election.jsonl"]
+
+
+@pytest.mark.parametrize("name", ["bogus", "classical"])
+def test_every_reader_of_the_roster_refuses_an_unknown_name_alike(name, monkeypatch, tmp_path):
+    text = f"^unknown algorithm {name!r}$"
+    with pytest.raises(ValueError, match=text):
+        small_config(algos=("exact", name))
+    path = tmp_path / "rows.csv"
+    path.write_text(rows_to_csv([]) + f"path,8,7,{name},7,9,9,4,0,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2 column algo: {text[1:]}"):
+        read_csv(path)
+    prep = diameter.prepare(graphs.generate("path", 8, seed=0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algorithm ran")
+
+    for function, _, _ in ALGORITHMS.values():
+        monkeypatch.setattr(harness, function, refuse)
+    with pytest.raises(ValueError, match=text):
+        run_one(prep, 7, "path", 0, name, 1, None)
+    row = {"algo": name, "n": 8, "D_true": 7, "rounds": 9}
+    with pytest.raises(ValueError, match=text):
+        scaling_summary([row])
+
+
+def test_run_help_names_exactly_the_roster(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_:
+        cli_main(["run", "--help"])
+    assert exit_.value.code == 0
+    listed = re.search(r"--algos ALGOS\s+comma-separated: (\S+)", capsys.readouterr().out)
+    assert listed is not None and listed.group(1).split(",") == list(ALGORITHMS)
+
+
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+def test_a_wrapper_set_on_the_harness_is_what_a_grid_runs(algo, monkeypatch):
+    function = ALGORITHMS[algo][0]
+    results = []
+    original = getattr(harness, function)
+
+    def wrapper(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, function, wrapper)
+    rows = run_grid(small_config(algos=(algo,)))
+    assert len(rows) == len(results) == 8
+    assert [r["D_out"] for r in rows] == [result.d_out for result in results]
 
 
 def test_cli_verify_passes_every_check(capsys):
